@@ -163,7 +163,7 @@ type camEntry struct {
 
 // Switch is a flooding learning switch with spanning tree.
 type Switch struct {
-	eng   *sim.Engine
+	eng   *sim.Proc
 	id    uint32
 	name  string
 	links []*sim.Link
@@ -188,7 +188,7 @@ type Switch struct {
 }
 
 // New builds a baseline switch.
-func New(eng *sim.Engine, id uint32, name string, ports int, cfg Config) *Switch {
+func New(eng *sim.Proc, id uint32, name string, ports int, cfg Config) *Switch {
 	s := &Switch{
 		eng:      eng,
 		id:       id,

@@ -45,7 +45,7 @@ func BuildFabric(spec *topo.Spec, seed uint64, link sim.LinkConfig, cfg Config) 
 			hostIdx++
 			continue
 		}
-		f.Switches[n.ID] = New(f.Eng, uint32(n.ID)+1, n.Name, n.Ports, cfg)
+		f.Switches[n.ID] = New(f.Eng.NewProc(), uint32(n.ID)+1, n.Name, n.Ports, cfg)
 	}
 	for _, ls := range spec.Links {
 		an, bn := f.node(ls.A.Node), f.node(ls.B.Node)

@@ -89,7 +89,7 @@ func setCtrlHandler(c ctrlnet.Conn, h ctrlnet.Handler) {
 // sharded fabric the pipe delay becomes a lookahead bound like any
 // cross-shard link.
 func (f *Fabric) ctrlPipe(swEng *sim.Engine) (raw1, raw2 *ctrlnet.SimConn) {
-	return ctrlnet.SimPipeDom(f.Dom, swEng, f.Eng, ctrlnet.PipeConfig{
+	return ctrlnet.SimPipe(f.Dom, swEng, f.Eng, ctrlnet.PipeConfig{
 		Delay:    f.Opts.CtrlDelay,
 		LossRate: f.Opts.CtrlLoss,
 	})
@@ -145,7 +145,7 @@ func (f *Fabric) wireStandby() {
 		sb.SetPassive(true)
 		sb.SetJournal(f.Obs.Journal(standbyName(i), 2048, f.Eng.Now))
 		f.Standbys[i] = sb
-		hbP, hbS := ctrlnet.SimPipeDom(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
+		hbP, hbS := ctrlnet.SimPipe(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
 		f.hbPrimary[i] = hbP
 		hbS.SetHandler(func(m ctrlmsg.Msg) {
 			if _, ok := m.(ctrlmsg.Heartbeat); ok {

@@ -3,6 +3,7 @@ package ctrlnet
 import (
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,43 +12,76 @@ import (
 	"portland/internal/sim"
 )
 
-func TestSimPipeDeliveryAndLatency(t *testing.T) {
-	eng := sim.New(1)
-	var got []ctrlmsg.Msg
-	var at []time.Duration
-	a, b := SimPipe(eng, 50*time.Microsecond)
-	b.SetHandler(func(m ctrlmsg.Msg) {
-		got = append(got, m)
-		at = append(at, eng.Now())
-	})
-	if err := a.Send(ctrlmsg.Hello{Switch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(ctrlmsg.PodAssign{Pod: 3}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if len(got) != 2 {
-		t.Fatalf("delivered %d", len(got))
-	}
-	if got[0] != (ctrlmsg.Hello{Switch: 1}) || got[1] != (ctrlmsg.PodAssign{Pod: 3}) {
-		t.Fatalf("messages %v", got)
-	}
-	if at[0] != 50*time.Microsecond {
-		t.Fatalf("latency %v", at[0])
-	}
-	if at[1] < at[0] {
-		t.Fatal("reordered")
-	}
-	s := a.Stats()
-	if s.Msgs != 2 || s.Bytes <= 0 {
-		t.Fatalf("stats %+v", s)
+// simPipe builds a pipe on a fresh domain: end a on shard 0, end b on
+// the last shard — the same engine when shards is 1, across the epoch
+// mailboxes when it is 2.
+func simPipe(seed uint64, shards int, cfg PipeConfig) (*sim.Domain, *SimConn, *SimConn) {
+	d := sim.NewDomain(seed, shards)
+	a, b := SimPipe(d, d.Engine(0), d.Engine(shards-1), cfg)
+	return d, a, b
+}
+
+// quiesce runs the domain until nothing is queued.
+func quiesce(d *sim.Domain) {
+	for d.Pending() > 0 {
+		d.RunUntil(d.Now() + time.Second)
 	}
 }
 
+// eachLayout runs fn with both ends on one shard and with the ends on
+// two shards.
+func eachLayout(t *testing.T, fn func(t *testing.T, shards int)) {
+	t.Run("same-shard", func(t *testing.T) { fn(t, 1) })
+	t.Run("cross-shard", func(t *testing.T) { fn(t, 2) })
+}
+
+func TestSimPipeDeliveryAndLatency(t *testing.T) {
+	eachLayout(t, func(t *testing.T, shards int) {
+		d, a, b := simPipe(1, shards, PipeConfig{Delay: 50 * time.Microsecond})
+		var gotB, gotA []ctrlmsg.Msg
+		var at []time.Duration
+		b.SetHandler(func(m ctrlmsg.Msg) {
+			gotB = append(gotB, m)
+			at = append(at, b.Sched().Now())
+		})
+		a.SetHandler(func(m ctrlmsg.Msg) { gotA = append(gotA, m) })
+		if err := a.Send(ctrlmsg.Hello{Switch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(ctrlmsg.PodAssign{Pod: 3}); err != nil {
+			t.Fatal(err)
+		}
+		// The reverse direction is its own FIFO.
+		for i := uint64(0); i < 3; i++ {
+			if err := b.Send(ctrlmsg.ARPAnswer{QueryID: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce(d)
+		if len(gotB) != 2 || gotB[0] != (ctrlmsg.Hello{Switch: 1}) || gotB[1] != (ctrlmsg.PodAssign{Pod: 3}) {
+			t.Fatalf("a→b messages %v", gotB)
+		}
+		if at[0] != 50*time.Microsecond || at[1] != at[0] {
+			t.Fatalf("arrivals %v, want both at the pipe delay", at)
+		}
+		for i, m := range gotA {
+			if m.(ctrlmsg.ARPAnswer).QueryID != uint64(i) {
+				t.Fatalf("b→a reordered: %v", gotA)
+			}
+		}
+		if len(gotA) != 3 {
+			t.Fatalf("b→a delivered %d of 3", len(gotA))
+		}
+		s := a.Stats()
+		if s.Msgs != 2 || s.Bytes <= 0 {
+			t.Fatalf("stats %+v", s)
+		}
+	})
+}
+
 func TestSimPipeClose(t *testing.T) {
-	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
+	dom, a, b := simPipe(1, 1, PipeConfig{Delay: time.Microsecond})
+	eng := dom.Engine(0)
 	n := 0
 	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	if err := a.Close(); err != nil {
@@ -57,7 +91,7 @@ func TestSimPipeClose(t *testing.T) {
 		t.Fatalf("Send after Close: %v", err)
 	}
 	// Peer-closed drops in-flight deliveries.
-	c, d := SimPipe(eng, time.Microsecond)
+	c, d := SimPipe(dom, eng, eng, PipeConfig{Delay: time.Microsecond})
 	d.SetHandler(func(ctrlmsg.Msg) { n++ })
 	_ = c.Send(ctrlmsg.Hello{Switch: 2})
 	_ = d.Close()
@@ -204,8 +238,8 @@ func TestTCPConnOverLoopback(t *testing.T) {
 // process. The corrupted frame is counted in the receiver's stats and
 // surfaced via Err(), and later frames still flow.
 func TestSimPipeCorruptFrameCountedNotFatal(t *testing.T) {
-	eng := sim.New(7)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: time.Microsecond, CorruptRate: 1})
+	dom, a, b := simPipe(7, 1, PipeConfig{Delay: time.Microsecond, CorruptRate: 1})
+	eng := dom.Engine(0)
 	var got []ctrlmsg.Msg
 	b.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m) })
 	if err := a.Send(ctrlmsg.Hello{Switch: 1}); err != nil {
@@ -233,25 +267,33 @@ func TestSimPipeCorruptFrameCountedNotFatal(t *testing.T) {
 	}
 }
 
+// TestSimPipeLossRate also pins loss determinism: the coins ride the
+// sending end's own stream, so which messages survive is the same
+// whether the peer shares the shard or not.
 func TestSimPipeLossRate(t *testing.T) {
-	eng := sim.New(3)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: time.Microsecond, LossRate: 0.5})
-	n := 0
-	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	const sent = 400
-	for i := 0; i < sent; i++ {
-		_ = a.Send(ctrlmsg.Hello{Switch: 1})
+	var survivors [2][]uint64
+	for shards := 1; shards <= 2; shards++ {
+		d, a, b := simPipe(3, shards, PipeConfig{Delay: time.Microsecond, LossRate: 0.5})
+		got := &survivors[shards-1]
+		b.SetHandler(func(m ctrlmsg.Msg) { *got = append(*got, m.(ctrlmsg.ARPQuery).QueryID) })
+		for i := 0; i < sent; i++ {
+			_ = a.Send(ctrlmsg.ARPQuery{Switch: 1, QueryID: uint64(i)})
+		}
+		quiesce(d)
+		n, s := len(*got), a.Stats()
+		if s.Drops == 0 || n == 0 {
+			t.Fatalf("loss rate 0.5 delivered %d, dropped %d", n, s.Drops)
+		}
+		if n+int(s.Drops) != sent {
+			t.Fatalf("delivered %d + dropped %d != sent %d", n, s.Drops, sent)
+		}
+		if n < sent/4 || n > 3*sent/4 {
+			t.Fatalf("delivered %d of %d at loss 0.5; loss model skewed", n, sent)
+		}
 	}
-	eng.Run()
-	s := a.Stats()
-	if s.Drops == 0 || n == 0 {
-		t.Fatalf("loss rate 0.5 delivered %d, dropped %d", n, s.Drops)
-	}
-	if n+int(s.Drops) != sent {
-		t.Fatalf("delivered %d + dropped %d != sent %d", n, s.Drops, sent)
-	}
-	if n < sent/4 || n > 3*sent/4 {
-		t.Fatalf("delivered %d of %d at loss 0.5; loss model skewed", n, sent)
+	if !slices.Equal(survivors[0], survivors[1]) {
+		t.Fatalf("delivered set depends on shard layout:\n same-shard  %v\n cross-shard %v", survivors[0], survivors[1])
 	}
 }
 
@@ -259,8 +301,8 @@ func TestSimPipeLossRate(t *testing.T) {
 // transmits nor receives, and reviving it restores the channel
 // without losing accumulated stats.
 func TestSimPipeSetUp(t *testing.T) {
-	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
+	dom, a, b := simPipe(1, 1, PipeConfig{Delay: time.Microsecond})
+	eng := dom.Engine(0)
 	n := 0
 	b.SetHandler(func(ctrlmsg.Msg) { n++ })
 	_ = a.Send(ctrlmsg.Hello{Switch: 1})
@@ -294,43 +336,44 @@ func TestSimPipeSetUp(t *testing.T) {
 // TestReliableOverLossyPipe: with 30% control loss in both
 // directions, every message still arrives exactly once and in order.
 func TestReliableOverLossyPipe(t *testing.T) {
-	eng := sim.New(11)
-	a, b := SimPipeCfg(eng, PipeConfig{Delay: 50 * time.Microsecond, LossRate: 0.3})
-	ra := NewReliable(eng, a, ReliableConfig{})
-	rb := NewReliable(eng, b, ReliableConfig{})
-	var got []uint64
-	rb.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m.(ctrlmsg.ARPQuery).QueryID) })
-	ra.SetHandler(func(ctrlmsg.Msg) {})
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := ra.Send(ctrlmsg.ARPQuery{Switch: 1, QueryID: uint64(i)}); err != nil {
-			t.Fatal(err)
+	eachLayout(t, func(t *testing.T, shards int) {
+		d, a, b := simPipe(11, shards, PipeConfig{Delay: 50 * time.Microsecond, LossRate: 0.3})
+		ra := NewReliable(a.Sched(), a, ReliableConfig{})
+		rb := NewReliable(b.Sched(), b, ReliableConfig{})
+		var got []uint64
+		rb.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m.(ctrlmsg.ARPQuery).QueryID) })
+		ra.SetHandler(func(ctrlmsg.Msg) {})
+		const n = 100
+		for i := 0; i < n; i++ {
+			if err := ra.Send(ctrlmsg.ARPQuery{Switch: 1, QueryID: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	eng.Run()
-	if len(got) != n {
-		t.Fatalf("delivered %d of %d", len(got), n)
-	}
-	for i, q := range got {
-		if q != uint64(i) {
-			t.Fatalf("out of order or duplicated at %d: %d", i, q)
+		quiesce(d)
+		if len(got) != n {
+			t.Fatalf("delivered %d of %d", len(got), n)
 		}
-	}
-	if ra.Retransmits == 0 {
-		t.Fatal("30% loss produced no retransmits")
-	}
-	if ra.Pending() != 0 {
-		t.Fatalf("%d messages never acked", ra.Pending())
-	}
+		for i, q := range got {
+			if q != uint64(i) {
+				t.Fatalf("out of order or duplicated at %d: %d", i, q)
+			}
+		}
+		if ra.Retransmits == 0 {
+			t.Fatal("30% loss produced no retransmits")
+		}
+		if ra.Pending() != 0 {
+			t.Fatalf("%d messages never acked", ra.Pending())
+		}
+	})
 }
 
 // TestReliableNoOverheadWhenIdle: the wrapper must not generate
 // spontaneous traffic — only Sends and their acks touch the wire.
 func TestReliableQuiescent(t *testing.T) {
-	eng := sim.New(1)
-	a, b := SimPipe(eng, time.Microsecond)
-	ra := NewReliable(eng, a, ReliableConfig{})
-	rb := NewReliable(eng, b, ReliableConfig{})
+	dom, a, b := simPipe(1, 1, PipeConfig{Delay: time.Microsecond})
+	eng := dom.Engine(0)
+	ra := NewReliable(a.Sched(), a, ReliableConfig{})
+	rb := NewReliable(b.Sched(), b, ReliableConfig{})
 	rb.SetHandler(func(ctrlmsg.Msg) {})
 	_ = ra.Send(ctrlmsg.Hello{Switch: 1})
 	eng.Run()

@@ -376,11 +376,8 @@ func (d *Domain) NewTimer(fn func()) *Timer { return newTimer(d, fn) }
 // NewTicker returns a ticker whose ticks run exclusively; jitter draws
 // from the exclusive stream's PRNG.
 func (d *Domain) NewTicker(interval, jitter time.Duration, fn func()) *Ticker {
-	return newTicker(d, d.drv.rng, interval, jitter, fn)
+	return newTicker(d, interval, jitter, fn)
 }
-
-func (d *Domain) nowT() time.Duration                     { return d.Now() }
-func (d *Domain) scheduleAtFn(t time.Duration, fn func()) { d.ScheduleAt(t, fn) }
 
 // Pending returns the number of queued events across all shards, the
 // exclusive stream, and undrained mailboxes.

@@ -2,9 +2,9 @@
 //
 // All protocol code in this repository runs on virtual time: an Engine
 // owns a monotone clock and an event queue, and every link, timer and
-// timeout is an event. Runs are reproducible — the engine's PRNG is
+// timeout is an event. Runs are reproducible — every PRNG stream is
 // seeded explicitly and ties between simultaneous events are broken by
-// insertion order.
+// a key that depends only on construction and issue order (proc.go).
 package sim
 
 import (
@@ -28,7 +28,7 @@ import (
 // by value, and a fatter struct measurably slows every Schedule/Run.
 type event struct {
 	at  time.Duration
-	seq uint64 // insertion order, breaks ties deterministically
+	seq uint64 // tie-break key (see proc.go), breaks ties deterministically
 	fn  func()
 	dir *direction // frame-delivery variant (fn is nil)
 }
@@ -222,16 +222,6 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) {
 	}
 	e.seq++
 	e.enqueue(event{at: t, seq: e.seq, fn: fn})
-}
-
-// scheduleDelivery queues a value-typed frame-delivery event: the
-// frame at the head of d's in-flight ring arrives at absolute time t.
-func (e *Engine) scheduleDelivery(t time.Duration, d *direction) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.enqueue(event{at: t, seq: e.seq, dir: d})
 }
 
 // enqueue files an event into the stage its tick belongs to.
@@ -572,21 +562,11 @@ func (e *Engine) runSpan(limit, clockTo time.Duration) int {
 	return n
 }
 
-// schedAt is the internal hook Timer and Ticker are built on; it is
-// implemented by Engine (root-stream keys), Proc (entity keys) and
-// Domain (exclusive keys), so the same timer machinery serves all
-// three without caring which stream its events ride.
-type schedAt interface {
-	nowT() time.Duration
-	scheduleAtFn(t time.Duration, fn func())
-}
-
-func (e *Engine) nowT() time.Duration                     { return e.now }
-func (e *Engine) scheduleAtFn(t time.Duration, fn func()) { e.ScheduleAt(t, fn) }
-
-// Timer is a cancellable, reschedulable one-shot timer.
+// Timer is a cancellable, reschedulable one-shot timer. Its expiries
+// ride whichever Sched built it: Engine (root-stream keys), Proc
+// (entity keys) or Domain (exclusive keys).
 type Timer struct {
-	s        schedAt
+	s        Sched
 	deadline time.Duration
 	armed    bool
 	fn       func()
@@ -598,13 +578,13 @@ type Timer struct {
 // should use Proc.NewTimer instead.
 func (e *Engine) NewTimer(fn func()) *Timer { return newTimer(e, fn) }
 
-func newTimer(s schedAt, fn func()) *Timer {
+func newTimer(s Sched, fn func()) *Timer {
 	t := &Timer{s: s, fn: fn}
 	// A stale scheduled fire (superseded by a later Reset, or
 	// disarmed by Stop) identifies itself by its instant not matching
 	// the current deadline; only the live one passes both checks.
 	t.fire = func() {
-		if !t.armed || t.s.nowT() != t.deadline {
+		if !t.armed || t.s.Now() != t.deadline {
 			return
 		}
 		t.armed = false
@@ -618,9 +598,9 @@ func (t *Timer) Reset(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.deadline = t.s.nowT() + d
+	t.deadline = t.s.Now() + d
 	t.armed = true
-	t.s.scheduleAtFn(t.deadline, t.fire)
+	t.s.ScheduleAt(t.deadline, t.fire)
 }
 
 // Stop disarms the timer; a pending expiry will not fire.
@@ -633,7 +613,7 @@ func (t *Timer) Armed() bool { return t.armed }
 
 // Ticker invokes fn every interval until stopped.
 type Ticker struct {
-	s        schedAt
+	s        Sched
 	interval time.Duration
 	stopped  bool
 	fn       func()
@@ -646,19 +626,19 @@ type Ticker struct {
 // engine's root stream and the jitter draws from the root PRNG;
 // Domain-backed code should use Proc.NewTicker instead.
 func (e *Engine) NewTicker(interval, jitter time.Duration, fn func()) *Ticker {
-	return newTicker(e, e.rng, interval, jitter, fn)
+	return newTicker(e, interval, jitter, fn)
 }
 
-func newTicker(s schedAt, rng *rand.Rand, interval, jitter time.Duration, fn func()) *Ticker {
+func newTicker(s Sched, interval, jitter time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
 	t := &Ticker{s: s, interval: interval, fn: fn}
 	first := interval
 	if jitter > 0 {
-		first = time.Duration(rng.Int64N(int64(jitter))) + 1
+		first = time.Duration(s.Rand().Int64N(int64(jitter))) + 1
 	}
-	s.scheduleAtFn(s.nowT()+first, t.tick)
+	s.ScheduleAt(s.Now()+first, t.tick)
 	return t
 }
 
@@ -670,7 +650,7 @@ func (t *Ticker) tick() {
 	if t.stopped { // fn may stop the ticker
 		return
 	}
-	t.s.scheduleAtFn(t.s.nowT()+t.interval, t.tick)
+	t.s.ScheduleAt(t.s.Now()+t.interval, t.tick)
 }
 
 // Stop halts the ticker.

@@ -93,17 +93,16 @@ type DirStats struct {
 // failure-injected down, which silently discards frames — exactly what
 // higher layers must detect via LDP timeouts.
 //
-// A link runs in one of two modes, fixed at wiring time. The legacy
-// mode (Connect) lives on a single engine and keeps the original
-// semantics: loss coins are flipped at send time from the engine's
-// root PRNG and delivery ties use the root counter. The domain mode
-// (Domain.Connect) may span two shards; each direction then owns a
-// Proc of its *receiving* shard (wire-loss coins are flipped at
-// delivery time from that stream — physically, corruption is observed
-// by the receiver's CRC check), the transmitter tracks its own queue
-// occupancy by serialization-end times, and counters are split into
-// transmitter-owned and receiver-owned halves so the two shards never
-// write the same word.
+// The two ends may live on different shards of a Domain, so every
+// decision belongs to exactly one side. The transmitter decides
+// queueing: it tracks its own egress occupancy by serialization-end
+// times. The receiver decides wire loss: each direction owns a Proc of
+// its *receiving* shard, and loss/gray coins are flipped at delivery
+// time from that stream (physically, corruption is what the receiver's
+// CRC check observes). Counters are split into transmitter-owned and
+// receiver-owned halves so the two shards never write the same word.
+// A link wired with Connect has both ends on one engine and runs the
+// same code.
 type Link struct {
 	cfg LinkConfig
 
@@ -141,16 +140,15 @@ type direction struct {
 	queued    int // frames in the ring == scheduled, undelivered
 
 	// txEng/rxEng are the engines of the transmitting and receiving
-	// endpoints (equal on a same-shard or legacy link).
+	// endpoints (equal on a same-shard link).
 	txEng *Engine
 	rxEng *Engine
 
-	// proc is the direction's scheduling identity in domain mode (nil
-	// on legacy links). Its counter is advanced at send time by the
-	// transmitting shard; its PRNG is drawn at delivery time by the
-	// receiving shard. The fields are disjoint and the phases cannot
-	// overlap (a delivery is at least one lookahead after its send),
-	// so the shared struct is race-free.
+	// proc is the direction's scheduling identity, a Proc of rxEng. Its
+	// counter is advanced at send time by the transmitting shard; its
+	// PRNG is drawn at delivery time by the receiving shard. The fields
+	// are disjoint and the phases cannot overlap (a delivery is at least
+	// one lookahead after its send), so the shared struct is race-free.
 	proc *Proc
 
 	// grayRate drops each non-LDP frame independently with this
@@ -163,17 +161,16 @@ type direction struct {
 	// tx tallies outcomes decided at the transmitter (QueueDrops,
 	// send-time DownDrops); rx tallies outcomes decided at the
 	// receiver (Delivered, LossDrops, GrayDrops, in-flight
-	// DownDrops). Separate structs because in domain mode they are
-	// written by different shards.
+	// DownDrops). Separate structs because on a cross-shard link they
+	// are written by different shards.
 	tx DirStats
 	rx DirStats
 
-	// serEnds tracks, in domain mode, the serialization-end time of
-	// every frame the transmitter has accepted: the egress queue
-	// occupancy at time t is the count of entries > t. The legacy
-	// mode counts the in-flight ring instead, but in domain mode the
-	// ring is popped by the receiving shard and must not feed back
-	// into transmit decisions.
+	// serEnds tracks the serialization-end time of every frame the
+	// transmitter has accepted: the egress queue occupancy at time t is
+	// the count of entries > t. (The in-flight ring below is popped by
+	// the receiving shard and must not feed back into transmit
+	// decisions.)
 	serEnds []time.Duration
 	serHead int
 	serLen  int
@@ -232,37 +229,31 @@ func (d *direction) reapSer(now time.Duration) {
 	}
 }
 
-// Connect wires (an,ap) to (bn,bp) with cfg on a single engine and
-// attaches both sides (legacy single-engine mode).
+// Connect wires (an,ap) to (bn,bp) with cfg, both ends on engine e, and
+// attaches both sides.
 func Connect(e *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *Link {
-	return connect(e, e, an, ap, bn, bp, cfg, false)
+	return connect(e, e, an, ap, bn, bp, cfg)
 }
 
-// Connect wires (an,ap) on engine ea to (bn,bp) on engine eb in domain
-// mode: per-direction receiver-shard streams, delivery-time loss
-// coins, and transmitter-local queue accounting. A cross-shard link
-// registers its propagation delay as a lookahead bound for both
-// directed shard pairs (full-duplex media, one delay).
+// Connect wires (an,ap) on engine ea to (bn,bp) on engine eb. A
+// cross-shard link registers its propagation delay as a lookahead bound
+// for both directed shard pairs (full-duplex media, one delay).
 func (d *Domain) Connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *Link {
 	if ea.dom != d || eb.dom != d {
 		panic("sim: Domain.Connect with engines outside the domain")
 	}
-	l := connect(ea, eb, an, ap, bn, bp, cfg, true)
+	l := connect(ea, eb, an, ap, bn, bp, cfg)
 	d.RegisterLatency(ea, eb, l.cfg.Delay)
 	return l
 }
 
-func connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig, domainMode bool) *Link {
+func connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *Link {
 	if cfg.Rate == 0 {
 		cfg = DefaultLinkConfig
 	}
 	l := &Link{cfg: cfg, a: endpoint{an, ap}, b: endpoint{bn, bp}, up: true}
-	l.ab = direction{link: l, toB: true, txEng: ea, rxEng: eb}
-	l.ba = direction{link: l, txEng: eb, rxEng: ea}
-	if domainMode {
-		l.ab.proc = eb.NewProc()
-		l.ba.proc = ea.NewProc()
-	}
+	l.ab = direction{link: l, toB: true, txEng: ea, rxEng: eb, proc: eb.NewProc()}
+	l.ba = direction{link: l, txEng: eb, rxEng: ea, proc: ea.NewProc()}
 	an.Attach(ap, l)
 	bn.Attach(bp, l)
 	return l
@@ -375,7 +366,13 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Send transmits f from node "from" toward the peer. It models
 // store-and-forward serialization and propagation; the frame is either
-// queued for transmission or dropped (full queue / link down).
+// queued for transmission or dropped (full queue / link down). Queue
+// occupancy comes from the transmitter's own serialization-end ring,
+// wire-loss coins wait for delivery, and the delivery key is issued
+// from the direction's stream so the receiving shard orders it
+// identically in serial and sharded runs. Same-shard deliveries enqueue
+// directly; cross-shard ones ride the domain mailbox to the next epoch
+// barrier.
 func (l *Link) Send(from Node, f *ether.Frame) {
 	var dir *direction
 	switch from {
@@ -392,54 +389,13 @@ func (l *Link) Send(from Node, f *ether.Frame) {
 		e.pool.Put(f)
 		return
 	}
-	if dir.proc != nil {
-		l.sendDomain(dir, e, f)
-		return
-	}
-	// Legacy single-engine path: original send-time coins and
-	// ring-count queue occupancy, keyed by the root stream.
-	//
+	now := e.now
+	dir.reapSer(now)
 	// LDP keepalives ride a strict-priority control class that is never
 	// tail-dropped: real switches schedule control traffic above the
 	// data class, so congestion must not masquerade as a dead neighbor.
 	// (Detector probes deliberately stay in the data class — they exist
 	// to experience what data experiences.)
-	if dir.queued >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
-		dir.tx.QueueDrops++
-		e.pool.Put(f)
-		return
-	}
-	if l.cfg.LossRate > 0 && e.Rand().Float64() < l.cfg.LossRate {
-		dir.rx.LossDrops++
-		e.pool.Put(f)
-		return
-	}
-	if dir.grayRate > 0 && f.Type != ether.TypeLDP && e.Rand().Float64() < dir.grayRate {
-		dir.rx.GrayDrops++
-		e.pool.Put(f)
-		return
-	}
-	ser := l.cfg.SerializationDelay(f.WireSize())
-	start := e.now
-	if dir.busyUntil > start {
-		start = dir.busyUntil
-	}
-	dir.busyUntil = start + ser
-	dir.pushFrame(f)
-	e.scheduleDelivery(dir.busyUntil+l.cfg.Delay, dir)
-}
-
-// sendDomain is the domain-mode transmit path: queue occupancy from
-// the transmitter's own serialization-end ring (the in-flight ring
-// belongs to the receiving shard), wire-loss coins deferred to
-// delivery, and the delivery key issued from the direction's stream so
-// the receiving shard orders it identically in serial and sharded
-// runs. Same-shard deliveries enqueue directly; cross-shard ones ride
-// the domain mailbox to the next epoch barrier.
-func (l *Link) sendDomain(dir *direction, e *Engine, f *ether.Frame) {
-	now := e.now
-	dir.reapSer(now)
-	// Same strict-priority control-class exemption as the legacy path.
 	if dir.serLen >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
 		dir.tx.QueueDrops++
 		e.pool.Put(f)
@@ -477,20 +433,18 @@ func (l *Link) deliver(dir *direction) {
 		e.pool.Put(f)
 		return
 	}
-	if dir.proc != nil {
-		// Domain mode: wire-corruption coins at the receiver, from the
-		// direction's own stream — draw order equals delivery order,
-		// which is the same in serial and sharded runs.
-		if l.cfg.LossRate > 0 && dir.proc.rng.Float64() < l.cfg.LossRate {
-			dir.rx.LossDrops++
-			e.pool.Put(f)
-			return
-		}
-		if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.rng.Float64() < dir.grayRate {
-			dir.rx.GrayDrops++
-			e.pool.Put(f)
-			return
-		}
+	// Wire-corruption coins at the receiver, from the direction's own
+	// stream — draw order equals delivery order, which is the same in
+	// serial and sharded runs.
+	if l.cfg.LossRate > 0 && dir.proc.rng.Float64() < l.cfg.LossRate {
+		dir.rx.LossDrops++
+		e.pool.Put(f)
+		return
+	}
+	if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.rng.Float64() < dir.grayRate {
+		dir.rx.GrayDrops++
+		e.pool.Put(f)
+		return
 	}
 	dir.rx.Delivered++
 	if l.Tap != nil {

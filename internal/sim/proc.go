@@ -15,9 +15,9 @@ import (
 // therefore order by issue order, and events of different entities
 // order by construction order — never by global insertion order, which
 // would differ between a serial and a sharded run. The engine root
-// stream is rank 0 with a bare counter, so standalone-engine users
-// (tests, benchmarks, tools that never build a Domain) see exactly the
-// pre-sharding insertion-order semantics.
+// stream (Engine.ScheduleAt and the timers built on it) is rank 0 with
+// a bare counter: root events order among themselves by insertion and
+// ahead of every entity's events at the same instant.
 const (
 	ctrBits = 36
 	ctrMask = (uint64(1) << ctrBits) - 1
@@ -142,10 +142,5 @@ func (p *Proc) NewTimer(fn func()) *Timer { return newTimer(p, fn) }
 // NewTicker implements Sched: tick events carry this entity's rank and
 // the first-tick jitter draws from the entity's own stream.
 func (p *Proc) NewTicker(interval, jitter time.Duration, fn func()) *Ticker {
-	return newTicker(p, p.rng, interval, jitter, fn)
+	return newTicker(p, interval, jitter, fn)
 }
-
-// nowT/scheduleAtFn implement the internal scheduler hooks Timer and
-// Ticker are built on.
-func (p *Proc) nowT() time.Duration                     { return p.eng.now }
-func (p *Proc) scheduleAtFn(t time.Duration, fn func()) { p.ScheduleAt(t, fn) }
