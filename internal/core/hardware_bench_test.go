@@ -15,8 +15,9 @@ import (
 // a k=4 fabric whose switches hold 8 flow entries and 2 ECMP groups,
 // re-resolving and re-sending an all-hosts fan-out each op. Every op
 // thrashes the flow caches (evictions + slow-path recomputes) and
-// re-runs group-table admission — the sustained-rate number for the
-// bench-ft gate, next to the flowtable microbenchmarks. The
+// re-runs group-table admission — the fabric-level companion of the
+// flowtable pressure rig (flowtable.TestTablePressureSteadyState pins
+// the exact half: occupancy 1, evictions, 0 allocs). The
 // self-reported metrics record the pressure honestly: `occupancy` is
 // the peak flow-table fill and `evict/op` the per-op eviction count
 // across the fabric.

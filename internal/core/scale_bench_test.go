@@ -45,26 +45,13 @@ func BenchmarkK48Discovery(b *testing.B) {
 // Synchronization-cost metrics come from Domain.SyncStats: `epochs` is
 // the number of planning rounds the boot took and `barriers` / `skips`
 // are per-shard averages of windows actually run versus wakeups the
-// pairwise planner skipped. The `planner=global` rows rerun the
-// 8-shard boots under the retained global-minimum reference planner
-// (every shard woken every epoch, so barriers == epochs and skips ==
-// 0); comparing their `barriers` column against the pairwise rows is
-// the ≥30%-fewer-barriers acceptance measurement, checked into the
-// BENCH_*-pairwise.json baseline.
+// pairwise planner skipped.
 func BenchmarkShardedBoot(b *testing.B) {
-	for _, c := range []struct {
-		k, shards int
-		global    bool
-	}{
-		{48, 1, false}, {48, 4, false}, {48, 8, false},
-		{64, 1, false}, {64, 8, false},
-		{48, 8, true}, {64, 8, true},
+	for _, c := range []struct{ k, shards int }{
+		{48, 1}, {48, 4}, {48, 8},
+		{64, 1}, {64, 8},
 	} {
-		name := fmt.Sprintf("k%d/shards%d", c.k, c.shards)
-		if c.global {
-			name += "/planner=global"
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("k%d/shards%d", c.k, c.shards), func(b *testing.B) {
 			workers := 1
 			var epochs, barriers, skips float64
 			for i := 0; i < b.N; i++ {
@@ -72,7 +59,6 @@ func BenchmarkShardedBoot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				f.Dom.SetGlobalPlanner(c.global)
 				f.Start()
 				if err := f.AwaitDiscovery(10 * time.Second); err != nil {
 					b.Fatal(err)

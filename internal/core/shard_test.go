@@ -16,19 +16,11 @@ import (
 // flow's arrival timeline. Byte-equality of this string across shard
 // counts is the sharded engine's determinism contract.
 func shardTrace(t *testing.T, k, shards int, loss float64) string {
-	return shardTraceOpt(t, k, shards, loss, false)
-}
-
-// shardTraceOpt is shardTrace with the epoch-planner axis exposed:
-// globalPlanner runs the retained global-minimum reference planner
-// instead of the pairwise one.
-func shardTraceOpt(t *testing.T, k, shards int, loss float64, globalPlanner bool) string {
 	t.Helper()
 	f, err := NewFatTree(k, Options{Seed: 77, Shards: shards, CtrlLoss: loss})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Dom.SetGlobalPlanner(globalPlanner)
 	if want := min(shards, k+1); shards > 1 && f.Dom.Shards() != want {
 		t.Fatalf("partition collapsed: want %d shards, got %d", want, f.Dom.Shards())
 	}
@@ -102,22 +94,6 @@ func TestShardIdentityCtrlLoss(t *testing.T) {
 	if got := shardTrace(t, 4, 5, 0.1); got != serial {
 		t.Errorf("shards=5 lossy trace diverges from serial (len %d vs %d): %s",
 			len(got), len(serial), firstDiff(serial, got))
-	}
-}
-
-// TestShardPlannerDifferential is the fabric-level planner
-// differential gate: the same sharded scenario run under the pairwise
-// epoch planner and under the retained global-minimum planner must
-// produce byte-identical traces (and TestShardIdentity separately pins
-// pairwise == serial). Runs under -race via `make check`, where the
-// two planners' different wake patterns also exercise the concurrent
-// window path differently.
-func TestShardPlannerDifferential(t *testing.T) {
-	pair := shardTraceOpt(t, 4, 5, 0, false)
-	glob := shardTraceOpt(t, 4, 5, 0, true)
-	if glob != pair {
-		t.Errorf("global-planner trace diverges from pairwise (len %d vs %d): %s",
-			len(glob), len(pair), firstDiff(pair, glob))
 	}
 }
 

@@ -136,8 +136,7 @@ func TestTraceWorkloadAllocFree(t *testing.T) {
 
 // BenchmarkTraceWorkload times one full sampled-trace replay (sample,
 // start, run to completion) on a warm k=4 fabric, reporting sampled
-// flows and delivered packets per wall second. The "flows" metric
-// column feeds the benchjson regression gate.
+// flows and delivered packets per wall second.
 func BenchmarkTraceWorkload(b *testing.B) {
 	f, err := NewFatTree(4, Options{Seed: 7})
 	if err != nil {

@@ -22,8 +22,9 @@ import (
 // the sweep shows what sharding and batching change *semantically* —
 // message counts per resolution, registry spread across replicas,
 // fan-out latency staying flat because shard 0 alone carries the route
-// authority. Wall-clock scaling lives in BenchmarkMgrARPThroughput and
-// the bench-mgr gate, where core counts are recorded honestly.
+// authority. Wall-clock cost per ARP query and per fault notification
+// is measured by benchmark/ (fabricmgr.arp_ns_per_query,
+// fabricmgr.fault_ns_per_notify).
 type MgrConfig struct {
 	Rig Rig
 	// Shards are the registry shard counts to sweep (1 = classic

@@ -55,12 +55,10 @@ func shardedRegistry(n, registry int) ([]*Session, [][]netip.Addr) {
 // the managers' true concurrent service rate). ns/op is the aggregate
 // per-query cost. The per-row `shards` and `workers` metrics record
 // how much parallelism the run actually had — on a single-core host
-// the sharded rows measure partition overhead, not speedup, exactly
-// like the sharded-boot baselines (see the Makefile's bench-shard
-// note); on a multi-core host workers = min(GOMAXPROCS, shards) and
-// the sharded rows show the fan-out win. The hosts axis is the
-// registry size: the paper's 27,648-host deployment target and a
-// quarter-million-host scale point.
+// the sharded rows measure partition overhead, not speedup; on a
+// multi-core host workers = min(GOMAXPROCS, shards). The hosts axis
+// is the registry size: the paper's 27,648-host deployment target and
+// a quarter-million-host scale point.
 func BenchmarkMgrARPThroughput(b *testing.B) {
 	for _, hosts := range []int{27648, 262144} {
 		for _, shards := range []int{1, 2, 4} {

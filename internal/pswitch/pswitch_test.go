@@ -90,29 +90,39 @@ func TestSortInts(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardUnicast measures the cached fast path through one
-// switch's dataplane.
-func BenchmarkForwardUnicast(b *testing.B) {
+// resolvedCore returns a 4-port switch hand-resolved as a core (agg
+// LDMs on all ports), so a frame has somewhere to go without a full
+// fabric.
+func resolvedCore(tb testing.TB) (*sim.Engine, *Switch) {
 	eng := sim.New(1)
 	s := New(eng.NewProc(), 1, "sw", 4, ldp.Config{})
-	// Hand-resolve as a core switch with live down neighbors so the
-	// frame has somewhere to go without a full fabric.
 	s.Start()
-	// Core inference: agg LDMs on all ports.
 	for p := 0; p < 4; p++ {
 		s.agent.HandleLDP(p, &ldp.Packet{Kind: ldp.KindLDM, Switch: ctrlmsg.SwitchID(p + 10),
 			Level: ctrlmsg.LevelAggregation, Pod: uint16(p), Pos: 0xff})
 	}
 	if !s.Resolved() {
-		b.Fatal("switch did not resolve as core")
+		tb.Fatal("switch did not resolve as core")
 	}
-	f := &ether.Frame{
+	return eng, s
+}
+
+// pod2Frame is a UDP frame addressed to a PMAC in pod 2.
+func pod2Frame() *ether.Frame {
+	return &ether.Frame{
 		Dst:  ether.Addr{0x00, 0x02, 0x00, 0x00, 0x00, 0x01}, // pod 2
 		Src:  ether.Addr{0x00, 0x01, 0x00, 0x00, 0x00, 0x01},
 		Type: ether.TypeIPv4,
 		Payload: &ippkt.IPv4{Protocol: ippkt.ProtoUDP,
 			Payload: &ippkt.UDP{SrcPort: 1, DstPort: 2}},
 	}
+}
+
+// BenchmarkForwardUnicast measures the cached fast path through one
+// switch's dataplane.
+func BenchmarkForwardUnicast(b *testing.B) {
+	_, s := resolvedCore(b)
+	f := pod2Frame()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.HandleFrame(0, f)
@@ -134,45 +144,64 @@ func (s *sink) Attach(int, *sim.Link)             {}
 func (s *sink) Start()                            {}
 func (s *sink) HandleFrame(_ int, f *ether.Frame) { s.n++; s.eng.FramePool().Put(f) }
 
-// BenchmarkForwardUnicastHit measures the full flow-table-hit unit of
-// work — HandleFrame, flow lookup, Link.Send, delivery event — with
-// real links wired, so what it reports is what every fabric hop costs
-// in steady state. Must be 0 allocs/op (Makefile bench-alloc gate).
-func BenchmarkForwardUnicastHit(b *testing.B) {
-	eng := sim.New(1)
-	s := New(eng.NewProc(), 1, "sw", 4, ldp.Config{})
-	s.Start()
+// hitRig wires resolvedCore's ports to a sink over real links and
+// warms the flow table and candidate cache with one frame, so that
+// hit() is the full flow-table-hit unit of work — HandleFrame, flow
+// lookup, Link.Send, delivery event: what every fabric hop costs in
+// steady state.
+type hitRig struct {
+	eng   *sim.Engine
+	s     *Switch
+	drain *sink
+	f     *ether.Frame
+}
+
+func newHitRig(tb testing.TB) *hitRig {
+	eng, s := resolvedCore(tb)
+	r := &hitRig{eng: eng, s: s, drain: &sink{eng: eng}, f: pod2Frame()}
 	for p := 0; p < 4; p++ {
-		s.agent.HandleLDP(p, &ldp.Packet{Kind: ldp.KindLDM, Switch: ctrlmsg.SwitchID(p + 10),
-			Level: ctrlmsg.LevelAggregation, Pod: uint16(p), Pos: 0xff})
-	}
-	if !s.Resolved() {
-		b.Fatal("switch did not resolve as core")
-	}
-	drain := &sink{eng: eng}
-	for p := 0; p < 4; p++ {
-		sim.Connect(eng, s, p, drain, p, sim.LinkConfig{Rate: 100e9, Delay: 1000, QueueFrames: 64})
+		sim.Connect(eng, s, p, r.drain, p, sim.LinkConfig{Rate: 100e9, Delay: 1000, QueueFrames: 64})
 	}
 	s.agent.Stop() // no keepalive events during measurement
-	f := &ether.Frame{
-		Dst:  ether.Addr{0x00, 0x02, 0x00, 0x00, 0x00, 0x01}, // pod 2
-		Src:  ether.Addr{0x00, 0x01, 0x00, 0x00, 0x00, 0x01},
-		Type: ether.TypeIPv4,
-		Payload: &ippkt.IPv4{Protocol: ippkt.ProtoUDP,
-			Payload: &ippkt.UDP{SrcPort: 1, DstPort: 2}},
+	r.hit()
+	return r
+}
+
+func (r *hitRig) hit() {
+	r.s.HandleFrame(0, r.f)
+	r.eng.Run()
+}
+
+// check fails unless every one of the n hits since newHitRig (plus its
+// warm-up) was forwarded to the sink.
+func (r *hitRig) check(tb testing.TB, n int) {
+	if r.s.Stats.Blackholed > 0 || r.s.Stats.Dropped > 0 {
+		tb.Fatalf("blackholed %d dropped %d", r.s.Stats.Blackholed, r.s.Stats.Dropped)
 	}
-	s.HandleFrame(0, f) // warm the flow table and candidate cache
-	eng.Run()
+	if r.drain.n != int64(n)+1 {
+		tb.Fatalf("sink got %d/%d", r.drain.n, n+1)
+	}
+}
+
+// TestForwardUnicastHitAllocFree: the steady-state hop must not
+// allocate, and must deliver every frame it is handed.
+func TestForwardUnicastHitAllocFree(t *testing.T) {
+	r := newHitRig(t)
+	const runs = 1000
+	if avg := testing.AllocsPerRun(runs, r.hit); avg != 0 {
+		t.Errorf("flow-table hit allocates %.2f objects per frame; want 0", avg)
+	}
+	r.check(t, runs+1) // AllocsPerRun adds one warm-up call
+}
+
+// BenchmarkForwardUnicastHit times the unit of work that
+// TestForwardUnicastHitAllocFree holds at 0 allocs.
+func BenchmarkForwardUnicastHit(b *testing.B) {
+	r := newHitRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.HandleFrame(0, f)
-		eng.Run()
+		r.hit()
 	}
-	if s.Stats.Blackholed > 0 || s.Stats.Dropped > 0 {
-		b.Fatalf("blackholed %d dropped %d", s.Stats.Blackholed, s.Stats.Dropped)
-	}
-	if drain.n != int64(b.N)+1 {
-		b.Fatalf("sink got %d/%d", drain.n, b.N+1)
-	}
+	r.check(b, b.N)
 }

@@ -106,3 +106,33 @@ func TestPopReleasesCallback(t *testing.T) {
 		}
 	}
 }
+
+// The sharded epoch loop — mailbox drain, the planning step RunUntil
+// hands to runUntil, single-worker window execution — must not
+// allocate once wheels and mailboxes have reached their steady size.
+func TestEpochLoopAllocFree(t *testing.T) {
+	d := NewDomain(1, 2)
+	d.SetWorkers(1) // more workers cost a goroutine per epoch by design
+	d.RegisterLatency(d.Engine(0), d.Engine(1), 100*time.Microsecond)
+	for i := 0; i < 2; i++ {
+		p, peer := d.Engine(i).NewProc(), d.Engine(1-i)
+		period := time.Duration(70*(i+1)) * time.Microsecond
+		var tm *Timer
+		tm = p.NewTimer(func() {
+			p.ScheduleOn(peer, p.Now()+150*time.Microsecond, func() {})
+			tm.Reset(period)
+		})
+		tm.Reset(period)
+	}
+	d.RunUntil(10 * time.Millisecond)
+	before := d.SyncStats()
+	avg := testing.AllocsPerRun(100, func() { d.RunUntil(d.Now() + time.Millisecond) })
+	after := d.SyncStats()
+	epochs, mailed := after.Epochs-before.Epochs, after.Shards[0].MailRecv-before.Shards[0].MailRecv
+	if epochs < 100 || mailed < 100 {
+		t.Fatalf("scenario went idle: %d epochs, %d records mailed to shard 0", epochs, mailed)
+	}
+	if avg != 0 {
+		t.Fatalf("epoch loop allocates %.1f objects per virtual millisecond; want 0", avg)
+	}
+}

@@ -59,8 +59,8 @@ import (
 // which is what makes a sharded run byte-identical to the serial one
 // (see proc.go). Window planning only decides *when* shards
 // synchronize, never the (at, key) execution order, so the pairwise
-// planner and the retained global-min planner (SetGlobalPlanner, kept
-// as the differential-testing reference) produce identical traces.
+// planner and the global-minimum reference planner the differential
+// tests run (planGlobalRef in domain_test.go) produce identical traces.
 //
 // Events that must observe or mutate several shards at one instant
 // (fault injection, scenario brackets, driver tickers) ride the
@@ -89,11 +89,6 @@ type Domain struct {
 	// the minimum registered delay for events sent from shard src to
 	// shard dst. Zero means no registered coupling for that pair.
 	lookM []time.Duration
-
-	// planGlobal switches the planner back to the PR 7 global-minimum
-	// windows (every shard woken every epoch). Kept as the differential
-	// reference the identity tests compare against.
-	planGlobal bool
 
 	out     []xmailbox // cross-shard mailboxes, indexed [src*shards+dst]
 	workers int
@@ -221,15 +216,6 @@ func (d *Domain) SetWorkers(n int) {
 // at the shard count. Epochs that wake fewer shards than this use
 // fewer still.
 func (d *Domain) EffectiveWorkers() int { return d.workers }
-
-// SetGlobalPlanner switches between the pairwise epoch planner (the
-// default) and the PR 7 global-minimum planner that wakes every shard
-// at every lookahead-wide epoch. The two produce byte-identical event
-// traces — window planning decides only when shards synchronize, never
-// the (at, key) execution order — which the differential identity
-// tests prove; the global mode is retained exactly for that reference
-// role and for apples-to-apples barrier accounting.
-func (d *Domain) SetGlobalPlanner(on bool) { d.planGlobal = on }
 
 // Lookahead returns the global conservative lookahead (minimum
 // registered cross-shard delay over all pairs), or 0 if no cross-shard
@@ -463,6 +449,15 @@ func (d *Domain) drainMail() {
 // the domain analogue of Engine.RunUntil and returns the number of
 // events executed.
 func (d *Domain) RunUntil(deadline time.Duration) int {
+	return d.runUntil(deadline, (*Domain).planEpoch)
+}
+
+// runUntil is RunUntil with the epoch planner as an argument, so the
+// differential tests can run the same loop under a reference planner.
+// plan reads nextAt/nextOk, receives the deadline and the hard clip
+// (just past the deadline, or the next exclusive instant if sooner)
+// and must fill limit, clockTo and runIdx.
+func (d *Domain) runUntil(deadline time.Duration, plan func(d *Domain, deadline, hardClip time.Duration)) int {
 	if len(d.engines) == 1 {
 		return d.engines[0].RunUntil(deadline)
 	}
@@ -509,21 +504,25 @@ func (d *Domain) RunUntil(deadline time.Duration) int {
 			n += d.runInstant(m)
 			continue
 		}
-		// One planned epoch: per-shard windows, then one barrier.
-		d.planEpoch(m, deadline, exclAt, haveExcl)
+		// One planned epoch: per-shard windows, then one barrier. Windows
+		// are clipped just past the deadline (so deadline-stamped events
+		// fire, per RunUntil's inclusive contract) and at the next
+		// exclusive instant — the exclusive stream is domain-wide, so its
+		// next timestamp is relevant to every shard's window.
+		d.epochs++
+		hardClip := deadline + 1
+		if haveExcl && exclAt < hardClip {
+			hardClip = exclAt
+		}
+		plan(d, deadline, hardClip)
 		n += d.runWindows()
 	}
 }
 
 // planEpoch computes each shard's window limit and clock parking point
-// and partitions shards into woken (runIdx) and skipped. Windows are
-// clipped just past the deadline (so deadline-stamped events fire, per
-// RunUntil's inclusive contract) and at the next exclusive instant —
-// the exclusive stream is domain-wide, so its next timestamp is
-// relevant to every shard's window.
-//
-// In pairwise mode the limit is min over senders j of E(j)+look[j→i],
-// with E the Dijkstra-relaxed earliest-execution bound (see the type
+// and partitions shards into woken (runIdx) and skipped. The limit is
+// hardClip or, if sooner, min over senders j of E(j)+look[j→i], with E
+// the Dijkstra-relaxed earliest-execution bound (see the type
 // comment for the safety argument). Progress is guaranteed: for the
 // shard holding the global minimum m, every other shard's E is ≥ m and
 // every coupling delay is positive, so its limit is > m and it always
@@ -533,31 +532,7 @@ func (d *Domain) RunUntil(deadline time.Duration) int {
 // parks their clock at the window end without waking them. The parking
 // point never passes the shard's own next event, the deadline, or the
 // window limit, so no event is ever jumped.
-func (d *Domain) planEpoch(m, deadline, exclAt time.Duration, haveExcl bool) {
-	d.epochs++
-	hardClip := deadline + 1
-	if haveExcl && exclAt < hardClip {
-		hardClip = exclAt
-	}
-	if d.planGlobal {
-		// PR 7 reference planner: one global window [m, m+look), every
-		// shard woken.
-		limit := hardClip
-		if d.look > 0 && m+d.look < limit {
-			limit = m + d.look
-		}
-		clockTo := limit
-		if clockTo > deadline {
-			clockTo = deadline
-		}
-		d.runIdx = d.runIdx[:0]
-		for i := range d.engines {
-			d.limit[i], d.clockTo[i] = limit, clockTo
-			d.runIdx = append(d.runIdx, i)
-			d.barriers[i]++
-		}
-		return
-	}
+func (d *Domain) planEpoch(deadline, hardClip time.Duration) {
 	// Earliest-execution bounds E: start from each shard's own next
 	// event (farFuture for empty wheels) and relax through coupling
 	// chains, settling the smallest unsettled bound each round
@@ -677,10 +652,7 @@ func (d *Domain) runWindows() int {
 	if rn == 0 {
 		return 0
 	}
-	w := d.workers
-	if w > rn {
-		w = rn
-	}
+	w := min(d.workers, rn) // never reassigned: the goroutines below capture it by value
 	if w <= 1 {
 		n := 0
 		for _, i := range d.runIdx {

@@ -338,10 +338,37 @@ func runBarrierScript(seed uint64, shards int, script []byte) string {
 	return runBarrierScriptOpt(seed, shards, script, false, false)
 }
 
+// planGlobalRef is the PR 7 global-minimum epoch planner, kept as the
+// reference the differential tests compare the production pairwise
+// planner against: one window [m, m+look) from the global minimum
+// timestamp m, every shard woken at every epoch.
+func planGlobalRef(d *Domain, deadline, hardClip time.Duration) {
+	m := farFuture
+	for i, ok := range d.nextOk {
+		if ok && d.nextAt[i] < m {
+			m = d.nextAt[i]
+		}
+	}
+	limit := hardClip
+	if d.look > 0 && m+d.look < limit {
+		limit = m + d.look
+	}
+	clockTo := limit
+	if clockTo > deadline {
+		clockTo = deadline
+	}
+	d.runIdx = d.runIdx[:0]
+	for i := range d.engines {
+		d.limit[i], d.clockTo[i] = limit, clockTo
+		d.runIdx = append(d.runIdx, i)
+		d.barriers[i]++
+	}
+}
+
 // runBarrierScriptOpt is runBarrierScript with the two planner axes
 // exposed: matrix mode swaps the uniform lookahead for a script-derived
-// per-pair delay matrix, and global mode runs the retained
-// global-minimum reference planner instead of the pairwise one.
+// per-pair delay matrix, and global mode runs the epoch loop under
+// planGlobalRef instead of the pairwise planner.
 func runBarrierScriptOpt(seed uint64, shards int, script []byte, matrix, global bool) string {
 	const nodes = 5
 	look := time.Millisecond
@@ -352,7 +379,6 @@ func runBarrierScriptOpt(seed uint64, shards int, script []byte, matrix, global 
 		net = newSnet(seed, shards, nodes, look)
 	}
 	d := net.d
-	d.SetGlobalPlanner(global)
 	d.SetWorkers(d.Shards())
 	for i := 0; i+2 < len(script); i += 3 {
 		op, a, b := script[i], script[i+1], script[i+2]
@@ -384,7 +410,11 @@ func runBarrierScriptOpt(seed uint64, shards int, script []byte, matrix, global 
 			n.p.ScheduleAt(at, func() { n.send(net, 1) })
 		}
 	}
-	d.RunUntil(20 * time.Millisecond)
+	if global {
+		d.runUntil(20*time.Millisecond, planGlobalRef)
+	} else {
+		d.RunUntil(20 * time.Millisecond)
+	}
 	return net.trace()
 }
 
@@ -428,9 +458,9 @@ func FuzzShardBarrier(f *testing.F) {
 
 // TestPlannerDifferentialIdentity is the planner differential gate: on
 // heterogeneous per-pair delay matrices, the pairwise-planned run, the
-// retained global-minimum-planned run, and the serial run must produce
-// byte-identical traces. Window planning decides only when shards
-// synchronize — never what executes in which order.
+// global-minimum-planned run (planGlobalRef), and the serial run must
+// produce byte-identical traces. Window planning decides only when
+// shards synchronize — never what executes in which order.
 func TestPlannerDifferentialIdentity(t *testing.T) {
 	script := []byte{0, 1, 19, 1, 2, 19, 2, 3, 5, 3, 4, 20, 0, 2, 40, 2, 1, 7, 3, 0, 33, 0, 4, 9}
 	for _, seed := range []uint64{3, 21, 777} {
@@ -502,15 +532,14 @@ func TestEpochAccountingPairwise(t *testing.T) {
 	}
 }
 
-// TestEpochAccountingGlobal runs the same scenario under the retained
-// global-minimum planner: three 100µs-wide epochs (one per event
-// timestamp), every shard woken at every one — 9 wakeups, no skips.
+// TestEpochAccountingGlobal runs the same scenario under the
+// global-minimum reference planner: three 100µs-wide epochs (one per
+// event timestamp), every shard woken at every one — 9 wakeups, no skips.
 // Together with TestEpochAccountingPairwise this pins exactly what the
 // pairwise planner saves.
 func TestEpochAccountingGlobal(t *testing.T) {
 	d := asymDomain()
-	d.SetGlobalPlanner(true)
-	if n := d.RunUntil(3 * time.Millisecond); n != 3 {
+	if n := d.runUntil(3*time.Millisecond, planGlobalRef); n != 3 {
 		t.Fatalf("ran %d events, want 3", n)
 	}
 	s := d.SyncStats()

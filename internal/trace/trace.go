@@ -1,9 +1,7 @@
-// Package trace captures simulated traffic for offline analysis. Two
-// sinks are provided: a bounded in-memory ring of decoded frame
-// events (for tests and the path tracer) and a pcap writer emitting
-// standard libpcap files — every frame is serialized through the real
-// wire codecs, so captures open in Wireshark/tcpdump with ARP, IPv4,
-// UDP and TCP fully dissected.
+// Package trace captures simulated traffic for offline analysis: a
+// pcap writer emitting standard libpcap files. Every frame is
+// serialized through the real wire codecs, so captures open in
+// Wireshark/tcpdump with ARP, IPv4, UDP and TCP fully dissected.
 package trace
 
 import (
@@ -14,82 +12,6 @@ import (
 
 	"portland/internal/ether"
 )
-
-// Event is one observed frame.
-type Event struct {
-	At    time.Duration
-	Node  string
-	Port  int
-	Dir   Direction
-	Frame *ether.Frame
-}
-
-// Direction marks which way the frame crossed the observation point.
-type Direction uint8
-
-// Frame directions.
-const (
-	Ingress Direction = iota
-	Egress
-)
-
-// String names the direction.
-func (d Direction) String() string {
-	if d == Ingress {
-		return "in"
-	}
-	return "out"
-}
-
-// String renders an event for logs.
-func (e Event) String() string {
-	return fmt.Sprintf("%-12v %s[%d] %-3s %v", e.At, e.Node, e.Port, e.Dir, e.Frame)
-}
-
-// Ring is a bounded in-memory event recorder. The zero value is
-// unusable; construct with NewRing.
-type Ring struct {
-	events []Event
-	next   int
-	full   bool
-}
-
-// NewRing keeps the most recent n events.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 1
-	}
-	return &Ring{events: make([]Event, n)}
-}
-
-// Record appends an event, evicting the oldest when full.
-func (r *Ring) Record(e Event) {
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Events returns the recorded events, oldest first.
-func (r *Ring) Events() []Event {
-	if !r.full {
-		return append([]Event(nil), r.events[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// Len returns the number of stored events.
-func (r *Ring) Len() int {
-	if r.full {
-		return len(r.events)
-	}
-	return r.next
-}
 
 // pcap constants: classic libpcap format, LINKTYPE_ETHERNET.
 const (

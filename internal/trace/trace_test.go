@@ -11,36 +11,6 @@ import (
 	"portland/internal/ether"
 )
 
-func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Record(Event{At: time.Duration(i), Port: i})
-	}
-	ev := r.Events()
-	if r.Len() != 3 || len(ev) != 3 {
-		t.Fatalf("len %d/%d", r.Len(), len(ev))
-	}
-	for i, e := range ev {
-		if e.Port != i+2 {
-			t.Fatalf("events %v; want oldest-first 2,3,4", ev)
-		}
-	}
-}
-
-func TestRingPartial(t *testing.T) {
-	r := NewRing(10)
-	r.Record(Event{Port: 1})
-	r.Record(Event{Port: 2})
-	ev := r.Events()
-	if len(ev) != 2 || ev[0].Port != 1 || ev[1].Port != 2 {
-		t.Fatalf("events %v", ev)
-	}
-	// Degenerate size is clamped.
-	if NewRing(0) == nil {
-		t.Fatal("nil ring")
-	}
-}
-
 func TestPcapFormat(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewPcapWriter(&buf)
@@ -79,14 +49,3 @@ func TestPcapFormat(t *testing.T) {
 }
 
 func ip4(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
-
-func TestEventString(t *testing.T) {
-	e := Event{At: time.Millisecond, Node: "edge-p0-s0", Port: 2, Dir: Egress,
-		Frame: &ether.Frame{Type: ether.TypeARP}}
-	s := e.String()
-	for _, want := range []string{"edge-p0-s0", "out", "ARP"} {
-		if !bytes.Contains([]byte(s), []byte(want)) {
-			t.Errorf("%q missing %q", s, want)
-		}
-	}
-}
