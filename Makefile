@@ -43,8 +43,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# internal/experiments runs every catalog entry serial, on three engine
+# shards and on eight workers (TestCatalogIdentity): ~9 min under the
+# race detector on 2 vCPU, so the default 10 min per package is too tight.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Run the checked-in fuzz seed corpora (no new exploration; CI-safe).
 fuzz:

@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("group 0x%X: %d receivers joined; fabric manager installed %d tree entries\n",
 		group, len(names), fabric.Manager().Stats.McastInstalls)
 
-	inner.Eng.NewTicker(time.Millisecond, 0, func() {
+	inner.Sched().NewTicker(time.Millisecond, 0, func() {
 		sender.Endpoint().SendGroup(group, 5000, 5000, 512)
 	})
 	fabric.RunFor(400 * time.Millisecond)

@@ -231,9 +231,6 @@ func (s *Switch) IsRoot() bool { return s.root == s.id }
 // forwarding state for the Table 1 comparison.
 func (s *Switch) MACTableLen() int { return len(s.macTable) }
 
-// Blocked reports whether port is STP-blocked.
-func (s *Switch) Blocked(port int) bool { return s.ports[port].blocked }
-
 // Forwarding reports whether port passes data frames: unblocked and
 // past its listening (forward-delay) period.
 func (s *Switch) Forwarding(port int) bool {

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"time"
 
 	"portland/internal/host"
@@ -67,6 +68,9 @@ func (f *Fabric) Start() {
 		f.Switches[id].Start()
 	}
 }
+
+// Rand returns the driver's PRNG (the engine's root stream).
+func (f *Fabric) Rand() *rand.Rand { return f.Eng.Rand() }
 
 // RunFor advances virtual time by d.
 func (f *Fabric) RunFor(d time.Duration) { f.Eng.RunUntil(f.Eng.Now() + d) }

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/netip"
 	"time"
 
@@ -66,15 +67,6 @@ type Options struct {
 	// serial run for the same seed (gated by TestShardIdentity and the
 	// sharded experiment goldens).
 	Shards int
-	// ShardWeight, when non-nil, scores each node's expected event
-	// rate for the shard partitioner (see topo.PartitionWeighted):
-	// pods pack by summed node weight instead of node count, so a
-	// blueprint whose pods are equal-sized but unequally busy (e.g.
-	// trace workloads pinned to a few racks) still balances. Nil keeps
-	// the count-based default. The hook changes only which shard a pod
-	// lands on, never the simulation's event order — any partition is
-	// byte-identical to serial.
-	ShardWeight topo.WeightFunc
 	// SyncCounters, when true, adds the engine domain's
 	// synchronization counters (planner epochs, per-shard
 	// barriers/skips, mailbox traffic) to ObsCounters under "sync.*"
@@ -150,11 +142,11 @@ type Fabric struct {
 	// Dom is the engine domain the fabric runs on: one shard in the
 	// default serial configuration, Options.Shards in a sharded one.
 	Dom *sim.Domain
-	// Eng is shard 0's engine — the control-plane shard. It is the
-	// clock authority between runs and the home of the experiment
-	// driver's PRNG (Eng.Rand()); driver code that needs mid-run
-	// events must use Sched() instead, which is safe on every shard
-	// layout.
+	// Eng is shard 0's engine — the control-plane shard. It stays
+	// exported only because benchmark/kernels.go drains it directly;
+	// everything else reads the clock through Now, draws through Rand,
+	// schedules through Sched and advances time through RunFor, which
+	// are correct on every shard layout.
 	Eng  *sim.Engine
 	Spec *topo.Spec
 	Opts Options
@@ -188,8 +180,9 @@ type Fabric struct {
 	// OnTakeover, if set, observes standby promotion (failover.go).
 	OnTakeover func(epoch uint32)
 
-	// control wiring per switch (failover.go).
-	ctrl map[topo.NodeID]*ctrlPair
+	// ctrl is each switch's control channels, indexed by manager shard
+	// (failover.go).
+	ctrl map[topo.NodeID][]*ctrlChan
 
 	// Control-plane survivability state, indexed by manager shard
 	// (failover.go). epoch is global: any shard's restart or takeover
@@ -217,7 +210,7 @@ func NewFatTree(k int, opts Options) (*Fabric, error) {
 // Build wires a fabric from an arbitrary blueprint.
 func Build(spec *topo.Spec, opts Options) *Fabric {
 	opts = opts.withDefaults()
-	assign, nShards := topo.PartitionWeighted(spec, opts.Shards, opts.ShardWeight)
+	assign, nShards := topo.Partition(spec, opts.Shards)
 	dom := sim.NewDomain(opts.Seed, nShards)
 	nMgr := opts.MgrShards
 	if nMgr < 1 {
@@ -231,7 +224,7 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 		Mgrs:     make([]*fabricmgr.Manager, nMgr),
 		Switches: make(map[topo.NodeID]*pswitch.Switch),
 		Hosts:    make(map[topo.NodeID]*host.Host),
-		ctrl:     make(map[topo.NodeID]*ctrlPair),
+		ctrl:     make(map[topo.NodeID][]*ctrlChan),
 		byName:   make(map[string]topo.NodeID),
 		Obs:      obs.NewRegistry(),
 		engOf:    make([]*sim.Engine, len(spec.Nodes)),
@@ -301,6 +294,15 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 	}
 	return f
 }
+
+// Now returns the fabric's virtual time (shard 0's clock; every shard
+// agrees with it between runs).
+func (f *Fabric) Now() time.Duration { return f.Eng.Now() }
+
+// Rand returns the driver's PRNG: shard 0's root stream, which no
+// simulated entity draws from, so workload and fault sampling is the
+// same on every shard layout.
+func (f *Fabric) Rand() *rand.Rand { return f.Eng.Rand() }
 
 // Sched returns the fabric-wide scheduling surface: events scheduled
 // through it run with every shard parked at the same instant, so
@@ -489,27 +491,18 @@ func (f *Fabric) RecoverSwitch(name string) bool {
 // is real control-network load.
 func (f *Fabric) ControlStats() (toMgr, fromMgr ctrlnet.Stats) {
 	acc := func(dst *ctrlnet.Stats, c *ctrlnet.SimConn) {
-		if c == nil {
-			return
-		}
 		s := c.Stats()
 		dst.Msgs += s.Msgs
 		dst.Bytes += s.Bytes
 		dst.Drops += s.Drops
 		dst.Corrupt += s.Corrupt
 	}
-	for _, pair := range f.ctrl {
-		for _, c := range pair.swRaw {
-			acc(&toMgr, c)
-		}
-		for _, c := range pair.sbSwRaw {
-			acc(&toMgr, c)
-		}
-		for _, c := range pair.mgrRaw {
-			acc(&fromMgr, c)
-		}
-		for _, c := range pair.sbMgrRaw {
-			acc(&fromMgr, c)
+	for _, chans := range f.ctrl {
+		for _, c := range chans {
+			for ; c != nil; c = c.standby {
+				acc(&toMgr, c.swRaw)
+				acc(&fromMgr, c.mgrRaw)
+			}
 		}
 	}
 	return toMgr, fromMgr

@@ -4,9 +4,8 @@
 package core
 
 import (
-	"time"
-
 	"fmt"
+	"time"
 
 	"portland/internal/ctrlmsg"
 	"portland/internal/ctrlnet"
@@ -24,21 +23,20 @@ const (
 	hbTimeout  = 80 * time.Millisecond
 )
 
-// ctrlPair is the full control wiring for one switch: the raw pipe
-// ends (owning stats and up/down state) and the possibly
-// Reliable-wrapped Conns the protocol actually speaks over, one per
-// manager shard (a single-element slice on the default unsharded
-// fabric). The raw pipe objects live for the fabric's lifetime — a
-// manager restart revives the same pipes, preserving byte counters
-// and, under CtrlLoss, the retransmit buffers that re-deliver
-// everything the dead manager missed.
-type ctrlPair struct {
-	swRaw, mgrRaw   []*ctrlnet.SimConn
-	swConn, mgrConn []ctrlnet.Conn
-
-	// Standby mirror channels (nil without Options.Standby).
-	sbSwRaw, sbMgrRaw   []*ctrlnet.SimConn
-	sbSwConn, sbMgrConn []ctrlnet.Conn
+// ctrlChan is one switch↔manager control channel: the raw pipe ends
+// (owning stats and up/down state) and the possibly Reliable-wrapped
+// Conns the protocol actually speaks over. A switch has one per manager
+// shard (a single element on the default unsharded fabric). The raw
+// pipe objects live for the fabric's lifetime — a manager restart
+// revives the same pipes, preserving byte counters and, under
+// CtrlLoss, the retransmit buffers that re-deliver everything the dead
+// manager missed.
+type ctrlChan struct {
+	swRaw, mgrRaw   *ctrlnet.SimConn
+	swConn, mgrConn ctrlnet.Conn
+	// standby is the mirror channel to the shard's warm standby (nil
+	// without Options.Standby).
+	standby *ctrlChan
 }
 
 // muxConn fans a switch's control transmissions out to the primary
@@ -95,40 +93,34 @@ func (f *Fabric) ctrlPipe(swEng *sim.Engine) (raw1, raw2 *ctrlnet.SimConn) {
 	})
 }
 
+// newCtrlChan wires one switch to one manager: a shard's primary or
+// its standby.
+func (f *Fabric) newCtrlChan(id topo.NodeID, sw *pswitch.Switch, shard int, m *fabricmgr.Manager) *ctrlChan {
+	swRaw, mgrRaw := f.ctrlPipe(f.engOf[id])
+	c := &ctrlChan{swRaw: swRaw, mgrRaw: mgrRaw, swConn: f.wrapCtrl(swRaw), mgrConn: f.wrapCtrl(mgrRaw)}
+	setCtrlHandler(c.swConn, sw.CtrlHandlerFor(shard))
+	setCtrlHandler(c.mgrConn, m.NewSession(c.mgrConn).Handle)
+	return c
+}
+
 // wireControl connects one switch to every fabric-manager shard (and,
-// when configured, each shard's standby).
+// when configured, each shard's standby). Every primary channel is
+// built before the first standby one, so provisioning a standby leaves
+// the primaries' construction order — and with it their tie-break
+// ranks — alone.
 func (f *Fabric) wireControl(id topo.NodeID, sw *pswitch.Switch) {
-	n := len(f.Mgrs)
-	p := &ctrlPair{}
-	conns := make([]ctrlnet.Conn, n)
-	for i := 0; i < n; i++ {
-		swRaw, mgrRaw := f.ctrlPipe(f.engOf[id])
-		swConn, mgrConn := f.wrapCtrl(swRaw), f.wrapCtrl(mgrRaw)
-		setCtrlHandler(swConn, sw.CtrlHandlerFor(i))
-		sess := f.Mgrs[i].NewSession(mgrConn)
-		setCtrlHandler(mgrConn, sess.Handle)
-		p.swRaw = append(p.swRaw, swRaw)
-		p.mgrRaw = append(p.mgrRaw, mgrRaw)
-		p.swConn = append(p.swConn, swConn)
-		p.mgrConn = append(p.mgrConn, mgrConn)
-		conns[i] = swConn
+	chans := make([]*ctrlChan, len(f.Mgrs))
+	conns := make([]ctrlnet.Conn, len(f.Mgrs))
+	for i, m := range f.Mgrs {
+		chans[i] = f.newCtrlChan(id, sw, i, m)
+		conns[i] = chans[i].swConn
 	}
-	if f.Standbys != nil {
-		for i := 0; i < n; i++ {
-			sbSwRaw, sbMgrRaw := f.ctrlPipe(f.engOf[id])
-			sbSwConn, sbMgrConn := f.wrapCtrl(sbSwRaw), f.wrapCtrl(sbMgrRaw)
-			setCtrlHandler(sbSwConn, sw.CtrlHandlerFor(i))
-			sbSess := f.Standbys[i].NewSession(sbMgrConn)
-			setCtrlHandler(sbMgrConn, sbSess.Handle)
-			p.sbSwRaw = append(p.sbSwRaw, sbSwRaw)
-			p.sbMgrRaw = append(p.sbMgrRaw, sbMgrRaw)
-			p.sbSwConn = append(p.sbSwConn, sbSwConn)
-			p.sbMgrConn = append(p.sbMgrConn, sbMgrConn)
-			conns[i] = &muxConn{primary: p.swConn[i], mirror: sbSwConn}
-		}
+	for i, sb := range f.Standbys {
+		chans[i].standby = f.newCtrlChan(id, sw, i, sb)
+		conns[i] = &muxConn{primary: chans[i].swConn, mirror: chans[i].standby.swConn}
 	}
 	sw.SetControlShards(conns)
-	f.ctrl[id] = p
+	f.ctrl[id] = chans
 }
 
 // wireStandby sets up one passive mirror manager per shard and the
@@ -240,7 +232,7 @@ func (f *Fabric) KillManagerShard(shard int) {
 func (f *Fabric) killShard(shard int) {
 	f.mgrDown[shard] = true
 	for _, id := range f.Spec.Switches() {
-		f.ctrl[id].mgrRaw[shard].SetUp(false)
+		f.ctrl[id][shard].mgrRaw.SetUp(false)
 	}
 	if f.hbPrimary != nil {
 		f.hbPrimary[shard].SetUp(false)
@@ -298,11 +290,10 @@ func (f *Fabric) restartShard(shard int) *fabricmgr.Manager {
 	}
 	conns := make([]ctrlnet.Conn, 0, len(f.ctrl))
 	for _, id := range f.Spec.Switches() {
-		p := f.ctrl[id]
-		p.mgrRaw[shard].SetUp(true)
-		sess := m.NewSession(p.mgrConn[shard])
-		setCtrlHandler(p.mgrConn[shard], sess.Handle)
-		conns = append(conns, p.mgrConn[shard])
+		c := f.ctrl[id][shard]
+		c.mgrRaw.SetUp(true)
+		setCtrlHandler(c.mgrConn, m.NewSession(c.mgrConn).Handle)
+		conns = append(conns, c.mgrConn)
 	}
 	if f.hbPrimary != nil {
 		f.hbPrimary[shard].SetUp(true)
@@ -316,7 +307,7 @@ func (f *Fabric) restartShard(shard int) *fabricmgr.Manager {
 func (f *Fabric) standbyConns(shard int) []ctrlnet.Conn {
 	conns := make([]ctrlnet.Conn, 0, len(f.ctrl))
 	for _, id := range f.Spec.Switches() {
-		conns = append(conns, f.ctrl[id].sbMgrConn[shard])
+		conns = append(conns, f.ctrl[id][shard].standby.mgrConn)
 	}
 	return conns
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -21,22 +19,14 @@ type A5Result struct {
 	PerCore   []int64 // frames delivered through each core (sorted desc)
 	Imbalance float64 // max/mean
 	Spread    metrics.Summary
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // RunA5 starts many random inter-pod flows and counts data frames per
-// core switch. Single engine — one runner cell.
-func RunA5(k, flows int) (*A5Result, error) {
-	out, err := runner.Map(1, func(int) (*A5Result, error) { return runA5Cell(k, flows) })
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
+// core switch. A single cell: there is nothing to sweep.
+func RunA5(k, flows int) (*A5Result, error) { return runA5(DefaultRig(), k, flows) }
 
-func runA5Cell(k, flows int) (*A5Result, error) {
-	rig := DefaultRig()
+func runA5(rig Rig, k, flows int) (*A5Result, error) {
 	rig.K = k
 	f, err := rig.build()
 	if err != nil {
@@ -47,8 +37,8 @@ func runA5Cell(k, flows int) (*A5Result, error) {
 	// each is an independent flow for the hash.
 	started := 0
 	for port := uint16(25000); started < flows; port++ {
-		i := f.Eng.Rand().IntN(len(hosts))
-		j := f.Eng.Rand().IntN(len(hosts))
+		i := f.Rand().IntN(len(hosts))
+		j := f.Rand().IntN(len(hosts))
 		if i == j {
 			continue
 		}
@@ -80,12 +70,10 @@ func runA5Cell(k, flows int) (*A5Result, error) {
 	if mean := float64(total) / float64(len(res.PerCore)); mean > 0 {
 		res.Imbalance = res.Spread.Max / mean
 	}
-	rep := newReport("a5", rig.Seed)
-	rep.Params["k"] = itoa(k)
-	rep.Params["flows"] = itoa(flows)
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{obsCell(f, 0, 0, rig.Seed)}
-	res.Report = rep
+	res.Report = replayReport("a5", f, obsCell(f, 0, 0, rig.Seed).cell, map[string]string{
+		"k":     itoa(k),
+		"flows": itoa(flows),
+	}, views{})
 	return res, nil
 }
 

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 )
 
 // A6Row is one locality class's round-trip-time distribution.
@@ -24,22 +22,14 @@ type A6Row struct {
 type A6Result struct {
 	K    int
 	Rows []A6Row
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
-// RunA6 pings representative pairs in each locality class. Single
-// engine — one runner cell.
-func RunA6(k, probes int) (*A6Result, error) {
-	out, err := runner.Map(1, func(int) (*A6Result, error) { return runA6Cell(k, probes) })
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
+// RunA6 pings representative pairs in each locality class. A single
+// cell: there is nothing to sweep.
+func RunA6(k, probes int) (*A6Result, error) { return runA6(DefaultRig(), k, probes) }
 
-func runA6Cell(k, probes int) (*A6Result, error) {
-	rig := DefaultRig()
+func runA6(rig Rig, k, probes int) (*A6Result, error) {
 	rig.K = k
 	f, err := rig.build()
 	if err != nil {
@@ -80,12 +70,10 @@ func runA6Cell(k, probes int) (*A6Result, error) {
 		}
 		res.Rows = append(res.Rows, A6Row{Class: c.name, Hops: c.hops, RTT: metrics.Summarize(samples)})
 	}
-	rep := newReport("a6", rig.Seed)
-	rep.Params["k"] = itoa(k)
-	rep.Params["probes"] = itoa(probes)
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{obsCell(f, 0, 0, rig.Seed)}
-	res.Report = rep
+	res.Report = replayReport("a6", f, obsCell(f, 0, 0, rig.Seed).cell, map[string]string{
+		"k":      itoa(k),
+		"probes": itoa(probes),
+	}, views{})
 	return res, nil
 }
 

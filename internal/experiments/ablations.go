@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"io"
+	"math/rand/v2"
 	"net/netip"
 	"time"
 
@@ -11,8 +13,6 @@ import (
 	"portland/internal/host"
 	"portland/internal/ldp"
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/sim"
 	"portland/internal/topo"
 	"portland/internal/workload"
@@ -33,99 +33,109 @@ func DefaultA1() A1Config {
 	return A1Config{K: 4, Duration: 1 * time.Second, FlowRate: 15 * time.Microsecond, Size: 1400}
 }
 
-// A1Result compares delivered cross-section goodput.
+// A1Result compares delivered cross-section goodput. The report
+// covers the PortLand half only: the baseline fabric has no journals.
 type A1Result struct {
 	Cfg          A1Config
 	PortLandMbps float64
 	BaselineMbps float64
 	Speedup      float64
-	// Report is the run's observability report (PortLand half only —
-	// the baseline fabric has no journals); Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // a1Half is one fabric's goodput plus (for the PortLand half) its
 // observability snapshot.
 type a1Half struct {
+	snap
 	mbps float64
-	cell obs.CellReport
 }
 
 // RunA1 sends one CBR flow per left-half host to a distinct
 // right-half host at near line rate and measures aggregate goodput.
 // PortLand spreads the flows over every core; the spanning tree
 // funnels them through its single surviving root path. The two
-// fabrics are independent engines and run as two runner cells.
-func RunA1(cfg A1Config) (*A1Result, error) {
-	halves, err := runner.Map(2, func(i int) (a1Half, error) {
-		if i == 0 {
-			// PortLand.
-			rig := DefaultRig()
-			rig.K = cfg.K
-			f, err := rig.build()
+// fabrics are independent and run as two cells.
+func RunA1(cfg A1Config) (*A1Result, error) { return runA1(DefaultRig(), cfg) }
+
+func runA1(rig Rig, cfg A1Config) (*A1Result, error) {
+	rig.K = cfg.K
+	res := &A1Result{Cfg: cfg}
+	var mbps [2]float64
+	err := sweep(&res.Reported, "a1", rig.Seed, map[string]string{
+		"k": itoa(cfg.K),
+	}, 2, 1, func(half, _ int) (a1Half, error) {
+		if half == 1 {
+			bf, err := buildBaseline(cfg.K, 1, baseline.Config{})
 			if err != nil {
 				return a1Half{}, err
 			}
-			mbps := crossSectionGoodput(f.Eng, f.HostList(), cfg)
-			return a1Half{mbps: mbps, cell: obsCell(f, 0, 0, rig.Seed)}, nil
+			return a1Half{mbps: crossSectionGoodput(bf, cfg)}, nil
 		}
-		// Baseline.
-		spec, err := topo.FatTree(cfg.K)
+		f, err := rig.build()
 		if err != nil {
 			return a1Half{}, err
 		}
-		bf := baseline.BuildFabric(spec, 1, sim.LinkConfig{}, baseline.Config{})
-		bf.Start()
-		if err := bf.AwaitTree(20 * time.Second); err != nil {
-			return a1Half{}, err
-		}
-		return a1Half{mbps: crossSectionGoodput(bf.Eng, bf.HostList(), cfg)}, nil
-	})
+		mbps := crossSectionGoodput(f, cfg)
+		return a1Half{mbps: mbps, snap: obsCell(f, 0, 0, rig.Seed)}, nil
+	}, func(half int, h []a1Half) { mbps[half] = h[0].mbps })
 	if err != nil {
 		return nil, err
 	}
-	res := &A1Result{Cfg: cfg, PortLandMbps: halves[0].mbps, BaselineMbps: halves[1].mbps}
+	res.PortLandMbps, res.BaselineMbps = mbps[0], mbps[1]
 	if res.BaselineMbps > 0 {
 		res.Speedup = res.PortLandMbps / res.BaselineMbps
 	}
-	res.Report = sweepReport("a1", DefaultRig().Seed, map[string]string{
-		"k": itoa(cfg.K),
-	}, []obs.CellReport{halves[0].cell})
 	return res, nil
 }
 
 // crossSectionGoodput pairs each left-half host with a right-half
 // host, resolves ARP with a gentle warm-up, then blasts CBR for the
-// measurement window and reports the aggregate delivered rate.
-func crossSectionGoodput(eng *sim.Engine, hosts []*host.Host, cfg A1Config) float64 {
+// measurement window and reports the aggregate delivered rate. Each
+// flow ticks on its source host's own scheduler, from a phase drawn at
+// rest from the driver's PRNG, and each receiver counts into its own
+// slot, summed at rest, so the measurement is the same on every shard
+// layout.
+func crossSectionGoodput(f interface {
+	HostList() []*host.Host
+	RunFor(time.Duration)
+	Rand() *rand.Rand
+}, cfg A1Config) float64 {
+	hosts := f.HostList()
 	half := len(hosts) / 2
-	var received int64
-	measuring := false
+	received := make([]int64, half)
+	measuring := false // flipped only at rest, between runs
 	for i := 0; i < half; i++ {
 		src, dst := hosts[i], hosts[half+i]
 		port := uint16(23000 + i)
 		dst.Endpoint().BindUDP(port, func(netip.Addr, uint16, ether.Payload) {
 			if measuring {
-				received += int64(cfg.Size)
+				received[i] += int64(cfg.Size)
 			}
 		})
 		// One probe to resolve ARP before the blast.
 		src.Endpoint().SendUDP(dst.IP(), port, port, 1)
 	}
-	eng.RunUntil(eng.Now() + time.Second)
+	f.RunFor(time.Second)
 	for i := 0; i < half; i++ {
 		src, dst := hosts[i], hosts[half+i]
 		port := uint16(23000 + i)
-		eng.NewTicker(cfg.FlowRate, cfg.FlowRate, func() {
-			src.Endpoint().SendUDP(dst.IP(), port, port, cfg.Size)
+		send := func() { src.Endpoint().SendUDP(dst.IP(), port, port, cfg.Size) }
+		// De-phase the flows: first tick a random fraction of the interval in.
+		first := time.Duration(f.Rand().Int64N(int64(cfg.FlowRate))) + 1
+		src.Sim().Schedule(first, func() {
+			send()
+			src.Sim().NewTicker(cfg.FlowRate, 0, send)
 		})
 	}
-	eng.RunUntil(eng.Now() + 200*time.Millisecond) // ramp
+	f.RunFor(200 * time.Millisecond) // ramp
 	measuring = true
-	start := eng.Now()
-	eng.RunUntil(start + cfg.Duration)
+	f.RunFor(cfg.Duration)
 	measuring = false
-	return float64(received) * 8 / cfg.Duration.Seconds() / 1e6
+	var total int64
+	for _, n := range received {
+		total += n
+	}
+	return float64(total) * 8 / cfg.Duration.Seconds() / 1e6
 }
 
 // Print emits the comparison.
@@ -149,57 +159,47 @@ type A2Row struct {
 // A2Result is the sweep.
 type A2Result struct {
 	Rows []A2Row
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // a2Cell pairs one degree's row with its observability snapshot.
 type a2Cell struct {
-	row  A2Row
-	cell obs.CellReport
+	snap
+	row A2Row
 }
 
 // RunA2 measures the virtual time from cold boot until every switch
-// has resolved its location; each degree boots on its own engine, one
-// runner cell per k.
-func RunA2(ks []int) (*A2Result, error) {
-	cells, err := runner.Map(len(ks), func(i int) (a2Cell, error) {
-		k := ks[i]
-		f, err := core.NewFatTree(k, core.Options{Seed: 1})
+// has resolved its location; each degree boots its own fabric, one
+// cell per k.
+func RunA2(ks []int) (*A2Result, error) { return runA2(DefaultRig(), ks) }
+
+func runA2(rig Rig, ks []int) (*A2Result, error) {
+	res := &A2Result{}
+	err := sweep(&res.Reported, "a2", rig.Seed, nil, len(ks), 1, func(i, _ int) (a2Cell, error) {
+		f, err := core.NewFatTree(ks[i], rig.Options)
 		if err != nil {
 			return a2Cell{}, err
 		}
 		f.Start()
-		deadline := 60 * time.Second
-		for f.Dom.Now() < deadline && !f.AllResolved() {
-			f.Dom.RunUntil(f.Dom.Now() + time.Millisecond)
+		for f.Now() < 60*time.Second && !f.AllResolved() {
+			f.RunFor(time.Millisecond)
 		}
 		if !f.AllResolved() {
-			return a2Cell{}, errDiscoveryStalled
+			return a2Cell{}, errors.New("a2: discovery did not complete")
 		}
 		if err := f.CheckDiscovery(); err != nil {
 			return a2Cell{}, err
 		}
-		row := A2Row{
-			K:         k,
-			Switches:  len(f.Spec.Switches()),
-			Discovery: f.Eng.Now(),
-		}
-		return a2Cell{row: row, cell: obsCell(f, i, 0, 1)}, nil
+		row := A2Row{K: ks[i], Switches: len(f.Spec.Switches()), Discovery: f.Now()}
+		return a2Cell{row: row, snap: obsCell(f, i, 0, rig.Seed)}, nil
+	}, func(_ int, c []a2Cell) {
+		res.Rows = append(res.Rows, c[0].row)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &A2Result{}
-	res.Report = sweepReport("a2", 1, nil, nil)
-	for _, c := range cells {
-		res.Rows = append(res.Rows, c.row)
-		res.Report.Cells = append(res.Report.Cells, c.cell)
-	}
 	return res, nil
 }
-
-const errDiscoveryStalled = errString("a2: discovery did not complete")
 
 // Print emits the sweep.
 func (r *A2Result) Print(w io.Writer) {
@@ -214,12 +214,11 @@ func (r *A2Result) Print(w io.Writer) {
 
 // --- A3: proxy ARP vs broadcast ARP --------------------------------
 
-// A3Result compares the network cost of one address resolution.
+// A3Result compares the network cost of one address resolution. The
+// report covers the PortLand half only.
 type A3Result struct {
 	K int
-	// Report is the run's observability report (PortLand half only);
-	// Print never reads it.
-	Report *obs.Report
+	Reported
 	// PortLand: control messages + frames touched per resolution.
 	PLCtrlMsgs   float64
 	PLDataFrames float64
@@ -229,42 +228,40 @@ type A3Result struct {
 }
 
 // a3Half carries one fabric's share of the A3 measurement; the two
-// fabrics are independent engines and run as two runner cells.
+// fabrics are independent and run as two cells.
 type a3Half struct {
+	snap
 	ctrlMsgs     float64
 	dataFrames   float64
 	hostsHearing float64
-	cell         obs.CellReport
 }
 
 // RunA3 measures per-resolution cost in both fabrics.
-func RunA3(k int, resolutions int) (*A3Result, error) {
-	halves, err := runner.Map(2, func(i int) (a3Half, error) {
-		if i == 0 {
-			return runA3PortLand(k, resolutions)
+func RunA3(k int, resolutions int) (*A3Result, error) { return runA3(DefaultRig(), k, resolutions) }
+
+func runA3(rig Rig, k, resolutions int) (*A3Result, error) {
+	rig.K = k
+	res := &A3Result{K: k}
+	var halves [2]a3Half
+	err := sweep(&res.Reported, "a3", rig.Seed, map[string]string{
+		"k":           itoa(k),
+		"resolutions": itoa(resolutions),
+	}, 2, 1, func(half, _ int) (a3Half, error) {
+		if half == 0 {
+			return runA3PortLand(rig, resolutions)
 		}
 		return runA3Baseline(k, resolutions)
-	})
+	}, func(half int, h []a3Half) { halves[half] = h[0] })
 	if err != nil {
 		return nil, err
 	}
-	return &A3Result{
-		K:            k,
-		PLCtrlMsgs:   halves[0].ctrlMsgs,
-		PLDataFrames: halves[0].dataFrames,
-		BLDataFrames: halves[1].dataFrames,
-		HostsHearing: halves[1].hostsHearing,
-		Report: sweepReport("a3", DefaultRig().Seed, map[string]string{
-			"k":           itoa(k),
-			"resolutions": itoa(resolutions),
-		}, []obs.CellReport{halves[0].cell}),
-	}, nil
+	res.PLCtrlMsgs, res.PLDataFrames = halves[0].ctrlMsgs, halves[0].dataFrames
+	res.BLDataFrames, res.HostsHearing = halves[1].dataFrames, halves[1].hostsHearing
+	return res, nil
 }
 
-func runA3PortLand(k, resolutions int) (a3Half, error) {
+func runA3PortLand(rig Rig, resolutions int) (a3Half, error) {
 	var out a3Half
-	rig := DefaultRig()
-	rig.K = k
 	f, err := rig.build()
 	if err != nil {
 		return out, err
@@ -285,19 +282,14 @@ func runA3PortLand(k, resolutions int) (a3Half, error) {
 	delivered1 := linkDelivered(f.Links)
 	out.ctrlMsgs = float64(toMgr1.Msgs-toMgr0.Msgs+fromMgr1.Msgs-fromMgr0.Msgs) / float64(n)
 	out.dataFrames = (float64(delivered1-delivered0) - bgPerSec*window.Seconds()) / float64(n)
-	out.cell = obsCell(f, 0, 0, rig.Seed)
+	out.snap = obsCell(f, 0, 0, rig.Seed)
 	return out, nil
 }
 
 func runA3Baseline(k, resolutions int) (a3Half, error) {
 	var out a3Half
-	spec, err := topo.FatTree(k)
+	bf, err := buildBaseline(k, 1, baseline.Config{})
 	if err != nil {
-		return out, err
-	}
-	bf := baseline.BuildFabric(spec, 1, sim.LinkConfig{}, baseline.Config{})
-	bf.Start()
-	if err := bf.AwaitTree(20 * time.Second); err != nil {
 		return out, err
 	}
 	// Pre-measure the BPDU background rate.
@@ -305,19 +297,17 @@ func runA3Baseline(k, resolutions int) (a3Half, error) {
 	bf.RunFor(1 * time.Second)
 	bBgPerSec := float64(linkDelivered(bf.Links) - bbg0)
 
-	bDelivered0 := linkDelivered(bf.Links)
-	var hostsIn0 int64
-	for _, h := range bf.HostList() {
-		hostsIn0 += h.Stats.FramesIn
+	hostsIn := func() (n int64) {
+		for _, h := range bf.HostList() {
+			n += h.Stats.FramesIn
+		}
+		return n
 	}
+	bDelivered0, hostsIn0 := linkDelivered(bf.Links), hostsIn()
 	bn := workload.ARPStorm(bf.HostList(), resolutions)
 	const bWindow = 4 * time.Second
 	bf.RunFor(bWindow)
-	bDelivered1 := linkDelivered(bf.Links)
-	var hostsIn1 int64
-	for _, h := range bf.HostList() {
-		hostsIn1 += h.Stats.FramesIn
-	}
+	bDelivered1, hostsIn1 := linkDelivered(bf.Links), hostsIn()
 	out.dataFrames = (float64(bDelivered1-bDelivered0) - bBgPerSec*bWindow.Seconds()) / float64(bn)
 	// Hosts also hear periodic BPDUs on their access links; subtract
 	// that background (one BPDU per host per hello).
@@ -356,21 +346,18 @@ type A4Row struct {
 // A4Result is the sweep.
 type A4Result struct {
 	Rows []A4Row
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // a4Trial is one (interval, trial) cell's contribution.
 type a4Trial struct {
-	sample    float64
-	hasSample bool
-	ldmRate   float64
-	cell      obs.CellReport
+	snap
+	conv    probeStats
+	ldmRate float64
 }
 
-func runA4Cell(iv time.Duration, trial int) (a4Trial, error) {
+func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 	var out a4Trial
-	rig := DefaultRig()
 	rig.Seed = uint64(trial) + 1
 	rig.LDP = ldp.Config{Interval: iv}
 	f, err := rig.build()
@@ -381,60 +368,56 @@ func runA4Cell(iv time.Duration, trial int) (a4Trial, error) {
 	flow := workload.StartCBR(hosts[0], hosts[len(hosts)-1], 22000, time.Millisecond, 64)
 	f.RunFor(500 * time.Millisecond)
 
-	var ldm0 int64
-	for _, id := range f.Spec.Switches() {
-		ldm0 += f.Switches[id].Agent().LDMsSent
+	ldmsSent := func() (n int64) {
+		for _, id := range f.Spec.Switches() {
+			n += f.Switches[id].Agent().LDMsSent
+		}
+		return n
 	}
+	ldm0 := ldmsSent()
 	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return out, err
 	}
-	failAt := f.Eng.Now()
+	failAt := f.Now()
 	f.FailLink(link)
 	f.RunFor(2 * time.Second)
-	var ldm1 int64
-	for _, id := range f.Spec.Switches() {
-		ldm1 += f.Switches[id].Agent().LDMsSent
-	}
-	out.ldmRate = float64(ldm1-ldm0) / 2.1 / float64(len(f.Spec.Switches()))
+	out.ldmRate = float64(ldmsSent()-ldm0) / 2.1 / float64(len(f.Spec.Switches()))
 
-	if conv, ok := flow.RX.ConvergenceAfter(failAt, time.Millisecond); ok && conv > 2*time.Millisecond {
-		out.sample, out.hasSample = metrics.Ms(conv), true
-	}
+	out.conv.addFlows([]*workload.CBR{flow}, failAt, time.Millisecond)
 	flow.Stop()
-	out.cell = obsCell(f, 0, trial, rig.Seed)
+	out.snap = obsCell(f, 0, trial, rig.Seed)
 	return out, nil
 }
 
 // RunA4 sweeps the LDM interval, measuring failure convergence (the
-// gain) against keepalive overhead (the cost). The (interval, trial)
-// grid fans out over the runner pool and merges in sweep order.
+// gain) against keepalive overhead (the cost) over an (interval,
+// trial) grid.
 func RunA4(intervals []time.Duration, trials int) (*A4Result, error) {
-	cells, err := runner.Grid(len(intervals), trials, func(point, trial int) (a4Trial, error) {
-		return runA4Cell(intervals[point], trial)
-	})
-	if err != nil {
-		return nil, err
-	}
+	return runA4(DefaultRig(), intervals, trials)
+}
+
+func runA4(rig Rig, intervals []time.Duration, trials int) (*A4Result, error) {
 	res := &A4Result{}
-	res.Report = sweepReport("a4", DefaultRig().Seed, map[string]string{
+	err := sweep(&res.Reported, "a4", rig.Seed, map[string]string{
 		"trials": itoa(trials),
-	}, nil)
-	for p, iv := range intervals {
+	}, len(intervals), trials, func(point, trial int) (a4Trial, error) {
+		return runA4Cell(rig, intervals[point], trial)
+	}, func(p int, cells []a4Trial) {
 		var samples []float64
 		var ldmRate float64
-		for _, tr := range cells[p] {
-			res.Report.Cells = append(res.Report.Cells, tr.cell)
-			if tr.hasSample {
-				samples = append(samples, tr.sample)
-			}
+		for _, tr := range cells {
+			samples = append(samples, tr.conv.ms...)
 			ldmRate += tr.ldmRate
 		}
 		res.Rows = append(res.Rows, A4Row{
-			Interval:    iv,
+			Interval:    intervals[p],
 			Convergence: metrics.Summarize(samples),
 			LDMsPerSec:  ldmRate / float64(trials),
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,0 +1,118 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+
+	"portland/internal/runner"
+)
+
+// render runs one catalog entry and returns everything it hands back:
+// the printed rows followed by the encoded report.
+func render(t *testing.T, e Experiment, s Settings, workers int) []byte {
+	t.Helper()
+	runner.SetWorkers(workers)
+	res, rep, err := e.Run(s)
+	if err != nil {
+		t.Fatalf("%s %+v workers=%d: %v", e.ID, s, workers, err)
+	}
+	var buf bytes.Buffer
+	res.Print(&buf)
+	if rep != nil {
+		if err := rep.Encode(&buf); err != nil {
+			t.Fatalf("%s: encoding its report: %v", e.ID, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCatalogIdentity is the determinism contract, held against every
+// catalog entry by name at its -quick configuration: the printed rows
+// and the report are the same bytes on one engine and on three engine
+// shards, and on one sweep worker and on eight. Nothing in the output
+// may depend on how the work was laid out.
+func TestCatalogIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment three times")
+	}
+	t.Cleanup(func() { runner.SetWorkers(0) })
+	for _, e := range Catalog {
+		t.Run(e.ID, func(t *testing.T) {
+			if e.WallClock {
+				t.Skip("prints a wall-clock rate")
+			}
+			want := render(t, e, Settings{Quick: true}, 1)
+			if len(want) == 0 {
+				t.Fatal("printed nothing")
+			}
+			if got := render(t, e, Settings{Quick: true, Shards: 3}, 1); !bytes.Equal(got, want) {
+				t.Errorf("output on 3 engine shards differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", want, got)
+			}
+			if got := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
+				t.Errorf("output on 8 sweep workers differs from one:\n--- one ---\n%s\n--- eight ---\n%s", want, got)
+			}
+		})
+	}
+}
+
+// TestCatalogDocumented gates the hand-kept ID list: every catalog
+// entry has its `-exp <id>` section in EXPERIMENTS.md.
+func TestCatalogDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Catalog {
+		if !regexp.MustCompile("(?m)^.*`-exp " + e.ID + "`").Match(doc) {
+			t.Errorf("EXPERIMENTS.md has no `-exp %s` section", e.ID)
+		}
+	}
+}
+
+func TestSelect(t *testing.T) {
+	all := strings.Split(IDs(), ",")
+	for _, c := range []struct {
+		name, spec string
+		want       []string // selected IDs, in order
+		errHas     []string // non-nil: an error naming each of these
+	}{
+		{name: "all", spec: "all", want: all},
+		{name: "subset comes back in catalog order", spec: "a1,f9s,t1", want: []string{"t1", "f9s", "a1"}},
+		{name: "whitespace", spec: " f13 ,\tf9 ", want: []string{"f9", "f13"}},
+		{name: "duplicate", spec: "mgr,mgr,ft", want: []string{"mgr", "ft"}},
+		{name: "one unknown rejects the lot", spec: "f99,a6", errHas: []string{`"f99"`, IDs()}},
+		{name: "all unknown", spec: "bogus,f99", errHas: []string{`"bogus", "f99"`}},
+		{name: "empty", spec: "", errHas: []string{`""`}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sel, err := Select(c.spec)
+			if c.errHas != nil {
+				if err == nil {
+					t.Fatalf("selected %d experiments, want an error", len(sel))
+				}
+				for _, s := range c.errHas {
+					if !strings.Contains(err.Error(), s) {
+						t.Errorf("error %q does not mention %s", err, s)
+					}
+				}
+				if strings.Contains(err.Error(), `"a6"`) {
+					t.Errorf("error %q names the valid ID a6 as an offender", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range sel {
+				got = append(got, e.ID)
+			}
+			if strings.Join(got, ",") != strings.Join(c.want, ",") {
+				t.Errorf("selected %v, want %v", got, c.want)
+			}
+		})
+	}
+}

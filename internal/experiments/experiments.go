@@ -1,8 +1,12 @@
 // Package experiments reproduces every table and figure of PortLand's
 // evaluation (SIGCOMM 2009, §5) plus the ablations DESIGN.md calls
-// out. Each experiment is a pure function from a config to a result
-// struct with a Print method emitting the same rows/series the paper
-// reports; bench_test.go and cmd/portland-bench are thin wrappers.
+// out. Catalog declares each experiment once — ID, description, full
+// and -quick configuration — and cmd/portland-bench is flags and a loop
+// over it. Below the catalog every driver has the same shape: a sweep
+// fans independent cells out over the runner pool, a cell builds and
+// drives one private fabric, and a reducer folds the cells, in
+// canonical order, into a result struct whose Print emits the rows the
+// paper reports.
 //
 // The default rig mirrors the paper's testbed: a k=4 fat tree (20
 // switches, 16 hosts), 1 GbE links, 10 ms LDMs. Absolute numbers
@@ -15,7 +19,10 @@ import (
 	"io"
 	"time"
 
+	"portland/internal/baseline"
 	"portland/internal/core"
+	"portland/internal/obs"
+	"portland/internal/sim"
 	"portland/internal/topo"
 )
 
@@ -27,30 +34,9 @@ type Rig struct {
 	core.Options
 }
 
-// defaultShards and defaultSyncCounters are the process-wide defaults
-// baked into every rig DefaultRig hands out — the hooks behind
-// portland-bench's -shards and -synccounters flags. They stay globals
-// rather than Rig fields passed down because the Rig-less drivers (t1,
-// f13, f14, a1–a6) build their rigs from DefaultRig behind signatures
-// the repo benchmark pins. Neither changes a result: sharding moves
-// only wall clock, and the sync.* keys describe the engine, not the
-// fabric.
-var (
-	defaultShards       int
-	defaultSyncCounters bool
-)
-
-// SetDefaultShards sets the engine-shard count DefaultRig bakes into
-// experiment rigs. Zero or one means serial.
-func SetDefaultShards(n int) { defaultShards = n }
-
-// SetDefaultSyncCounters sets whether DefaultRig rigs report the
-// engine domain's synchronization counters in their reports.
-func SetDefaultSyncCounters(on bool) { defaultSyncCounters = on }
-
 // DefaultRig mirrors the paper's testbed scale.
 func DefaultRig() Rig {
-	return Rig{K: 4, Options: core.Options{Seed: 1, Shards: defaultShards, SyncCounters: defaultSyncCounters}}
+	return Rig{K: 4, Options: core.Options{Seed: 1}}
 }
 
 func (r Rig) build() (*core.Fabric, error) {
@@ -67,6 +53,39 @@ func (r Rig) build() (*core.Fabric, error) {
 	}
 	return f, nil
 }
+
+// buildBaseline boots the conventional flat-L2 contrast fabric on a
+// k-ary fat tree and waits for its spanning tree to settle.
+func buildBaseline(k int, seed uint64, cfg baseline.Config) (*baseline.Fabric, error) {
+	spec, err := topo.FatTree(k)
+	if err != nil {
+		return nil, err
+	}
+	bf := baseline.BuildFabric(spec, seed, sim.LinkConfig{}, cfg)
+	bf.Start()
+	if err := bf.AwaitTree(20 * time.Second); err != nil {
+		return nil, err
+	}
+	return bf, nil
+}
+
+// Result is what every driver returns: a printable table or series
+// plus the run's observability report.
+type Result interface {
+	// Print emits the rows/series the paper reports; it never reads
+	// the report.
+	Print(io.Writer)
+	report() *obs.Report
+}
+
+// Reported is embedded in every result struct. Report carries the
+// run's per-cell journal and counter snapshots; it is nil for f12, f13
+// and f14, which build no fabric journals.
+type Reported struct {
+	Report *obs.Report
+}
+
+func (r Reported) report() *obs.Report { return r.Report }
 
 func fprintf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)

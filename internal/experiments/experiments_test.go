@@ -336,64 +336,20 @@ func TestFig11UnderControlLoss(t *testing.T) {
 	}
 }
 
-// TestAllPrintersProduceOutput smoke-tests every result printer: each
-// must emit its title and at least one data row without panicking.
+// TestAllPrintersProduceOutput smoke-tests every catalog entry's
+// printer at -quick size: each must emit a title, the rule under it and
+// at least one data row without panicking.
 func TestAllPrintersProduceOutput(t *testing.T) {
-	var buf bytes.Buffer
-	check := func(name, want string) {
-		t.Helper()
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("%s output missing %q", name, want)
+	for _, e := range Catalog {
+		res, _, err := e.Run(Settings{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		buf.Reset()
+		var buf bytes.Buffer
+		res.Print(&buf)
+		title, body, ruled := strings.Cut(buf.String(), "\n-----")
+		if !ruled || strings.TrimSpace(title) == "" || strings.Count(body, "\n") < 2 {
+			t.Errorf("%s printed no title/rule/rows:\n%s", e.ID, buf.String())
+		}
 	}
-
-	t1, err := RunTable1(Table1Config{Ks: []int{4}, AnalyticKs: []int{48}, PeersPerHost: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1.Print(&buf)
-	check("table1", "Table 1")
-
-	f11, err := RunFig11(Fig11Config{Rig: DefaultRig(), Trials: 1, SendEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f11.Print(&buf)
-	check("fig11", "multicast")
-
-	f13, err := RunFig13(Fig13Config{Rates: []int{25}, HostsStep: 65536, HostsMax: 65536})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f13.Print(&buf)
-	check("fig13", "control traffic")
-
-	f14, err := RunFig14(Fig14Config{Rates: []int{25}, HostsStep: 65536, HostsMax: 65536, Registry: 1024, MeasureOps: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f14.Print(&buf)
-	check("fig14", "CPU requirement")
-
-	a2, err := RunA2([]int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2.Print(&buf)
-	check("a2", "discovery")
-
-	a5, err := RunA5(4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a5.Print(&buf)
-	check("a5", "imbalance")
-
-	a6, err := RunA6(4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a6.Print(&buf)
-	check("a6", "inter-pod")
 }

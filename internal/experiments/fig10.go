@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/tcplite"
 	"portland/internal/topo"
 )
@@ -45,25 +43,13 @@ type Fig10Result struct {
 	NetworkConv time.Duration // fabric reconvergence (probe-measured)
 	Timeouts    int64
 	Retransmits int64
-	// Report is the run's observability report (failure timeline and
-	// counters); Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // RunFig10 reproduces Figure 10: one inter-pod bulk TCP flow, fail a
 // link on its path, record the sequence trace and the delivery gap.
-// The experiment is a single engine, so it rides the runner as one
-// cell — gaining the shared -serial/-parallel and profiling plumbing
-// rather than any speedup.
+// A single cell: there is nothing to sweep.
 func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
-	out, err := runner.Map(1, func(int) (*Fig10Result, error) { return runFig10Cell(cfg) })
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-func runFig10Cell(cfg Fig10Config) (*Fig10Result, error) {
 	f, err := cfg.Rig.build()
 	if err != nil {
 		return nil, err
@@ -94,30 +80,23 @@ func runFig10Cell(cfg Fig10Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.FailAt = f.Eng.Now()
+	res.FailAt = f.Now()
 	f.FailLink(link)
 	f.RunFor(2 * time.Second)
 
 	// The receiver-side delivery gap is the paper's reported effect.
 	gaps := deliver.GapsOver(20*time.Millisecond, res.FailAt-100*time.Millisecond, res.FailAt+2*time.Second)
 	for _, g := range gaps {
-		if g.Length > res.Gap {
-			res.Gap = g.Length
-		}
+		res.Gap = max(res.Gap, g.Length)
 	}
 	res.Timeouts = conn.Stats.Timeouts
 	res.Retransmits = conn.Stats.Retransmits
 
-	rep := newReport("f10", cfg.Rig.Seed)
-	rep.Params["k"] = itoa(cfg.Rig.K)
-	rep.Params["min_rto"] = cfg.MinRTO.String()
-	rep.Params["failed_link"] = linkName(f, link)
-	merged := f.Obs.Merge()
-	rep.Timeline = obs.Timeline(merged, res.FailAt, f.Eng.Now())
-	rep.ARPLatency = obs.ARPLatencies(merged)
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{obsCell(f, 0, 0, cfg.Rig.Seed)}
-	res.Report = rep
+	res.Report = replayReport("f10", f, obsCell(f, 0, 0, cfg.Rig.Seed).cell, map[string]string{
+		"k":           itoa(cfg.Rig.K),
+		"min_rto":     cfg.MinRTO.String(),
+		"failed_link": linkName(f, link),
+	}, views{faultAt: res.FailAt, arp: true})
 	return res, nil
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"portland/internal/ether"
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/topo"
 )
 
@@ -31,15 +29,13 @@ type Fig11Result struct {
 	Cfg         Fig11Config
 	Convergence metrics.Summary // ms, all receivers × trials
 	Dead        int
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // fig11Trial is one trial's contribution, merged in trial order.
 type fig11Trial struct {
-	samples []float64
-	dead    int
-	cell    obs.CellReport
+	snap
+	rx probeStats
 }
 
 func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
@@ -77,44 +73,33 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 			return out, err
 		}
 	}
-	failAt := f.Eng.Now()
+	failAt := f.Now()
 	f.FailLink(link)
 	f.RunFor(1 * time.Second)
 
-	for _, rec := range recs {
-		conv, ok := rec.ConvergenceAfter(failAt, cfg.SendEvery)
-		if !ok {
-			out.dead++
-			continue
-		}
-		if conv > 2*cfg.SendEvery {
-			out.samples = append(out.samples, metrics.Ms(conv))
-		}
+	for i, rec := range recs {
+		out.rx.add(receivers[i], rec, failAt, cfg.SendEvery)
 	}
-	out.cell = obsCell(f, 0, trial, rig.Seed)
+	out.snap = obsCell(f, 0, trial, rig.Seed)
 	return out, nil
 }
 
-// RunFig11 reproduces Figure 11. Trials are independent engines, fanned
-// out over the runner pool and merged in trial order.
+// RunFig11 reproduces Figure 11, one independent fabric per trial.
 func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
-	cells, err := runner.Map(cfg.Trials, func(trial int) (fig11Trial, error) {
-		return runFig11Cell(cfg, trial)
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig11Result{Cfg: cfg}
-	res.Report = sweepReport("f11", cfg.Rig.Seed, map[string]string{
+	var samples []float64
+	err := sweep(&res.Reported, "f11", cfg.Rig.Seed, map[string]string{
 		"k":          itoa(cfg.Rig.K),
 		"trials":     itoa(cfg.Trials),
 		"send_every": cfg.SendEvery.String(),
-	}, nil)
-	var samples []float64
-	for _, tr := range cells {
-		samples = append(samples, tr.samples...)
-		res.Dead += tr.dead
-		res.Report.Cells = append(res.Report.Cells, tr.cell)
+	}, cfg.Trials, 1, func(trial, _ int) (fig11Trial, error) {
+		return runFig11Cell(cfg, trial)
+	}, func(_ int, tr []fig11Trial) {
+		samples = append(samples, tr[0].rx.ms...)
+		res.Dead += tr[0].rx.dead
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.Convergence = metrics.Summarize(samples)
 	return res, nil

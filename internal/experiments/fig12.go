@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"io"
 	"net/netip"
 	"time"
@@ -41,6 +42,7 @@ type Fig12Result struct {
 	PreMbps   float64
 	PostMbps  float64
 	Reset     bool // connection died (must be false)
+	Reported
 }
 
 // RunFig12 reproduces Figure 12.
@@ -73,23 +75,23 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 		vmConn = c
 	}
 	if vmConn == nil {
-		return nil, errNoServerConn
+		return nil, errors.New("fig12: VM accepted no connection")
 	}
 	// Poll delivery progress into the series (tcplite's TraceDeliver
 	// only binds at Dial/Accept; polling keeps the harness simple and
 	// measures the same quantity). Seed the series with the current
 	// total so the first bucket doesn't absorb all prior transfer.
-	deliver.Add(f.Eng.Now(), vmConn.Delivered())
+	deliver.Add(f.Now(), vmConn.Delivered())
 	f.Sched().NewTicker(5*time.Millisecond, 0, func() {
-		deliver.Add(f.Eng.Now(), vmConn.Delivered())
+		deliver.Add(f.Now(), vmConn.Delivered())
 	})
 	f.RunFor(1 * time.Second)
 
 	res := &Fig12Result{Cfg: cfg}
-	res.MigrateAt = f.Eng.Now()
+	res.MigrateAt = f.Now()
 	oldHost.DetachVM(vm)
 	f.RunFor(cfg.Pause)
-	res.ResumeAt = f.Eng.Now()
+	res.ResumeAt = f.Now()
 	newHost.AttachVM(vm)
 	f.RunFor(3 * time.Second)
 
@@ -97,9 +99,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	end := res.ResumeAt + 2*time.Second
 	res.Series = deliver.Throughput(start, end, cfg.Bucket)
 	for _, g := range deliver.GapsOver(50*time.Millisecond, res.MigrateAt-100*time.Millisecond, end) {
-		if g.Length > res.Outage {
-			res.Outage = g.Length
-		}
+		res.Outage = max(res.Outage, g.Length)
 	}
 	// Pre/post steady-state throughput (exclude the outage window).
 	res.PreMbps = meanMbps(deliver.Throughput(res.MigrateAt-800*time.Millisecond, res.MigrateAt, cfg.Bucket))
@@ -118,12 +118,6 @@ func meanMbps(pts []metrics.ThroughputPoint) float64 {
 	}
 	return sum / float64(len(pts))
 }
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
-
-const errNoServerConn = errString("fig12: VM accepted no connection")
 
 // Print emits the throughput series the paper plots.
 func (r *Fig12Result) Print(w io.Writer) {

@@ -64,13 +64,16 @@ type Fig13Result struct {
 	// Cross-check: a real simulated run's measured control bytes per
 	// proxied ARP, which must agree with the analytic constant.
 	MeasuredPerARP float64
+	Reported
 }
 
 // RunFig13 reproduces Figure 13. Like the paper, the large-scale
 // curve is an extrapolation from the measured per-ARP cost; unlike
 // the paper we also validate that constant against an actual run of
 // the full fabric (the k=4 testbed with a cache-busting ARP workload).
-func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
+func RunFig13(cfg Fig13Config) (*Fig13Result, error) { return runFig13(DefaultRig(), cfg) }
+
+func runFig13(rig Rig, cfg Fig13Config) (*Fig13Result, error) {
 	res := &Fig13Result{Cfg: cfg, BytesPerARP: ARPMessageBytes()}
 	for hosts := cfg.HostsStep; hosts <= cfg.HostsMax; hosts += cfg.HostsStep {
 		row := Fig13Row{Hosts: hosts}
@@ -82,7 +85,7 @@ func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
 	}
 
 	// Cross-check in the simulator.
-	f, err := DefaultRig().build()
+	f, err := rig.build()
 	if err != nil {
 		return nil, err
 	}

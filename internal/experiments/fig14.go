@@ -46,6 +46,7 @@ type Fig14Result struct {
 	ARPsPerSec float64 // measured single-core throughput of our manager
 	NsPerARP   float64
 	Rows       []Fig14Row
+	Reported
 }
 
 // MeasureARPThroughput loads a manager's registry with n hosts and

@@ -5,12 +5,11 @@ import (
 	"io"
 	"time"
 
+	"portland/internal/core"
 	"portland/internal/faults"
 	"portland/internal/metrics"
 	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/topo"
-	"portland/internal/workload"
 )
 
 // Fig9Mode selects what gets failed.
@@ -60,51 +59,24 @@ type Fig9Row struct {
 type Fig9Result struct {
 	Cfg  Fig9Config
 	Rows []Fig9Row
-	// Report is the run's observability report (per-cell journal and
-	// counter snapshots); Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // fig9Trial is one (fault-count, trial) cell's raw samples, merged
 // into rows in canonical order after the sweep.
 type fig9Trial struct {
-	feasible bool
-	failMs   []float64
-	recMs    []float64
-	affected int
-	dead     int
-	cell     obs.CellReport
+	snap
+	feasible  bool
+	fail, rec probeStats // after the failure, after the restoration
+	links     []int      // the failed links (FailLinks mode)
+	failAt    time.Duration
+	restoreAt time.Duration
 }
 
-// runFig9Cell runs one independent trial on its own engine. The seed
+// fig9Cell runs one independent trial on its own fabric. The seed
 // derives only from (base seed, fault count, trial), so the cell is a
-// pure function of its grid coordinate and can run on any worker.
-func runFig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, error) {
-	out, _, err := fig9Cell(cfg, n, trial, false)
-	return out, err
-}
-
-// ReplayFig9 re-runs one (fault-count, trial) cell of a Figure 9 sweep
-// and returns its observability report: the failure→reconvergence
-// timeline, per-flow convergence, ARP latency, churn and counters.
-// Because a cell is a pure function of (config, coordinate), the
-// replayed run is bit-identical to the cell inside the original sweep
-// — the report describes exactly what RunFig9 measured.
-func ReplayFig9(cfg Fig9Config, n, trial int) (*obs.Report, error) {
-	_, rep, err := fig9Cell(cfg, n, trial, true)
-	if err != nil {
-		return nil, err
-	}
-	if rep == nil {
-		return nil, fmt.Errorf("no failure set of size %d preserves routability at k=%d (trial %d)", n, cfg.Rig.K, trial)
-	}
-	return rep, nil
-}
-
-// fig9Cell is the shared cell body: the sweep path (report=false)
-// measures and returns only the trial samples; the replay path
-// additionally assembles the obs.Report after the run completes.
-func fig9Cell(cfg Fig9Config, n, trial int, report bool) (fig9Trial, *obs.Report, error) {
+// pure function of its grid coordinate.
+func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 	var out fig9Trial
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64(n*1000+trial)
@@ -112,150 +84,107 @@ func fig9Cell(cfg Fig9Config, n, trial int, report bool) (fig9Trial, *obs.Report
 	if err != nil {
 		return out, nil, err
 	}
-	hosts := f.HostList()
-	perm := workload.Permutation(f.Eng.Rand(), len(hosts))
-	flows := workload.PairCBRs(hosts, perm, cfg.ProbeEvery, 64)
-	f.RunFor(500 * time.Millisecond) // ARP warm-up, steady state
+	flows := probeFlows(f, cfg.ProbeEvery)
 
-	var links []int
 	var crashed []topo.NodeID
-	var ok bool
 	if cfg.Mode == FailSwitches {
-		crashed, ok = faults.PickConnectedSwitches(f.Eng.Rand(), f, n)
+		crashed, out.feasible = faults.PickConnectedSwitches(f.Rand(), f, n)
 	} else {
-		links, ok = faults.PickConnected(f.Eng.Rand(), f, n)
+		out.links, out.feasible = faults.PickConnected(f.Rand(), f, n)
 	}
-	if !ok {
-		out.cell = obsCell(f, n, trial, rig.Seed)
-		return out, nil, nil
+	if !out.feasible {
+		out.snap = obsCell(f, n, trial, rig.Seed)
+		return out, f, nil
 	}
-	out.feasible = true
-	failAt := f.Eng.Now()
-	ev := faults.Event{Links: links, Switches: crashed}
+	out.failAt = f.Now()
+	ev := faults.Event{Links: out.links, Switches: crashed}
 	if cfg.MeasureRecovery {
 		ev.Duration = 1 * time.Second
 	}
 	faults.Schedule{Events: []faults.Event{ev}}.Apply(f)
 	f.RunFor(1 * time.Second)
+	out.fail.addFlows(flows, out.failAt, cfg.ProbeEvery)
 
-	var flowView []obs.FlowConvergence
-	for _, fl := range flows {
-		conv, recovered := fl.RX.ConvergenceAfter(failAt, cfg.ProbeEvery)
-		if !recovered {
-			out.dead++
-		} else if conv > 2*cfg.ProbeEvery {
-			out.affected++
-			out.failMs = append(out.failMs, metrics.Ms(conv))
-		}
-		if report {
-			flowView = append(flowView, obs.FlowConvergence{
-				Flow:        fl.Src.Name() + "->" + fl.Dst.Name(),
-				ConvergedMs: metrics.Ms(conv),
-				Recovered:   recovered,
-				Affected:    recovered && conv > 2*cfg.ProbeEvery,
-			})
-		}
-	}
-
-	restoreAt := failAt + ev.Duration // armed by the schedule
 	if cfg.MeasureRecovery {
+		out.restoreAt = out.failAt + ev.Duration // armed by the schedule
 		f.RunFor(1 * time.Second)
-		for _, fl := range flows {
-			conv, recovered := fl.RX.ConvergenceAfter(restoreAt, cfg.ProbeEvery)
-			if recovered && conv > 2*cfg.ProbeEvery {
-				out.recMs = append(out.recMs, metrics.Ms(conv))
-			}
-		}
+		out.rec.addFlows(flows, out.restoreAt, cfg.ProbeEvery)
 	}
 	for _, fl := range flows {
 		fl.Stop()
 	}
-	out.cell = obsCell(f, n, trial, rig.Seed)
-	if !report {
-		return out, nil, nil
-	}
+	out.snap = obsCell(f, n, trial, rig.Seed)
+	return out, f, nil
+}
 
-	// Assemble the report — strictly after the run, from the journals
-	// the fabric filled along the way.
-	rep := newReport("f9", rig.Seed)
-	rep.Params["k"] = itoa(rig.K)
-	rep.Params["faults"] = itoa(n)
-	rep.Params["trial"] = itoa(trial)
-	rep.Params["probe_every"] = cfg.ProbeEvery.String()
+// ReplayFig9 re-runs one (fault-count, trial) cell of a Figure 9 sweep
+// and returns its observability report: the failure→reconvergence
+// timeline, per-flow convergence, ARP latency, churn and counters.
+func ReplayFig9(cfg Fig9Config, n, trial int) (*obs.Report, error) {
+	tr, f, err := fig9Cell(cfg, n, trial)
+	if err != nil {
+		return nil, err
+	}
+	if !tr.feasible {
+		return nil, fmt.Errorf("no failure set of size %d preserves routability at k=%d (trial %d)", n, cfg.Rig.K, trial)
+	}
+	params := map[string]string{
+		"k":           itoa(cfg.Rig.K),
+		"faults":      itoa(n),
+		"trial":       itoa(trial),
+		"probe_every": cfg.ProbeEvery.String(),
+		"mode":        "links",
+	}
 	if cfg.Mode == FailSwitches {
-		rep.Params["mode"] = "switches"
-	} else {
-		rep.Params["mode"] = "links"
-		for i, li := range links {
-			rep.Params["link"+itoa(i)] = linkName(f, li)
-		}
+		params["mode"] = "switches"
 	}
-	merged := f.Obs.Merge()
-	conv := &obs.Convergence{
-		FaultAtNs: int64(failAt),
-		Failure:   metrics.Summarize(out.failMs),
-		Recovery:  metrics.Summarize(out.recMs),
-		Flows:     flowView,
+	for i, li := range tr.links {
+		params["link"+itoa(i)] = linkName(f, li)
 	}
-	if cfg.MeasureRecovery {
-		conv.RestoreAtNs = int64(restoreAt)
-	}
-	rep.Convergence = conv
-	rep.ARPLatency = obs.ARPLatencies(merged)
-	rep.RegistryChurn = obs.RegistryChurn(merged, 100*time.Millisecond)
-	// The timeline window covers the fault and everything after it —
-	// the interesting span; boot-time discovery noise stays out.
-	rep.Timeline = obs.Timeline(merged, failAt, f.Eng.Now())
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{out.cell}
-	return out, rep, nil
+	return replayReport("f9", f, tr.cell, params, views{faultAt: tr.failAt, arp: true, conv: &obs.Convergence{
+		FaultAtNs:   int64(tr.failAt),
+		RestoreAtNs: int64(tr.restoreAt),
+		Failure:     metrics.Summarize(tr.fail.ms),
+		Recovery:    metrics.Summarize(tr.rec.ms),
+		Flows:       tr.fail.flows,
+	}}), nil
 }
 
 // RunFig9 reproduces Figure 9: permutation UDP probe flows, n random
 // simultaneous link failures (connectivity-preserving, as in the
 // paper), convergence = interruption seen by affected receivers.
-// Cells fan out over the runner pool; rows merge in (faults, trial)
-// order so the result is byte-identical to a serial sweep.
 func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
-	cells, err := runner.Grid(cfg.MaxFaults, cfg.Trials, func(point, trial int) (fig9Trial, error) {
-		return runFig9Cell(cfg, point+1, trial)
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig9Result{Cfg: cfg}
 	id := "f9"
 	if cfg.Mode == FailSwitches {
 		id = "f9s"
 	}
-	res.Report = sweepReport(id, cfg.Rig.Seed, map[string]string{
+	err := sweep(&res.Reported, id, cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"max_faults":  itoa(cfg.MaxFaults),
 		"trials":      itoa(cfg.Trials),
 		"probe_every": cfg.ProbeEvery.String(),
-	}, nil)
-	for p, trials := range cells {
+	}, cfg.MaxFaults, cfg.Trials, func(point, trial int) (fig9Trial, error) {
+		tr, _, err := fig9Cell(cfg, point+1, trial)
+		return tr, err
+	}, func(p int, trials []fig9Trial) {
 		var failMs, recMs []float64
-		affected, dead, feasible := 0, 0, 0
+		row := Fig9Row{Faults: p + 1}
 		for _, tr := range trials {
-			res.Report.Cells = append(res.Report.Cells, tr.cell)
 			if !tr.feasible {
 				continue
 			}
-			feasible++
-			failMs = append(failMs, tr.failMs...)
-			recMs = append(recMs, tr.recMs...)
-			affected += tr.affected
-			dead += tr.dead
+			row.Trials++
+			failMs = append(failMs, tr.fail.ms...)
+			recMs = append(recMs, tr.rec.ms...)
+			row.Affected += tr.fail.affected
+			row.Dead += tr.fail.dead
 		}
-		res.Rows = append(res.Rows, Fig9Row{
-			Faults:   p + 1,
-			Trials:   feasible,
-			Failure:  metrics.Summarize(failMs),
-			Recovery: metrics.Summarize(recMs),
-			Affected: affected,
-			Dead:     dead,
-		})
+		row.Failure, row.Recovery = metrics.Summarize(failMs), metrics.Summarize(recMs)
+		res.Rows = append(res.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"portland/internal/faults"
 	"portland/internal/metrics"
-	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -59,15 +57,14 @@ type FMFRow struct {
 	Dead      int   // flows that never re-converged
 	CtrlDrops int64 // control frames lost (loss rate + dead-manager discard)
 
-	cell obs.CellReport
+	snap
 }
 
 // FMFResult is the full sweep.
 type FMFResult struct {
 	Cfg  FMFConfig
 	Rows []FMFRow
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // RunFMF measures manager-failover behavior: for each cell, warm a
@@ -76,25 +73,18 @@ type FMFResult struct {
 // the ARP blackout, the resync round, and how long flows crossing the
 // dead link stay black.
 func RunFMF(cfg FMFConfig) (*FMFResult, error) {
-	cells, err := runner.Grid(len(cfg.CtrlLoss), len(cfg.Outages), func(li, oi int) (FMFRow, error) {
-		// The flat cell number reproduces the serial sweep's seed
-		// counter (first cell = 1), so seeds — and output — match a
-		// serial run exactly.
+	res := &FMFResult{Cfg: cfg}
+	err := sweep(&res.Reported, "fmf", cfg.Rig.Seed, map[string]string{
+		"k":           itoa(cfg.Rig.K),
+		"probe_every": cfg.ProbeEvery.String(),
+	}, len(cfg.CtrlLoss), len(cfg.Outages), func(li, oi int) (FMFRow, error) {
+		// The flat cell number (first cell = 1) is the seed offset.
 		return runFMFCell(cfg, cfg.CtrlLoss[li], cfg.Outages[oi], li*len(cfg.Outages)+oi+1)
+	}, func(_ int, series []FMFRow) {
+		res.Rows = append(res.Rows, series...)
 	})
 	if err != nil {
 		return nil, err
-	}
-	res := &FMFResult{Cfg: cfg}
-	res.Report = sweepReport("fmf", cfg.Rig.Seed, map[string]string{
-		"k":           itoa(cfg.Rig.K),
-		"probe_every": cfg.ProbeEvery.String(),
-	}, nil)
-	for _, series := range cells {
-		res.Rows = append(res.Rows, series...)
-		for _, row := range series {
-			res.Report.Cells = append(res.Report.Cells, row.cell)
-		}
 	}
 	return res, nil
 }
@@ -108,17 +98,14 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	if err != nil {
 		return FMFRow{}, err
 	}
-	hosts := f.HostList()
-	perm := workload.Permutation(f.Eng.Rand(), len(hosts))
-	flows := workload.PairCBRs(hosts, perm, cfg.ProbeEvery, 64)
-	f.RunFor(500 * time.Millisecond)
+	flows := probeFlows(f, cfg.ProbeEvery)
 
 	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return FMFRow{}, err
 	}
 
-	killAt := f.Eng.Now()
+	killAt := f.Now()
 	linkFailAt := killAt + outage/2
 	restartAt := killAt + outage
 	var resyncAt time.Duration
@@ -127,7 +114,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 			Manager:  true,
 			Duration: outage,
 			OnRecover: func() {
-				f.Manager.SetOnSyncDone(func(uint32) { resyncAt = f.Eng.Now() })
+				f.Manager.SetOnSyncDone(func(uint32) { resyncAt = f.Now() })
 			},
 		},
 		// The fault the dead manager cannot react to.
@@ -140,6 +127,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	// and die before the restarted manager's exclusions land,
 	// which would read as an infinite blackout when ARP
 	// service is in fact back.
+	hosts := f.HostList()
 	cold, target := hosts[2], hosts[len(hosts)-3]
 	cold.FlushARP(target.IP())
 	coldFlow := workload.StartCBR(cold, target, 7300, cfg.ProbeEvery, 64)
@@ -171,7 +159,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	}
 	toMgr, fromMgr := f.ControlStats()
 	row.CtrlDrops = toMgr.Drops + fromMgr.Drops
-	row.cell = obsCell(f, cell, 0, rig.Seed)
+	row.snap = obsCell(f, cell, 0, rig.Seed)
 	return row, nil
 }
 

@@ -10,8 +10,6 @@ import (
 	"portland/internal/flowtable"
 	"portland/internal/obs"
 	"portland/internal/pswitch"
-	"portland/internal/runner"
-	"portland/internal/sim"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -126,13 +124,12 @@ type FTRow struct {
 type FTResult struct {
 	Cfg  FTConfig
 	Rows []FTRow
-	// Report carries per-cell observability snapshots; Print never
-	// reads it.
-	Report *obs.Report
+	Reported
 }
 
 // ftTrial is one cell's raw measures.
 type ftTrial struct {
+	snap
 	hosts               int
 	plMax, plActive     int
 	plMean              float64
@@ -147,17 +144,14 @@ type ftTrial struct {
 	blMax               int
 	blMean              float64
 	blEvict, blFlood    int64
-	cell                obs.CellReport
 }
 
-// ftCell runs one (point, trial) cell on private engines. The seed
+// ftCell runs one (point, trial) cell on private fabrics. The seed
 // derives only from (base seed, point, trial), so the cell is a pure
-// function of its grid coordinate: parallel sweeps merge
-// byte-identically with serial ones and ReplayFT reproduces any cell
-// bit-for-bit.
-func ftCell(cfg FTConfig, point, trial int, report bool) (ftTrial, *obs.Report, error) {
+// function of its grid coordinate.
+func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	k, gen := cfg.ftPoint(point)
-	out := ftTrial{}
+	var out ftTrial
 	rig := cfg.Rig
 	rig.K = k
 	rig.Seed = cfg.Rig.Seed + uint64((point+1)*1000+trial)
@@ -210,9 +204,7 @@ func ftCell(cfg FTConfig, point, trial int, report bool) (ftTrial, *obs.Report, 
 		d := f.Links[i].Delivered() - base[i]
 		sum += d
 		n++
-		if d > out.imbMax {
-			out.imbMax = d
-		}
+		out.imbMax = max(out.imbMax, d)
 	}
 	if sum > 0 {
 		out.imb = float64(out.imbMax) * float64(n) / float64(sum)
@@ -227,12 +219,8 @@ func ftCell(cfg FTConfig, point, trial int, report bool) (ftTrial, *obs.Report, 
 		out.misses += ft.Misses
 		out.installs += ft.Installs
 		out.evictions += ft.Evictions
-		if o := sw.FlowTable().Occupancy(); o > out.occMax {
-			out.occMax = o
-		}
-		if s := sw.RoutingStateSize(); s > out.plActive {
-			out.plActive = s
-		}
+		out.occMax = max(out.occMax, sw.FlowTable().Occupancy())
+		out.plActive = max(out.plActive, sw.RoutingStateSize())
 		if !sw.Generation().Unlimited() {
 			rs := sw.ResourceStats()
 			out.degrades += rs.Degrades
@@ -248,23 +236,15 @@ func ftCell(cfg FTConfig, point, trial int, report bool) (ftTrial, *obs.Report, 
 	for _, id := range f.Spec.Switches() {
 		s := f.Switches[id].RoutingStateSize()
 		plSum += s
-		if s > out.plMax {
-			out.plMax = s
-		}
+		out.plMax = max(out.plMax, s)
 	}
 	out.plMean = float64(plSum) / float64(len(f.Spec.Switches()))
-	out.cell = obsCell(f, point, trial, rig.Seed)
-	merged := f.Obs.Merge()
+	out.snap = obsCell(f, point, trial, rig.Seed)
 
 	// Phase 4: the conventional flat-L2 baseline under a CAM bound
 	// matching the generation's exact-match table, identical warm-up.
-	spec, err := topo.FatTree(k)
+	bf, err := buildBaseline(k, rig.Seed, baseline.Config{MACTableCap: gen.FlowEntries})
 	if err != nil {
-		return out, nil, err
-	}
-	bf := baseline.BuildFabric(spec, rig.Seed, sim.LinkConfig{}, baseline.Config{MACTableCap: gen.FlowEntries})
-	bf.Start()
-	if err := bf.AwaitTree(20 * time.Second); err != nil {
 		return out, nil, err
 	}
 	workload.ARPStorm(bf.HostList(), cfg.PeersPerHost)
@@ -274,133 +254,101 @@ func ftCell(cfg FTConfig, point, trial int, report bool) (ftTrial, *obs.Report, 
 		sw := bf.Switches[id]
 		l := sw.MACTableLen()
 		blSum += l
-		if l > out.blMax {
-			out.blMax = l
-		}
+		out.blMax = max(out.blMax, l)
 		out.blEvict += sw.Stats.MACEvictions
 		out.blFlood += sw.Stats.FloodCopies
 	}
 	out.blMean = float64(blSum) / float64(len(bf.Spec.Switches()))
-	if !report {
-		return out, nil, nil
-	}
-
-	rep := newReport("ft", rig.Seed)
-	rep.Params["k"] = itoa(k)
-	rep.Params["gen"] = gen.Name
-	rep.Params["hosts"] = itoa(out.hosts)
-	rep.Params["peers_per_host"] = itoa(cfg.PeersPerHost)
-	rep.Params["flows"] = itoa(cfg.Flows)
-	rep.Params["window"] = cfg.Window.String()
-	rep.Params["trial"] = itoa(trial)
-	rep.Params["flow_cap"] = itoa(gen.FlowEntries)
-	rep.Params["flow_hits"] = fmt.Sprintf("%d", out.hits)
-	rep.Params["flow_misses"] = fmt.Sprintf("%d", out.misses)
-	rep.Params["flow_installs"] = fmt.Sprintf("%d", out.installs)
-	rep.Params["flow_evictions"] = fmt.Sprintf("%d", out.evictions)
-	rep.Params["flow_occ_max"] = fmt.Sprintf("%.3f", out.occMax)
-	rep.Params["ecmp_degrades"] = fmt.Sprintf("%d", out.degrades)
-	rep.Params["ecmp_groups_live"] = fmt.Sprintf("%d", out.groupsLive)
-	rep.Params["ecmp_members_used"] = fmt.Sprintf("%d", out.membersUsed)
-	rep.Params["imb_max"] = fmt.Sprintf("%d", out.imbMax)
-	rep.Params["imb_ratio"] = fmt.Sprintf("%.3f", out.imb)
-	rep.Params["pl_state_max"] = itoa(out.plMax)
-	rep.Params["pl_state_mean"] = fmt.Sprintf("%.1f", out.plMean)
-	rep.Params["pl_state_active"] = itoa(out.plActive)
-	rep.Params["bl_cam_cap"] = itoa(gen.FlowEntries)
-	rep.Params["bl_cam_max"] = itoa(out.blMax)
-	rep.Params["bl_cam_mean"] = fmt.Sprintf("%.1f", out.blMean)
-	rep.Params["bl_evictions"] = fmt.Sprintf("%d", out.blEvict)
-	rep.Params["bl_flood_copies"] = fmt.Sprintf("%d", out.blFlood)
-	rep.Timeline = timelineOf(merged, obs.EcmpDegrade)
-	rep.Counters = out.cell.Counters
-	rep.Cells = []obs.CellReport{out.cell}
-	return out, rep, nil
-}
-
-// timelineOf filters a merged journal down to the given kinds — the
-// ft report pins only the degradation events, not the (large) ARP and
-// discovery timeline.
-func timelineOf(events []obs.SourcedEvent, kinds ...obs.Kind) []obs.TimelineEntry {
-	keep := events[:0:0]
-	for _, e := range events {
-		for _, k := range kinds {
-			if e.Kind == k {
-				keep = append(keep, e)
-				break
-			}
-		}
-	}
-	if len(keep) == 0 {
-		return nil
-	}
-	return obs.Timeline(keep, 0, keep[len(keep)-1].At)
+	return out, f, nil
 }
 
 // ReplayFT re-runs one (k, generation-name, trial) cell of the
 // pressure sweep and returns its full observability report —
 // byte-identical on every invocation at the same config, which the
-// checked-in golden pins.
+// checked-in golden pins. Its timeline pins only the degradation
+// events, not the (large) ARP and discovery timeline.
 func ReplayFT(cfg FTConfig, k int, gen string, trial int) (*obs.Report, error) {
 	for p := 0; p < len(cfg.Ks)*len(cfg.Gens); p++ {
 		pk, pg := cfg.ftPoint(p)
-		if pk == k && pg.Name == gen {
-			_, rep, err := ftCell(cfg, p, trial, true)
-			return rep, err
+		if pk != k || pg.Name != gen {
+			continue
 		}
+		out, f, err := ftCell(cfg, p, trial)
+		if err != nil {
+			return nil, err
+		}
+		rep := replayReport("ft", f, out.cell, map[string]string{
+			"k":                 itoa(k),
+			"gen":               gen,
+			"hosts":             itoa(out.hosts),
+			"peers_per_host":    itoa(cfg.PeersPerHost),
+			"flows":             itoa(cfg.Flows),
+			"window":            cfg.Window.String(),
+			"trial":             itoa(trial),
+			"flow_cap":          itoa(pg.FlowEntries),
+			"flow_hits":         fmt.Sprintf("%d", out.hits),
+			"flow_misses":       fmt.Sprintf("%d", out.misses),
+			"flow_installs":     fmt.Sprintf("%d", out.installs),
+			"flow_evictions":    fmt.Sprintf("%d", out.evictions),
+			"flow_occ_max":      fmt.Sprintf("%.3f", out.occMax),
+			"ecmp_degrades":     fmt.Sprintf("%d", out.degrades),
+			"ecmp_groups_live":  fmt.Sprintf("%d", out.groupsLive),
+			"ecmp_members_used": fmt.Sprintf("%d", out.membersUsed),
+			"imb_max":           fmt.Sprintf("%d", out.imbMax),
+			"imb_ratio":         fmt.Sprintf("%.3f", out.imb),
+			"pl_state_max":      itoa(out.plMax),
+			"pl_state_mean":     fmt.Sprintf("%.1f", out.plMean),
+			"pl_state_active":   itoa(out.plActive),
+			"bl_cam_cap":        itoa(pg.FlowEntries),
+			"bl_cam_max":        itoa(out.blMax),
+			"bl_cam_mean":       fmt.Sprintf("%.1f", out.blMean),
+			"bl_evictions":      fmt.Sprintf("%d", out.blEvict),
+			"bl_flood_copies":   fmt.Sprintf("%d", out.blFlood),
+		}, views{})
+		var degrades []obs.SourcedEvent
+		for _, e := range f.Obs.Merge() {
+			if e.Kind == obs.EcmpDegrade {
+				degrades = append(degrades, e)
+			}
+		}
+		if len(degrades) > 0 {
+			rep.Timeline = obs.Timeline(degrades, 0, degrades[len(degrades)-1].At)
+		}
+		return rep, nil
 	}
 	return nil, fmt.Errorf("no sweep point k=%d gen=%q", k, gen)
 }
 
 // RunFT runs the forwarding-table pressure sweep: every (degree,
 // generation) coordinate under the same warm-up and trace family.
-// Cells fan out over the runner pool; rows merge in point order so
-// parallel output is byte-identical to serial.
 func RunFT(cfg FTConfig) (*FTResult, error) {
-	points := len(cfg.Ks) * len(cfg.Gens)
-	cells, err := runner.Grid(points, cfg.Trials, func(point, trial int) (ftTrial, error) {
-		out, _, err := ftCell(cfg, point, trial, false)
-		return out, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &FTResult{Cfg: cfg}
-	res.Report = sweepReport("ft", cfg.Rig.Seed, map[string]string{
+	err := sweep(&res.Reported, "ft", cfg.Rig.Seed, map[string]string{
 		"trials":         itoa(cfg.Trials),
 		"flows":          itoa(cfg.Flows),
 		"window":         cfg.Window.String(),
 		"peers_per_host": itoa(cfg.PeersPerHost),
-	}, nil)
-	for p, trials := range cells {
+	}, len(cfg.Ks)*len(cfg.Gens), cfg.Trials, func(point, trial int) (ftTrial, error) {
+		out, _, err := ftCell(cfg, point, trial)
+		return out, err
+	}, func(p int, trials []ftTrial) {
 		k, gen := cfg.ftPoint(p)
 		row := FTRow{K: k, Gen: gen.Name, FlowCap: gen.FlowEntries, BLCap: gen.FlowEntries}
 		var plMean, blMean, imb float64
 		var lookups int64
 		for _, tr := range trials {
-			res.Report.Cells = append(res.Report.Cells, tr.cell)
 			row.Hosts = tr.hosts
-			if tr.plMax > row.PLMax {
-				row.PLMax = tr.plMax
-			}
-			if tr.plActive > row.PLActive {
-				row.PLActive = tr.plActive
-			}
+			row.PLMax = max(row.PLMax, tr.plMax)
+			row.PLActive = max(row.PLActive, tr.plActive)
 			plMean += tr.plMean
 			row.Misses += tr.misses
 			lookups += tr.hits + tr.misses
 			row.Evictions += tr.evictions
-			if tr.occMax > row.OccMax {
-				row.OccMax = tr.occMax
-			}
+			row.OccMax = max(row.OccMax, tr.occMax)
 			row.Degrades += tr.degrades
-			if tr.imbMax > row.ImbMax {
-				row.ImbMax = tr.imbMax
-			}
+			row.ImbMax = max(row.ImbMax, tr.imbMax)
 			imb += tr.imb
-			if tr.blMax > row.BLMax {
-				row.BLMax = tr.blMax
-			}
+			row.BLMax = max(row.BLMax, tr.blMax)
 			blMean += tr.blMean
 			row.BLEvict += tr.blEvict
 			row.BLFlood += tr.blFlood
@@ -413,6 +361,9 @@ func RunFT(cfg FTConfig) (*FTResult, error) {
 			row.MissRatio = float64(row.Misses) / float64(lookups)
 		}
 		res.Rows = append(res.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

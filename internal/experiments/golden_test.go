@@ -11,8 +11,12 @@ import (
 
 // The determinism contract: for every experiment driver, a parallel
 // run's printed output is byte-identical to a serial run at the same
-// seed. Each test runs the same config with the pool forced to one
-// worker and then to eight, and compares the Print bytes.
+// seed. TestCatalogIdentity holds every catalog entry to it at its
+// -quick configuration; the tests here do the same at configurations
+// the catalog does not run (f10, sc and mgr have none: their -quick
+// configuration is the one that was tested here). Each runs the same
+// config with the pool forced to one worker and then to eight, and
+// compares the Print bytes.
 
 type printer interface{ Print(io.Writer) }
 
@@ -70,11 +74,6 @@ func TestGoldenFig9Switches(t *testing.T) {
 	goldenEquivalent(t, func() (*Fig9Result, error) { return RunFig9(cfg) })
 }
 
-func TestGoldenFig10(t *testing.T) {
-	cfg := DefaultFig10()
-	goldenEquivalent(t, func() (*Fig10Result, error) { return RunFig10(cfg) })
-}
-
 func TestGoldenFig11(t *testing.T) {
 	cfg := DefaultFig11()
 	cfg.Trials = 2
@@ -120,12 +119,6 @@ func TestGoldenA6(t *testing.T) {
 	goldenEquivalent(t, func() (*A6Result, error) { return RunA6(4, 5) })
 }
 
-func TestGoldenSC(t *testing.T) {
-	cfg := DefaultSC()
-	cfg.Trials = 1
-	goldenEquivalent(t, func() (*SCResult, error) { return RunSC(cfg) })
-}
-
 // TestGoldenFT leans on the hardware-resource model — bounded flow
 // tables evicting under thrash, ECMP group admission degrading
 // destination classes — so this golden catches any eviction-victim or
@@ -136,11 +129,4 @@ func TestGoldenFT(t *testing.T) {
 	cfg.Ks = []int{4}
 	cfg.Flows = 200
 	goldenEquivalent(t, func() (*FTResult, error) { return RunFT(cfg) })
-}
-
-func TestGoldenMgr(t *testing.T) {
-	cfg := DefaultMgr()
-	cfg.Trials = 1
-	cfg.Flows = 300
-	goldenEquivalent(t, func() (*MgrResult, error) { return RunMgr(cfg) })
 }

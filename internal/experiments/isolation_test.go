@@ -73,7 +73,7 @@ func TestParallelFabricsDisjoint(t *testing.T) {
 		}
 		engines[f.Eng] = i
 		for j, l := range fabs {
-			if j != i && f.Eng.Rand() == l.Eng.Rand() {
+			if j != i && f.Rand() == l.Rand() {
 				t.Fatalf("fabrics %d and %d share a rand.Rand", i, j)
 			}
 		}

@@ -5,10 +5,10 @@ import (
 	"io"
 	"time"
 
+	"portland/internal/core"
 	"portland/internal/fabricmgr"
 	"portland/internal/metrics"
 	"portland/internal/obs"
-	"portland/internal/runner"
 	"portland/internal/workload"
 )
 
@@ -85,22 +85,22 @@ type MgrRow struct {
 type MgrResult struct {
 	Cfg  MgrConfig
 	Rows []MgrRow
-	// Report carries per-cell observability snapshots; Print never
-	// reads it.
-	Report *obs.Report
+	Reported
 }
 
 // mgrTrial is one cell's raw measures.
 type mgrTrial struct {
-	queries, hits, misses int64
-	batches, batched      int64
-	puntMsgs              int64
-	regMin, regMax        int64
-	arpsPerSec            float64
-	detectMs, fanoutMs    float64
-	convMs                float64
-	excl                  int
-	cell                  obs.CellReport
+	snap
+	queries            int64
+	batches, batched   int64
+	puntMsgs           int64
+	regMin, regMax     int64
+	arpsPerSec         float64
+	detectMs, fanoutMs float64
+	convMs             float64
+	excl               int
+	failAt             time.Duration
+	faultLink          string
 }
 
 // mgrPoint decodes a grid point into its (shards, batch) coordinate.
@@ -129,14 +129,12 @@ func mgrARPSpan(merged []obs.SourcedEvent) time.Duration {
 	return last - first
 }
 
-// mgrCell runs one (point, trial) cell on its own engine. The seed
+// mgrCell runs one (point, trial) cell on its own fabric. The seed
 // derives only from (base seed, point, trial), so the cell is a pure
-// function of its grid coordinate: parallel sweeps merge
-// byte-identically with serial ones and ReplayMgr reproduces any cell
-// bit-for-bit.
-func mgrCell(cfg MgrConfig, point, trial int, report bool) (mgrTrial, *obs.Report, error) {
+// function of its grid coordinate.
+func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 	shards, batch := cfg.mgrPoint(point)
-	out := mgrTrial{}
+	var out mgrTrial
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64((point+1)*1000+trial)
 	rig.MgrShards = shards
@@ -171,14 +169,10 @@ func mgrCell(cfg MgrConfig, point, trial int, report bool) (mgrTrial, *obs.Repor
 	out.regMin = int64(1<<62 - 1)
 	for _, m := range f.Mgrs {
 		ms.Add(m.Stats)
-		if r := m.Stats.Registrations; r < out.regMin {
-			out.regMin = r
-		}
-		if r := m.Stats.Registrations; r > out.regMax {
-			out.regMax = r
-		}
+		out.regMin = min(out.regMin, m.Stats.Registrations)
+		out.regMax = max(out.regMax, m.Stats.Registrations)
 	}
-	out.queries, out.hits, out.misses = ms.ARPQueries, ms.ARPHits, ms.ARPMisses
+	out.queries = ms.ARPQueries
 	out.batches, out.batched = ms.ARPBatches, ms.BatchedQueries
 	// Control messages the queries rode in: each unbatched query is its
 	// own punt, each batch is one message however many it carried.
@@ -193,13 +187,12 @@ func mgrCell(cfg MgrConfig, point, trial int, report bool) (mgrTrial, *obs.Repor
 	if !ok {
 		return out, nil, fmt.Errorf("no agg-p0-s0<->core-0 link at k=%d", rig.K)
 	}
-	failAt := f.Eng.Now()
+	out.failAt, out.faultLink = f.Now(), linkName(f, li)
 	f.FailLink(li)
 	f.RunFor(mgrSettle)
-	merged := f.Obs.Merge()
 	var downAt, lastInstall time.Duration
-	for _, e := range merged {
-		if e.At < failAt {
+	for _, e := range f.Obs.Merge() {
+		if e.At < out.failAt {
 			continue
 		}
 		switch e.Kind {
@@ -216,37 +209,11 @@ func mgrCell(cfg MgrConfig, point, trial int, report bool) (mgrTrial, *obs.Repor
 	if downAt == 0 || lastInstall < downAt {
 		return out, nil, fmt.Errorf("link fault produced no exclusion cascade at shards=%d", shards)
 	}
-	out.detectMs = metrics.Ms(downAt - failAt)
+	out.detectMs = metrics.Ms(downAt - out.failAt)
 	out.fanoutMs = metrics.Ms(lastInstall - downAt)
-	out.convMs = metrics.Ms(lastInstall - failAt)
-	out.cell = obsCell(f, point, trial, rig.Seed)
-	if !report {
-		return out, nil, nil
-	}
-
-	rep := newReport("mgr", rig.Seed)
-	rep.Params["k"] = itoa(rig.K)
-	rep.Params["shards"] = itoa(shards)
-	rep.Params["batch"] = mgrBatchLabel(batch)
-	rep.Params["flows"] = itoa(cfg.Flows)
-	rep.Params["window"] = cfg.Window.String()
-	rep.Params["trial"] = itoa(trial)
-	rep.Params["arp_queries"] = fmt.Sprintf("%d", out.queries)
-	rep.Params["arp_batches"] = fmt.Sprintf("%d", out.batches)
-	rep.Params["batched_queries"] = fmt.Sprintf("%d", out.batched)
-	rep.Params["punt_msgs"] = fmt.Sprintf("%d", out.puntMsgs)
-	rep.Params["arps_per_sec_sim"] = fmt.Sprintf("%.0f", out.arpsPerSec)
-	rep.Params["reg_min"] = fmt.Sprintf("%d", out.regMin)
-	rep.Params["reg_max"] = fmt.Sprintf("%d", out.regMax)
-	rep.Params["detect_ms"] = fmt.Sprintf("%.3f", out.detectMs)
-	rep.Params["fanout_ms"] = fmt.Sprintf("%.3f", out.fanoutMs)
-	rep.Params["conv_ms"] = fmt.Sprintf("%.3f", out.convMs)
-	rep.Params["excl_pushed"] = itoa(out.excl)
-	rep.Params["fault_link"] = linkName(f, li)
-	rep.Timeline = obs.Timeline(merged, failAt, f.Eng.Now())
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{out.cell}
-	return out, rep, nil
+	out.convMs = metrics.Ms(lastInstall - out.failAt)
+	out.snap = obsCell(f, point, trial, rig.Seed)
+	return out, f, nil
 }
 
 // ReplayMgr re-runs one (shards, batch, trial) cell of the manager
@@ -255,57 +222,65 @@ func mgrCell(cfg MgrConfig, point, trial int, report bool) (mgrTrial, *obs.Repor
 // pins.
 func ReplayMgr(cfg MgrConfig, shards int, batch time.Duration, trial int) (*obs.Report, error) {
 	for p := 0; p < len(cfg.Shards)*len(cfg.Batch); p++ {
-		s, b := cfg.mgrPoint(p)
-		if s == shards && b == batch {
-			_, rep, err := mgrCell(cfg, p, trial, true)
-			return rep, err
+		if s, b := cfg.mgrPoint(p); s != shards || b != batch {
+			continue
 		}
+		out, f, err := mgrCell(cfg, p, trial)
+		if err != nil {
+			return nil, err
+		}
+		return replayReport("mgr", f, out.cell, map[string]string{
+			"k":                itoa(cfg.Rig.K),
+			"shards":           itoa(shards),
+			"batch":            mgrBatchLabel(batch),
+			"flows":            itoa(cfg.Flows),
+			"window":           cfg.Window.String(),
+			"trial":            itoa(trial),
+			"arp_queries":      fmt.Sprintf("%d", out.queries),
+			"arp_batches":      fmt.Sprintf("%d", out.batches),
+			"batched_queries":  fmt.Sprintf("%d", out.batched),
+			"punt_msgs":        fmt.Sprintf("%d", out.puntMsgs),
+			"arps_per_sec_sim": fmt.Sprintf("%.0f", out.arpsPerSec),
+			"reg_min":          fmt.Sprintf("%d", out.regMin),
+			"reg_max":          fmt.Sprintf("%d", out.regMax),
+			"detect_ms":        fmt.Sprintf("%.3f", out.detectMs),
+			"fanout_ms":        fmt.Sprintf("%.3f", out.fanoutMs),
+			"conv_ms":          fmt.Sprintf("%.3f", out.convMs),
+			"excl_pushed":      itoa(out.excl),
+			"fault_link":       out.faultLink,
+		}, views{faultAt: out.failAt}), nil
 	}
 	return nil, fmt.Errorf("no sweep point shards=%d batch=%v", shards, batch)
 }
 
 // RunMgr runs the manager-scaling sweep: every (shard count,
-// punt-batch) coordinate under the same sampled trace family. Cells
-// fan out over the runner pool; rows merge in point order so parallel
-// output is byte-identical to serial.
+// punt-batch) coordinate under the same sampled trace family.
 func RunMgr(cfg MgrConfig) (*MgrResult, error) {
-	points := len(cfg.Shards) * len(cfg.Batch)
-	cells, err := runner.Grid(points, cfg.Trials, func(point, trial int) (mgrTrial, error) {
-		out, _, err := mgrCell(cfg, point, trial, false)
-		return out, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &MgrResult{Cfg: cfg}
-	res.Report = sweepReport("mgr", cfg.Rig.Seed, map[string]string{
+	err := sweep(&res.Reported, "mgr", cfg.Rig.Seed, map[string]string{
 		"k":      itoa(cfg.Rig.K),
 		"trials": itoa(cfg.Trials),
 		"flows":  itoa(cfg.Flows),
 		"window": cfg.Window.String(),
-	}, nil)
-	for p, trials := range cells {
+	}, len(cfg.Shards)*len(cfg.Batch), cfg.Trials, func(point, trial int) (mgrTrial, error) {
+		out, _, err := mgrCell(cfg, point, trial)
+		return out, err
+	}, func(p int, trials []mgrTrial) {
 		shards, batch := cfg.mgrPoint(p)
-		row := MgrRow{Shards: shards, Batch: batch}
-		var detMs, fanMs []float64
+		row := MgrRow{Shards: shards, Batch: batch, RegMin: int64(1<<62 - 1)}
+		var detMs, convMs []float64
 		var arps float64
-		row.RegMin = int64(1<<62 - 1)
 		var batches, batched int64
 		for _, tr := range trials {
-			res.Report.Cells = append(res.Report.Cells, tr.cell)
 			row.Queries += tr.queries
 			row.PuntMsgs += tr.puntMsgs
 			batches += tr.batches
 			batched += tr.batched
 			arps += tr.arpsPerSec
-			if tr.regMin < row.RegMin {
-				row.RegMin = tr.regMin
-			}
-			if tr.regMax > row.RegMax {
-				row.RegMax = tr.regMax
-			}
+			row.RegMin = min(row.RegMin, tr.regMin)
+			row.RegMax = max(row.RegMax, tr.regMax)
 			detMs = append(detMs, tr.detectMs)
-			fanMs = append(fanMs, tr.convMs)
+			convMs = append(convMs, tr.convMs)
 			row.Excl += tr.excl
 		}
 		if row.Queries > 0 {
@@ -316,8 +291,11 @@ func RunMgr(cfg MgrConfig) (*MgrResult, error) {
 		}
 		row.ARPsPerSec = arps / float64(len(trials))
 		row.Detect = metrics.Summarize(detMs)
-		row.Conv = metrics.Summarize(fanMs)
+		row.Conv = metrics.Summarize(convMs)
 		res.Rows = append(res.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -30,9 +30,9 @@ func fig9TestConfig() Fig9Config {
 // deterministic cell.
 func TestReplayMatchesFig9Cell(t *testing.T) {
 	cfg := fig9TestConfig()
-	tr, err := runFig9Cell(cfg, 1, 3)
+	tr, _, err := fig9Cell(cfg, 1, 3)
 	if err != nil {
-		t.Fatalf("runFig9Cell: %v", err)
+		t.Fatalf("fig9Cell: %v", err)
 	}
 	if !tr.feasible {
 		t.Fatalf("cell (1,3) infeasible; pick another coordinate")
@@ -44,11 +44,11 @@ func TestReplayMatchesFig9Cell(t *testing.T) {
 	if rep.Convergence == nil {
 		t.Fatalf("replay report has no convergence view")
 	}
-	want := metrics.Summarize(tr.failMs)
+	want := metrics.Summarize(tr.fail.ms)
 	if got := rep.Convergence.Failure; got != want {
 		t.Errorf("replay failure summary = %+v, sweep cell = %+v", got, want)
 	}
-	if want := metrics.Summarize(tr.recMs); rep.Convergence.Recovery != want {
+	if want := metrics.Summarize(tr.rec.ms); rep.Convergence.Recovery != want {
 		t.Errorf("replay recovery summary = %+v, sweep cell = %+v", rep.Convergence.Recovery, want)
 	}
 	if rep.Convergence.FaultAtNs == 0 {

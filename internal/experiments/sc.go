@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"portland/internal/core"
@@ -11,8 +12,6 @@ import (
 	"portland/internal/graydetect"
 	"portland/internal/metrics"
 	"portland/internal/obs"
-	"portland/internal/runner"
-	"portland/internal/workload"
 )
 
 // SCConfig parameterizes the scenario-engine experiment: one sweep
@@ -185,20 +184,17 @@ type SCRow struct {
 type SCResult struct {
 	Cfg  SCConfig
 	Rows []SCRow
-	// Report carries per-cell observability snapshots; Print never
-	// reads it.
-	Report *obs.Report
+	Reported
 }
 
 // scTrial is one cell's raw measures.
 type scTrial struct {
-	name      string
-	detMs     float64
-	detected  bool
-	rerouteMs []float64
-	affected  int
-	dead      int
-	cell      obs.CellReport
+	snap
+	scenario string
+	onset    time.Duration
+	detMs    float64
+	detected bool
+	reroute  probeStats
 }
 
 // detectLatency scans the merged timeline for the family's
@@ -222,135 +218,99 @@ func detectLatency(fam scFamily, merged []obs.SourcedEvent) (time.Duration, bool
 	return 0, false
 }
 
-func runSCCell(cfg SCConfig, fam, trial int) (scTrial, error) {
-	out, _, err := scCell(cfg, fam, trial, false)
-	return out, err
+// profile returns the detector profile a detector family's cells arm:
+// the sweep's, rewritten by the family if it has an override.
+func (fam scFamily) profile(cfg SCConfig) graydetect.Config {
+	if fam.det != nil {
+		return fam.det(cfg.Detect)
+	}
+	return cfg.Detect
 }
 
-// scCell runs one (family, trial) cell on its own engine. The seed
+// scCell runs one (family, trial) cell on its own fabric. The seed
 // derives only from (base seed, family, trial): the cell is a pure
-// function of its grid coordinate, so parallel sweeps merge
-// byte-identically with serial ones and ReplaySC reproduces any cell
-// bit-for-bit.
-func scCell(cfg SCConfig, fam, trial int, report bool) (scTrial, *obs.Report, error) {
+// function of its grid coordinate.
+func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	family := scFamilies[fam]
-	out := scTrial{name: family.id}
+	var out scTrial
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64((fam+1)*1000+trial)
 	if family.detector {
-		rig.Detect = cfg.Detect
-		if family.det != nil {
-			rig.Detect = family.det(cfg.Detect)
-		}
+		rig.Detect = family.profile(cfg)
 	}
 	f, err := rig.build()
 	if err != nil {
 		return out, nil, err
 	}
-	hosts := f.HostList()
-	perm := workload.Permutation(f.Eng.Rand(), len(hosts))
-	flows := workload.PairCBRs(hosts, perm, cfg.ProbeEvery, 64)
-	f.RunFor(500 * time.Millisecond) // ARP warm-up, steady state
+	flows := probeFlows(f, cfg.ProbeEvery)
 
-	sc, ok := family.gen(f.Eng.Rand(), f, cfg)
+	sc, ok := family.gen(f.Rand(), f, cfg)
 	if !ok {
 		return out, nil, fmt.Errorf("scenario generator %s failed at k=%d", family.id, rig.K)
 	}
 	startRel, endRel := sc.Schedule.Span()
-	applyAt := f.Eng.Now()
-	onset := applyAt + startRel
+	out.scenario = sc.Name
+	out.onset = f.Now() + startRel
 	sc.Apply(f)
 	f.RunFor(endRel + scSettle)
 
-	merged := f.Obs.Merge()
-	if d, found := detectLatency(family, merged); found {
+	if d, found := detectLatency(family, f.Obs.Merge()); found {
 		out.detMs, out.detected = metrics.Ms(d), true
 	}
-	var flowView []obs.FlowConvergence
-	for _, fl := range flows {
-		conv, recovered := fl.RX.ConvergenceAfter(onset, cfg.ProbeEvery)
-		if !recovered {
-			out.dead++
-		} else if conv > 2*cfg.ProbeEvery {
-			out.affected++
-			out.rerouteMs = append(out.rerouteMs, metrics.Ms(conv))
-		}
-		if report {
-			flowView = append(flowView, obs.FlowConvergence{
-				Flow:        fl.Src.Name() + "->" + fl.Dst.Name(),
-				ConvergedMs: metrics.Ms(conv),
-				Recovered:   recovered,
-				Affected:    recovered && conv > 2*cfg.ProbeEvery,
-			})
-		}
-	}
+	out.reroute.addFlows(flows, out.onset, cfg.ProbeEvery)
 	for _, fl := range flows {
 		fl.Stop()
 	}
-	out.cell = obsCell(f, fam, trial, rig.Seed)
-	if !report {
-		return out, nil, nil
-	}
-
-	rep := newReport("sc", rig.Seed)
-	rep.Params["k"] = itoa(rig.K)
-	rep.Params["family"] = family.id
-	rep.Params["scenario"] = sc.Name
-	rep.Params["trial"] = itoa(trial)
-	rep.Params["probe_every"] = cfg.ProbeEvery.String()
-	rep.Params["detector"] = map[bool]string{true: "on", false: "off"}[family.detector]
-	if family.detector {
-		// The effective profile for this cell, after any per-family
-		// override — the knobs the coordinate exists to expose.
-		rep.Params["det_window"] = rig.Detect.Interval.String()
-		rep.Params["det_trip"] = itoa(rig.Detect.Trip)
-		rep.Params["det_clean"] = itoa(rig.Detect.Clean)
-	}
-	if out.detected {
-		rep.Params["detect_ms"] = fmt.Sprintf("%.3f", out.detMs)
-	} else {
-		rep.Params["detect_ms"] = "never"
-	}
-	rep.Convergence = &obs.Convergence{
-		FaultAtNs: int64(onset),
-		Failure:   metrics.Summarize(out.rerouteMs),
-		Flows:     flowView,
-	}
-	rep.ARPLatency = obs.ARPLatencies(merged)
-	rep.RegistryChurn = obs.RegistryChurn(merged, 100*time.Millisecond)
-	rep.Timeline = obs.Timeline(merged, onset, f.Eng.Now())
-	rep.Counters = f.ObsCounters()
-	rep.Cells = []obs.CellReport{out.cell}
-	return out, rep, nil
+	out.snap = obsCell(f, fam, trial, rig.Seed)
+	return out, f, nil
 }
 
 // ReplaySC re-runs one (family, trial) cell of the scenario sweep and
 // returns its full observability report — byte-identical on every
 // invocation at the same config, which the checked-in golden pins.
 func ReplaySC(cfg SCConfig, family string, trial int) (*obs.Report, error) {
-	for i, fam := range scFamilies {
-		if fam.id == family {
-			_, rep, err := scCell(cfg, i, trial, true)
-			return rep, err
-		}
+	fam := slices.IndexFunc(scFamilies, func(f scFamily) bool { return f.id == family })
+	if fam < 0 {
+		return nil, fmt.Errorf("unknown scenario family %q", family)
 	}
-	return nil, fmt.Errorf("unknown scenario family %q", family)
+	tr, f, err := scCell(cfg, fam, trial)
+	if err != nil {
+		return nil, err
+	}
+	params := map[string]string{
+		"k":           itoa(cfg.Rig.K),
+		"family":      family,
+		"scenario":    tr.scenario,
+		"trial":       itoa(trial),
+		"probe_every": cfg.ProbeEvery.String(),
+		"detector":    "off",
+		"detect_ms":   "never",
+	}
+	if scFamilies[fam].detector {
+		// The effective profile for this cell, after any per-family
+		// override — the knobs the coordinate exists to expose.
+		det := scFamilies[fam].profile(cfg)
+		params["detector"] = "on"
+		params["det_window"] = det.Interval.String()
+		params["det_trip"] = itoa(det.Trip)
+		params["det_clean"] = itoa(det.Clean)
+	}
+	if tr.detected {
+		params["detect_ms"] = fmt.Sprintf("%.3f", tr.detMs)
+	}
+	return replayReport("sc", f, tr.cell, params, views{faultAt: tr.onset, arp: true, conv: &obs.Convergence{
+		FaultAtNs: int64(tr.onset),
+		Failure:   metrics.Summarize(tr.reroute.ms),
+		Flows:     tr.reroute.flows,
+	}}), nil
 }
 
 // RunSC runs every scenario family under generated fault stories and
 // measures how long the fabric took to notice (time-to-detect) and to
-// restore steady delivery (time-to-reroute). Cells fan out over the
-// runner pool; rows merge in (family, trial) order so parallel output
-// is byte-identical to serial.
+// restore steady delivery (time-to-reroute).
 func RunSC(cfg SCConfig) (*SCResult, error) {
-	cells, err := runner.Grid(len(scFamilies), cfg.Trials, func(point, trial int) (scTrial, error) {
-		return runSCCell(cfg, point, trial)
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &SCResult{Cfg: cfg}
-	res.Report = sweepReport("sc", cfg.Rig.Seed, map[string]string{
+	err := sweep(&res.Reported, "sc", cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"trials":      itoa(cfg.Trials),
 		"gray_rate":   fmt.Sprintf("%.2f", cfg.GrayRate),
@@ -358,23 +318,27 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 		"det_window":  cfg.Detect.Interval.String(),
 		"det_trip":    itoa(cfg.Detect.Trip),
 		"det_clean":   itoa(cfg.Detect.Clean),
-	}, nil)
-	for p, trials := range cells {
+	}, len(scFamilies), cfg.Trials, func(fam, trial int) (scTrial, error) {
+		tr, _, err := scCell(cfg, fam, trial)
+		return tr, err
+	}, func(p int, trials []scTrial) {
 		row := SCRow{Family: scFamilies[p].id, Trials: len(trials)}
 		var detMs, rerMs []float64
 		for _, tr := range trials {
-			res.Report.Cells = append(res.Report.Cells, tr.cell)
 			if tr.detected {
 				row.Detected++
 				detMs = append(detMs, tr.detMs)
 			}
-			rerMs = append(rerMs, tr.rerouteMs...)
-			row.Affected += tr.affected
-			row.Dead += tr.dead
+			rerMs = append(rerMs, tr.reroute.ms...)
+			row.Affected += tr.reroute.affected
+			row.Dead += tr.reroute.dead
 		}
 		row.Detect = metrics.Summarize(detMs)
 		row.Reroute = metrics.Summarize(rerMs)
 		res.Rows = append(res.Rows, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"portland/internal/baseline"
-	"portland/internal/obs"
-	"portland/internal/runner"
-	"portland/internal/sim"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -66,14 +63,13 @@ type Table1Row struct {
 type Table1Result struct {
 	Cfg  Table1Config
 	Rows []Table1Row
-	// Report is the run's observability report; Print never reads it.
-	Report *obs.Report
+	Reported
 }
 
 // t1Cell pairs one measured row with its observability snapshot.
 type t1Cell struct {
-	row  Table1Row
-	cell obs.CellReport
+	snap
+	row Table1Row
 }
 
 // RunTable1 measures forwarding-state footprints: every host talks to
@@ -81,20 +77,19 @@ type t1Cell struct {
 // entries in both fabrics. PortLand's edge state is bounded by its
 // local hosts + O(k) protocol state; the baseline learns every MAC
 // that crosses it.
-func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	cells, err := runner.Map(len(cfg.Ks), func(i int) (t1Cell, error) {
-		return runTable1Cell(cfg, i, cfg.Ks[i])
+func RunTable1(cfg Table1Config) (*Table1Result, error) { return runTable1(DefaultRig(), cfg) }
+
+func runTable1(rig Rig, cfg Table1Config) (*Table1Result, error) {
+	res := &Table1Result{Cfg: cfg}
+	err := sweep(&res.Reported, "t1", rig.Seed, map[string]string{
+		"peers_per_host": itoa(cfg.PeersPerHost),
+	}, len(cfg.Ks), 1, func(point, _ int) (t1Cell, error) {
+		return runTable1Cell(rig, cfg, point, cfg.Ks[point])
+	}, func(_ int, cells []t1Cell) {
+		res.Rows = append(res.Rows, cells[0].row)
 	})
 	if err != nil {
 		return nil, err
-	}
-	res := &Table1Result{Cfg: cfg}
-	res.Report = sweepReport("t1", DefaultRig().Seed, map[string]string{
-		"peers_per_host": itoa(cfg.PeersPerHost),
-	}, nil)
-	for _, c := range cells {
-		res.Rows = append(res.Rows, c.row)
-		res.Report.Cells = append(res.Report.Cells, c.cell)
 	}
 	// Analytic rows: PortLand edge ≈ k/2 local hosts + O(k) neighbor
 	// state; baseline worst case learns every host MAC.
@@ -112,26 +107,18 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 // runTable1Cell measures one fat-tree degree: a PortLand fabric and a
 // baseline flat-L2 fabric, both with identical warm-up, on private
 // engines.
-func runTable1Cell(cfg Table1Config, point, k int) (t1Cell, error) {
-	spec, err := topo.FatTree(k)
-	if err != nil {
-		return t1Cell{}, err
-	}
-	row := Table1Row{K: k, Hosts: spec.Count().Hosts, Measured: true}
-
-	// PortLand fabric.
-	rig := DefaultRig()
+func runTable1Cell(rig Rig, cfg Table1Config, point, k int) (t1Cell, error) {
+	var out t1Cell
 	rig.K = k
 	f, err := rig.build()
 	if err != nil {
-		return t1Cell{row: row}, err
+		return out, err
 	}
+	row := Table1Row{K: k, Hosts: f.Spec.Count().Hosts, Measured: true}
 	workload.ARPStorm(f.HostList(), cfg.PeersPerHost)
 	f.RunFor(2 * time.Second)
 	for _, id := range f.Spec.Switches() {
-		if n := f.Switches[id].RoutingStateSize(); n > row.PLActiveMax {
-			row.PLActiveMax = n
-		}
+		row.PLActiveMax = max(row.PLActiveMax, f.Switches[id].RoutingStateSize())
 	}
 	// Let the reactive flow entries idle out (OpenFlow soft
 	// timeouts); what remains is the state PortLand *requires*.
@@ -140,18 +127,15 @@ func runTable1Cell(cfg Table1Config, point, k int) (t1Cell, error) {
 	for _, id := range f.Spec.Switches() {
 		n := f.Switches[id].RoutingStateSize()
 		plSum += n
-		if n > row.PLMax {
-			row.PLMax = n
-		}
+		row.PLMax = max(row.PLMax, n)
 	}
 	row.PLMean = float64(plSum) / float64(len(f.Spec.Switches()))
-	cell := obsCell(f, point, 0, rig.Seed)
+	out.snap = obsCell(f, point, 0, rig.Seed)
 
 	// Baseline fabric, identical warm-up.
-	bf := baseline.BuildFabric(spec, 1, sim.LinkConfig{}, baseline.Config{})
-	bf.Start()
-	if err := bf.AwaitTree(20 * time.Second); err != nil {
-		return t1Cell{row: row, cell: cell}, err
+	bf, err := buildBaseline(k, 1, baseline.Config{})
+	if err != nil {
+		return out, err
 	}
 	workload.ARPStorm(bf.HostList(), cfg.PeersPerHost)
 	bf.RunFor(5 * time.Second)
@@ -159,12 +143,11 @@ func runTable1Cell(cfg Table1Config, point, k int) (t1Cell, error) {
 	for _, id := range bf.Spec.Switches() {
 		n := bf.Switches[id].MACTableLen()
 		blSum += n
-		if n > row.BLMax {
-			row.BLMax = n
-		}
+		row.BLMax = max(row.BLMax, n)
 	}
 	row.BLMean = float64(blSum) / float64(len(bf.Spec.Switches()))
-	return t1Cell{row: row, cell: cell}, nil
+	out.row = row
+	return out, nil
 }
 
 // Print emits both halves of Table 1.

@@ -678,17 +678,6 @@ func (m *Manager) Lookup(ip netip.Addr) (ether.Addr, bool) {
 	return rec.pmac, ok
 }
 
-// Locations returns a copy of the location table.
-func (m *Manager) Locations() map[ctrlmsg.SwitchID]ctrlmsg.Loc {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[ctrlmsg.SwitchID]ctrlmsg.Loc, len(m.locs))
-	for k, v := range m.locs {
-		out[k] = v
-	}
-	return out
-}
-
 // noteLoc is the single write path into the location table; it keeps
 // the sorted-ID caches coherent. A brand-new switch dirties both
 // lists; a level transition (switch replaced/recovered into another

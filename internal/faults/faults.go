@@ -157,61 +157,6 @@ func Routable(f *core.Fabric, extraDown []int) bool {
 	return true
 }
 
-// Connected reports whether all hosts remain mutually reachable when
-// the given extra links are removed (in addition to links already
-// down in the fabric).
-func Connected(f *core.Fabric, extraDown []int) bool {
-	down := make(map[int]bool, len(extraDown))
-	for _, i := range extraDown {
-		down[i] = true
-	}
-	adj := make(map[topo.NodeID][]topo.NodeID)
-	for i, l := range f.Spec.Links {
-		if down[i] || !f.Links[i].Up() {
-			continue
-		}
-		adj[l.A.Node] = append(adj[l.A.Node], l.B.Node)
-		adj[l.B.Node] = append(adj[l.B.Node], l.A.Node)
-	}
-	hosts := f.Spec.Hosts()
-	if len(hosts) == 0 {
-		return true
-	}
-	seen := make(map[topo.NodeID]bool)
-	queue := []topo.NodeID{hosts[0]}
-	seen[hosts[0]] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	for _, h := range hosts {
-		if !seen[h] {
-			return false
-		}
-	}
-	return true
-}
-
-// FailAll takes the given links down.
-func FailAll(f *core.Fabric, links []int) {
-	for _, i := range links {
-		f.FailLink(i)
-	}
-}
-
-// RestoreAll brings the given links back.
-func RestoreAll(f *core.Fabric, links []int) {
-	for _, i := range links {
-		f.RestoreLink(i)
-	}
-}
-
 // SwitchCandidates returns aggregation and core switch names whose
 // crash does not isolate any host a priori (edge switches always
 // isolate their hosts, so they are excluded — the paper's convergence
@@ -257,18 +202,4 @@ func PickConnectedSwitches(r *rand.Rand, f *core.Fabric, n int) ([]topo.NodeID, 
 		}
 	}
 	return nil, false
-}
-
-// CrashAll fails the given switches in place.
-func CrashAll(f *core.Fabric, switches []topo.NodeID) {
-	for _, id := range switches {
-		f.Switches[id].Fail()
-	}
-}
-
-// RecoverAll reboots the given switches.
-func RecoverAll(f *core.Fabric, switches []topo.NodeID) {
-	for _, id := range switches {
-		f.Switches[id].Recover()
-	}
 }

@@ -60,7 +60,7 @@ func TestRoutableDetectsUpDownOnlyPaths(t *testing.T) {
 	c1, _ := f.LinkBetween("agg-p0-s0", "core-0")
 	c2, _ := f.LinkBetween("agg-p0-s0", "core-1")
 	cut := []int{l2, c1, c2}
-	if Connected(f, cut) != true {
+	if connected(f, cut) != true {
 		t.Fatal("test premise broken: graph should stay connected")
 	}
 	if Routable(f, cut) {
@@ -71,7 +71,7 @@ func TestRoutableDetectsUpDownOnlyPaths(t *testing.T) {
 func TestPickConnectedRespectsRoutability(t *testing.T) {
 	f := build(t)
 	for n := 1; n <= 6; n++ {
-		links, ok := PickConnected(f.Eng.Rand(), f, n)
+		links, ok := PickConnected(f.Rand(), f, n)
 		if !ok {
 			t.Fatalf("no pick for n=%d", n)
 		}
@@ -93,7 +93,7 @@ func TestPickConnectedRespectsRoutability(t *testing.T) {
 
 func TestPickConnectedImpossible(t *testing.T) {
 	f := build(t)
-	if _, ok := PickConnected(f.Eng.Rand(), f, 1000); ok {
+	if _, ok := PickConnected(f.Rand(), f, 1000); ok {
 		t.Fatal("impossible request satisfied")
 	}
 }
@@ -103,7 +103,7 @@ func TestPickConnectedExhaustsRejectionSampling(t *testing.T) {
 	// 30 of the 32 switch links is a feasible *count* but can never
 	// preserve routability at k=4, so every sample is rejected and
 	// the sampler must give up with ok=false — not panic, not loop.
-	if _, ok := PickConnected(f.Eng.Rand(), f, 30); ok {
+	if _, ok := PickConnected(f.Rand(), f, 30); ok {
 		t.Fatal("routability-breaking pick accepted")
 	}
 }
@@ -123,15 +123,15 @@ func TestScheduleFailsAndRecovers(t *testing.T) {
 	if sw < 0 {
 		t.Fatal("agg-p1-s0 not in blueprint")
 	}
-	base := f.Eng.Now()
+	base := f.Now()
 	var failedAt, recoveredAt time.Duration
 	Schedule{Events: []Event{{
 		At:        100 * time.Millisecond,
 		Duration:  200 * time.Millisecond,
 		Links:     []int{li},
 		Switches:  []topo.NodeID{sw},
-		OnFail:    func() { failedAt = f.Eng.Now() },
-		OnRecover: func() { recoveredAt = f.Eng.Now() },
+		OnFail:    func() { failedAt = f.Now() },
+		OnRecover: func() { recoveredAt = f.Now() },
 	}}}.Apply(f)
 
 	f.RunFor(150 * time.Millisecond)
@@ -183,16 +183,72 @@ func TestScheduleManagerOutage(t *testing.T) {
 func TestFailRestoreAll(t *testing.T) {
 	f := build(t)
 	links := []int{SwitchLinks(f.Spec)[0], SwitchLinks(f.Spec)[5]}
-	FailAll(f, links)
+	failAll(f, links)
 	for _, i := range links {
 		if f.Links[i].Up() {
 			t.Fatal("link still up")
 		}
 	}
-	RestoreAll(f, links)
+	restoreAll(f, links)
 	for _, i := range links {
 		if !f.Links[i].Up() {
 			t.Fatal("link still down")
 		}
+	}
+}
+
+// connected reports whether all hosts remain mutually reachable when
+// the given extra links are removed (in addition to links already
+// down in the fabric): plain graph connectivity, the contrast oracle
+// for Routable's up-then-down constraint.
+func connected(f *core.Fabric, extraDown []int) bool {
+	down := make(map[int]bool, len(extraDown))
+	for _, i := range extraDown {
+		down[i] = true
+	}
+	adj := make(map[topo.NodeID][]topo.NodeID)
+	for i, l := range f.Spec.Links {
+		if down[i] || !f.Links[i].Up() {
+			continue
+		}
+		adj[l.A.Node] = append(adj[l.A.Node], l.B.Node)
+		adj[l.B.Node] = append(adj[l.B.Node], l.A.Node)
+	}
+	hosts := f.Spec.Hosts()
+	if len(hosts) == 0 {
+		return true
+	}
+	seen := make(map[topo.NodeID]bool)
+	queue := []topo.NodeID{hosts[0]}
+	seen[hosts[0]] = true
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range adj[v] {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	for _, h := range hosts {
+		if !seen[h] {
+			return false
+		}
+	}
+	return true
+}
+
+// failAll takes the given links down.
+func failAll(f *core.Fabric, links []int) {
+	for _, i := range links {
+		f.FailLink(i)
+	}
+}
+
+// restoreAll brings the given links back.
+func restoreAll(f *core.Fabric, links []int) {
+	for _, i := range links {
+		f.RestoreLink(i)
 	}
 }

@@ -131,7 +131,7 @@ func TestScenarioBracketAndFlapJournal(t *testing.T) {
 	if err := sc.Schedule.Validate(true); err != nil {
 		t.Fatalf("generated schedule invalid: %v", err)
 	}
-	base := f.Eng.Now()
+	base := f.Now()
 	sc.Apply(f)
 	f.RunFor(300 * time.Millisecond)
 

@@ -199,17 +199,10 @@ func (s *Switch) Name() string { return s.name }
 // Attach implements sim.Node.
 func (s *Switch) Attach(port int, l *sim.Link) { s.links[port] = l }
 
-// SetControl wires the switch's channel to the fabric manager. Must be
-// called before Start.
-func (s *Switch) SetControl(c ctrlnet.Conn) {
-	s.ctrl = c
-	s.ctrlShards = nil
-}
-
 // SetControlShards wires the switch to a prefix-sharded fabric manager:
-// conns[i] reaches registry shard i. A single-element slice is exactly
-// SetControl — every message goes to shard 0 and the wire traffic is
-// byte-identical to the unsharded fabric. Must be called before Start.
+// conns[i] reaches registry shard i. A single-element slice is the
+// unsharded fabric: every message goes to shard 0. Must be called
+// before Start.
 func (s *Switch) SetControlShards(conns []ctrlnet.Conn) {
 	if len(conns) == 0 {
 		return
@@ -506,10 +499,6 @@ func (s *Switch) reportPort(port int, peer ldp.Neighbor, up bool) {
 }
 
 // --- control messages from the fabric manager ---
-
-// HandleCtrl processes a message from the fabric manager (shard 0 on
-// a sharded fabric).
-func (s *Switch) HandleCtrl(m ctrlmsg.Msg) { s.handleCtrlFrom(0, m) }
 
 // CtrlHandlerFor returns the receive handler for manager shard i's
 // control channel, so replies that depend on the peer — resync replays

@@ -39,8 +39,8 @@ var (
 	workers int // 0 = default (GOMAXPROCS)
 )
 
-// SetWorkers bounds the pool. n <= 1 forces serial execution (the
-// -serial escape hatch); n == 0 restores the default, GOMAXPROCS.
+// SetWorkers bounds the pool. n == 1 forces serial execution
+// (portland-bench -parallel 1); n == 0 restores the default, GOMAXPROCS.
 func SetWorkers(n int) {
 	mu.Lock()
 	defer mu.Unlock()

@@ -468,7 +468,7 @@ func (d *Domain) runUntil(deadline time.Duration, plan func(d *Domain, deadline,
 		m := time.Duration(0)
 		found := false
 		for i, e := range d.engines {
-			t, ok := e.NextAt()
+			t, _, ok := e.head()
 			d.nextAt[i], d.nextOk[i] = t, ok
 			if ok && (!found || t < m) {
 				m, found = t, true
@@ -636,7 +636,7 @@ func (d *Domain) runInstant(m time.Duration) int {
 			ev := d.excl.pop()
 			ev.fire()
 		} else {
-			bestEng.fireHead()
+			bestEng.step(m) // its head is stamped exactly m
 		}
 		n++
 	}

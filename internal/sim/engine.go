@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"time"
@@ -410,18 +411,35 @@ func (e *Engine) advance() {
 	}
 }
 
-// popNext removes and returns the globally earliest event by (at, seq).
-func (e *Engine) popNext() event {
+// step fires the globally earliest event by (at, seq) if it is stamped
+// at or before limit, moving the clock to it, and reports whether it
+// did. It is the one place an event leaves the queue: Run, RunUntil,
+// runSpan and the Domain's same-instant interleave differ only in the
+// limit they pass and in what they do with the clock afterwards. The
+// peek is spelled out rather than a call to head, which is past the
+// inliner's budget: this is the per-event path.
+func (e *Engine) step(limit time.Duration) bool {
+	if e.queued == 0 {
+		return false
+	}
 	if len(e.due) == 0 {
 		e.advance()
+	}
+	if e.due[0].at > limit {
+		return false
 	}
 	ev := e.due.pop()
 	e.queued--
 	if e.shadow != nil {
 		e.checkShadow(ev)
 	}
-	return ev
+	e.now = ev.at
+	ev.fire()
+	return true
 }
+
+// forever is the limit no event is stamped beyond.
+const forever = time.Duration(math.MaxInt64)
 
 // checkShadow asserts the wheel's pop matches the reference heap's.
 func (e *Engine) checkShadow(ev event) {
@@ -446,10 +464,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run() int {
 	e.stopped = false
 	n := 0
-	for e.queued > 0 && !e.stopped {
-		next := e.popNext()
-		e.now = next.at
-		next.fire()
+	for !e.stopped && e.step(forever) {
 		n++
 	}
 	return n
@@ -461,20 +476,7 @@ func (e *Engine) Run() int {
 func (e *Engine) RunUntil(deadline time.Duration) int {
 	e.stopped = false
 	n := 0
-	for e.queued > 0 && !e.stopped {
-		if len(e.due) == 0 {
-			e.advance()
-		}
-		if e.due[0].at > deadline {
-			break
-		}
-		next := e.due.pop()
-		e.queued--
-		if e.shadow != nil {
-			e.checkShadow(next)
-		}
-		e.now = next.at
-		next.fire()
+	for !e.stopped && e.step(deadline) {
 		n++
 	}
 	if e.now < deadline && !e.stopped {
@@ -486,25 +488,14 @@ func (e *Engine) RunUntil(deadline time.Duration) int {
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return e.queued }
 
-// NextAt returns the exact timestamp of the earliest queued event. It
-// may advance the wheel base to stage that event into the due heap —
-// safe at any point between events, because enqueue files ticks <= base
-// into the exactly-ordered due heap — but executes nothing and never
-// moves the clock. The Domain's window planner uses it to size each
-// lockstep epoch to the true global minimum instead of a bucket lower
-// bound (which would crawl across sparse gaps one window at a time).
-func (e *Engine) NextAt() (time.Duration, bool) {
-	if e.queued == 0 {
-		return 0, false
-	}
-	if len(e.due) == 0 {
-		e.advance()
-	}
-	return e.due[0].at, true
-}
-
-// head returns the (at, seq) key of the earliest queued event without
-// removing it.
+// head returns the exact (at, seq) key of the earliest queued event
+// without removing it. It may advance the wheel base to stage that
+// event into the due heap — safe at any point between events, because
+// enqueue files ticks <= base into the exactly-ordered due heap — but
+// executes nothing and never moves the clock. The Domain's window
+// planner sizes each lockstep epoch from it: the true global minimum,
+// not a bucket lower bound (which would crawl across sparse gaps one
+// window at a time).
 func (e *Engine) head() (time.Duration, uint64, bool) {
 	if e.queued == 0 {
 		return 0, 0, false
@@ -515,23 +506,6 @@ func (e *Engine) head() (time.Duration, uint64, bool) {
 	return e.due[0].at, e.due[0].seq, true
 }
 
-// fireHead pops and executes the earliest queued event, moving the
-// clock to its timestamp. The Domain's exclusive-instant interleave
-// uses it to merge-execute same-instant events across shards in global
-// (at, seq) order.
-func (e *Engine) fireHead() {
-	if len(e.due) == 0 {
-		e.advance()
-	}
-	ev := e.due.pop()
-	e.queued--
-	if e.shadow != nil {
-		e.checkShadow(ev)
-	}
-	e.now = ev.at
-	ev.fire()
-}
-
 // runSpan executes every event with timestamp < limit and then moves
 // the clock to clockTo (no-op if the clock is already past it). It is
 // the per-shard body of one Domain epoch: the strict bound is what lets
@@ -540,20 +514,7 @@ func (e *Engine) fireHead() {
 // run deadline) without firing anything there.
 func (e *Engine) runSpan(limit, clockTo time.Duration) int {
 	n := 0
-	for e.queued > 0 {
-		if len(e.due) == 0 {
-			e.advance()
-		}
-		if e.due[0].at >= limit {
-			break
-		}
-		next := e.due.pop()
-		e.queued--
-		if e.shadow != nil {
-			e.checkShadow(next)
-		}
-		e.now = next.at
-		next.fire()
+	for e.step(limit - 1) { // timestamps are whole nanoseconds: < limit is <= limit-1
 		n++
 	}
 	if e.now < clockTo {

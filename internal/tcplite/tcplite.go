@@ -189,9 +189,6 @@ func Accept(ep Endpoint, rip netip.Addr, lport, rport uint16, cfg Config) *Conn 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// RemoteIP returns the peer address.
-func (c *Conn) RemoteIP() netip.Addr { return c.remoteIP }
-
 // Ports returns (local, remote) ports.
 func (c *Conn) Ports() (uint16, uint16) { return c.localPort, c.remotePort }
 
@@ -207,14 +204,6 @@ func (c *Conn) Queue(n int) {
 	c.streamLen += uint32(n)
 	c.push()
 }
-
-// QueuedUnsent returns bytes waiting for window space.
-func (c *Conn) QueuedUnsent() int { return int(c.streamLen + 1 - c.sndNxt) }
-
-// SetRemoteIP repoints the connection at a peer that kept its IP but
-// moved (no-op in practice since TCP is IP-addressed; provided for
-// completeness).
-func (c *Conn) SetRemoteIP(ip netip.Addr) { c.remoteIP = ip }
 
 func (c *Conn) sendSeg(s *ippkt.TCPSegment) {
 	s.SrcPort, s.DstPort = c.localPort, c.remotePort

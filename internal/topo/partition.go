@@ -23,21 +23,6 @@ import "sort"
 // shards <= 1, or a blueprint without pod structure, collapses to one
 // shard; more pod shards than pods collapses to one shard per pod.
 func Partition(s *Spec, shards int) (assign []int, n int) {
-	return PartitionWeighted(s, shards, nil)
-}
-
-// WeightFunc scores one node's expected event rate for shard packing.
-// Returns are clamped to a minimum of 1 so a present node always
-// carries some weight; nil means "count nodes" (every node weighs 1).
-// Hosts replaying a heavy trace workload cost far more scheduler time
-// than idle switches, so a workload-aware hook can rebalance a
-// blueprint whose pods are equal-sized but unequally busy.
-type WeightFunc func(node NodeSpec) int
-
-// PartitionWeighted is Partition with a per-node weight hook: pods are
-// packed by summed node weight instead of node count. A nil weight
-// reproduces Partition exactly.
-func PartitionWeighted(s *Spec, shards int, weightOf WeightFunc) (assign []int, n int) {
 	assign = make([]int, len(s.Nodes))
 	if shards <= 1 {
 		return assign, 1
@@ -56,19 +41,13 @@ func PartitionWeighted(s *Spec, shards int, weightOf WeightFunc) (assign []int, 
 		podShards = pods
 	}
 
-	// Weigh each pod by what its nodes bring, then greedily pack
+	// Weigh each pod by its node count, then greedily pack
 	// heaviest-first onto the lightest shard (longest-processing-time
 	// rule). Stable order keeps equal-weight pods in pod-number order.
 	weight := make([]int, pods)
 	for _, node := range s.Nodes {
 		if node.Pod >= 0 {
-			w := 1
-			if weightOf != nil {
-				if nw := weightOf(node); nw > 1 {
-					w = nw
-				}
-			}
-			weight[node.Pod] += w
+			weight[node.Pod]++
 		}
 	}
 	order := make([]int, pods)

@@ -104,68 +104,3 @@ func TestPartitionWeighsUnevenPods(t *testing.T) {
 		t.Fatalf("shard loads %v, want 12/12", load)
 	}
 }
-
-// Workload skew: one small pod whose hosts replay a heavy trace
-// (weight 50 per host) next to a big idle pod and two small idle ones.
-// Count-based packing sees only node counts — the big cold pod gets a
-// shard to itself and the hot pod shares with the other small pods —
-// while the weight hook must give the hot pod its own shard.
-func TestPartitionWeightedRebalances(t *testing.T) {
-	spec := &Spec{}
-	addNode := func(pod int, lvl Level) {
-		spec.Nodes = append(spec.Nodes, NodeSpec{ID: NodeID(len(spec.Nodes)), Pod: pod, Level: lvl})
-	}
-	// pod 0: 10 idle nodes; pods 1-3: 1 switch + 2 hosts each, but
-	// only pod 1's hosts run the trace workload.
-	for i := 0; i < 10; i++ {
-		addNode(0, Edge)
-	}
-	for pod := 1; pod < 4; pod++ {
-		addNode(pod, Edge)
-		addNode(pod, Host)
-		addNode(pod, Host)
-	}
-	hot := func(node NodeSpec) int {
-		if node.Level == Host && node.Pod == 1 {
-			return 50
-		}
-		return 1
-	}
-	podShardOf := func(assign []int) []int {
-		ps := make([]int, 4)
-		for _, node := range spec.Nodes {
-			ps[node.Pod] = assign[node.ID]
-		}
-		return ps
-	}
-
-	// Count-based default (pod weights 10,3,3,3): the big cold pod 0
-	// is packed alone and the hot pod 1 shares a shard with pods 2,3.
-	assign, n := Partition(spec, 3)
-	if n != 3 {
-		t.Fatalf("n=%d, want 3", n)
-	}
-	ps := podShardOf(assign)
-	if ps[1] == ps[0] || ps[1] != ps[2] || ps[1] != ps[3] {
-		t.Fatalf("count-based layout changed: pod shards %v, expected hot pod 1 packed with pods 2,3", ps)
-	}
-
-	// Weighted (pod weights 10,101,3,3): the hot pod must land alone
-	// on its shard, everything idle on the other.
-	wassign, wn := PartitionWeighted(spec, 3, hot)
-	if wn != 3 {
-		t.Fatalf("weighted n=%d, want 3", wn)
-	}
-	ps = podShardOf(wassign)
-	if ps[1] == ps[0] || ps[1] == ps[2] || ps[1] == ps[3] {
-		t.Fatalf("weighted layout still co-locates the hot pod: pod shards %v", ps)
-	}
-
-	// Nil hook must reproduce Partition exactly.
-	nassign, _ := PartitionWeighted(spec, 3, nil)
-	for id := range assign {
-		if assign[id] != nassign[id] {
-			t.Fatalf("nil-hook PartitionWeighted diverges from Partition at node %d", id)
-		}
-	}
-}

@@ -90,7 +90,7 @@ func (f *Fabric) Start() { f.inner.Start() }
 func (f *Fabric) RunFor(d time.Duration) { f.inner.RunFor(d) }
 
 // Now returns the current virtual time.
-func (f *Fabric) Now() time.Duration { return f.inner.Eng.Now() }
+func (f *Fabric) Now() time.Duration { return f.inner.Now() }
 
 // AwaitDiscovery runs until location discovery completes everywhere.
 func (f *Fabric) AwaitDiscovery(limit time.Duration) error {
