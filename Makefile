@@ -19,12 +19,13 @@ loc:
 
 # Documentation gate: every exported identifier in the observability
 # surface (obs, metrics, trace), the workload/topology/control-message
-# layers and the hardware-model packages must carry a doc comment that
-# opens with the identifier's name (docslint also catches comments that
-# survived a rename).
+# layers, the hardware-model packages and the fabric manager must carry
+# a doc comment that opens with the identifier's name (docslint also
+# catches comments that survived a rename).
 docs-lint:
 	$(GO) run ./cmd/docslint ./internal/obs ./internal/metrics ./internal/trace \
-		./internal/workload ./internal/topo ./internal/ctrlmsg ./internal/flowtable
+		./internal/workload ./internal/topo ./internal/ctrlmsg ./internal/flowtable \
+		./internal/fabricmgr
 
 # Report-schema gate alone (also runs as part of `make test`): the four
 # checked-in reports must round-trip byte-identically and a fresh

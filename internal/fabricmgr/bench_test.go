@@ -90,26 +90,91 @@ func BenchmarkMgrARPThroughput(b *testing.B) {
 }
 
 // BenchmarkFaultFanout measures the route authority's exclusion
-// fan-out: one fail+restore cycle of an agg-core link on the hand-wired
-// two-pod topology, timed end to end (fault merge, reachability
-// recompute, exclusion diff, push to every affected switch). The shard
-// axis pins the design claim that prefix-sharding the registry leaves
-// fault convergence untaxed: shard 0 alone carries the fault matrix,
-// so the cost must stay flat as shards grow.
+// fan-out: eight links of a k-ary fat tree, edge-agg and agg-core,
+// fail and then recover, one FaultNotify at a time, each timed end to
+// end (fault merge, tier update within the link's cone, exclusion
+// diff, push to every affected switch). Only one end of each link
+// reports, so the merge of a second end's view is not timed here.
+// ns/notify against k is the scaling claim of DESIGN.md §7: the cone
+// of a link is O(k²) switches, so k=48 should cost about nine times
+// k=16, not the fabric's growth. The shard axis pins the design claim
+// that prefix-sharding the registry leaves fault convergence untaxed:
+// shard 0 alone carries the fault matrix, so the cost must stay flat
+// as shards grow.
 func BenchmarkFaultFanout(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			r := newRig(b)
-			r.m.SetShard(0, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.fail(3, 2, 9, 0)
-				r.restore(3, 2, 9, 0)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(shards), "shards")
-			b.ReportMetric(float64(r.m.Stats.ExclusionsSet)/float64(b.N), "excl/op")
-		})
+	for _, k := range []int{4, 16, 32, 48} {
+		feed := newFatTreeFeed(b, k)
+		// Eight links strided over the blueprint's list, which holds
+		// the edge-agg links first and the agg-core links after.
+		var flaps []ctrlmsg.FaultNotify
+		links := len(feed.adjacency) / 2
+		for j := 0; j < 8; j++ {
+			flaps = append(flaps, feed.adjacency[2*(j*(links/8+k/2+1)%links)])
+		}
+		for _, shards := range []int{1, 4} {
+			b.Run(fmt.Sprintf("k=%d/shards=%d", k, shards), func(b *testing.B) {
+				m, sess := feed.boot(benchConn{})
+				m.SetShard(0, shards)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, down := range []bool{true, false} {
+						for _, fn := range flaps {
+							fn.Down = down
+							sess[fn.Switch].Handle(fn)
+						}
+					}
+				}
+				b.StopTimer()
+				notifies := float64(b.N * 2 * len(flaps))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/notifies, "ns/notify")
+				b.ReportMetric(float64(m.Stats.ExclusionsSet)/float64(b.N), "excl/op")
+			})
+		}
 	}
 }
+
+// TestFaultFlapAllocs pins the steady state of fault churn on a k=16
+// fabric: once the manager's buffers are warm, taking an agg-core and
+// an edge-agg link down and up allocates exactly the RouteExclude
+// messages it sends (one boxed value each) and nothing else, however
+// often it repeats.
+func TestFaultFlapAllocs(t *testing.T) {
+	feed := newFatTreeFeed(t, 16)
+	sent := 0
+	m, sess := feed.boot(countConn{&sent})
+	links := [][2]ctrlmsg.FaultNotify{
+		feed.link(ctrlmsg.LevelAggregation, ctrlmsg.LevelCore),
+		feed.link(ctrlmsg.LevelEdge, ctrlmsg.LevelAggregation),
+	}
+	flap := func() {
+		for _, l := range links {
+			for _, down := range []bool{true, false} {
+				for _, fn := range l {
+					fn.Down = down
+					sess[fn.Switch].Handle(fn)
+				}
+			}
+		}
+	}
+	flap() // warm the buffers
+	sent = 0
+	flap()
+	perFlap := sent
+	if perFlap == 0 || m.installed != 0 {
+		t.Fatalf("a flap sent %d messages and left %d exclusions installed", perFlap, m.installed)
+	}
+	for _, runs := range []int{10, 100} {
+		if allocs := testing.AllocsPerRun(runs, flap); allocs != float64(perFlap) {
+			t.Errorf("%d flaps: %.1f allocs each, want the %d messages sent and nothing else", runs, allocs, perFlap)
+		}
+	}
+}
+
+// countConn counts the messages sent through it.
+type countConn struct{ n *int }
+
+func (c countConn) Send(ctrlmsg.Msg) error { *c.n++; return nil }
+func (countConn) Close() error             { return nil }
+func (countConn) Stats() ctrlnet.Stats     { return ctrlnet.Stats{} }
+func (countConn) Err() error               { return nil }

@@ -80,49 +80,13 @@ type staleEntry struct {
 	newPMAC ether.Addr
 }
 
-// pairKey identifies a switch pair (at most one physical link between
-// any two switches, as in the fat tree).
-type pairKey struct {
-	lo, hi ctrlmsg.SwitchID
-}
-
-func mkPair(a, b ctrlmsg.SwitchID) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
-// linkState is one graph edge assembled from both endpoints' reports.
-type linkState struct {
-	lo, hi         ctrlmsg.SwitchID
-	loPort, hiPort int // -1 until that side reports
-	loUp, hiUp     bool
-}
-
-func (l *linkState) up() bool { return l.loUp && l.hiUp }
-
-func (l *linkState) portOf(id ctrlmsg.SwitchID) int {
-	if id == l.lo {
-		return l.loPort
-	}
-	return l.hiPort
-}
-
-func (l *linkState) other(id ctrlmsg.SwitchID) ctrlmsg.SwitchID {
-	if id == l.lo {
-		return l.hi
-	}
-	return l.lo
-}
-
 type exclKey struct {
 	via ctrlmsg.SwitchID
 	pod uint16
 	pos uint8
 }
 
-// exclDelta is one coalesced RouteExclude to flush: recomputeRoutes
+// exclDelta is one coalesced RouteExclude to flush: flushRoutes
 // assembles the whole trigger's worth before sending any of them.
 type exclDelta struct {
 	target ctrlmsg.SwitchID
@@ -147,31 +111,42 @@ type Manager struct {
 	mu sync.Mutex
 
 	conns map[ctrlmsg.SwitchID]ctrlnet.Conn
-	locs  map[ctrlmsg.SwitchID]ctrlmsg.Loc
-
-	// Cached ID-sorted views of locs, rebuilt lazily when noteLoc
-	// dirties them. Every ARP-miss flood and every exclusion recompute
-	// iterates switches in ID order (the send order is observable
-	// under CtrlLoss, so it must be deterministic); at k=48 the
-	// per-trigger sort of 2,880 IDs dominated the manager's cost.
-	idsSorted  []ctrlmsg.SwitchID
-	edgeIDs    []ctrlmsg.SwitchID
-	idsDirty   bool
-	edgesDirty bool
-
-	// Reusable batch-assembly buffers for recomputeRoutes: the
-	// exclusion deltas of one trigger are coalesced here and flushed
-	// in a single sorted pass, so repeated fault churn allocates
-	// nothing once the buffers reach their high-water mark.
-	deltaBuf  []exclDelta
-	keyBuf    []exclKey
-	targetBuf []ctrlmsg.SwitchID
 
 	ips map[netip.Addr]hostRecord
 
-	links map[pairKey]*linkState
+	// g is the topology graph and fault matrix: every located switch
+	// and the links between them (graph.go), carrying the exclusion
+	// tiers derived from it and what each switch has installed
+	// (routes.go).
+	g graph
 
-	excl map[ctrlmsg.SwitchID]map[exclKey]bool
+	// downLinks counts graph edges currently down and installed the
+	// exclusions switches currently hold (the sum of every node.excl):
+	// both zero is the fast-path guard that keeps bootstrap (thousands
+	// of adjacency reports, zero faults) from touching the tiers at all.
+	downLinks int
+	installed int
+	// tiersLive records that the tiers may be non-empty; tiersStale
+	// that a location changed since they were derived, so the next
+	// sync rebuilds them.
+	tiersLive, tiersStale bool
+
+	// Work lists of one exclusion sync: the switches whose installed
+	// set must be re-diffed, the aggregation switches whose tier 2 must
+	// be re-evaluated, and the switches still owed a diff because they
+	// had no session when one was due.
+	dirty    []int32
+	aggQueue []int32
+	lagging  []int32
+
+	// Reusable assembly buffers: the exclusion deltas of one trigger
+	// are coalesced in deltaBuf and flushed in a single sorted pass,
+	// so repeated fault churn allocates nothing but the messages it
+	// sends once the buffers reach their high-water mark.
+	deltaBuf []exclDelta
+	keyBuf   []exclKey
+	cutBuf   []cut
+	idxBuf   []int32
 
 	groups map[uint32]*group
 
@@ -179,18 +154,14 @@ type Manager struct {
 	leases    map[ether.Addr]netip.Addr
 	nextLease uint32
 
-	// downLinks counts graph edges currently down — the fast-path
-	// guard that keeps bootstrap (thousands of adjacency reports,
-	// zero faults) from re-running the exclusion cascade every time.
-	downLinks int
-
 	nextPod uint16
 
 	// pods is the sticky pod memory: the last real (non-sentinel) pod
-	// each edge switch was known to occupy. Unlike locs, it survives
-	// the switch re-registering with PodUnknown after a reboot, so a
-	// power-cycled pod gets its number — and thus every member PMAC —
-	// back instead of a fresh one that stales every remote ARP cache.
+	// each edge switch was known to occupy. Unlike the graph's
+	// locations, it survives the switch re-registering with PodUnknown
+	// after a reboot, so a power-cycled pod gets its number — and thus
+	// every member PMAC — back instead of a fresh one that stales every
+	// remote ARP cache.
 	pods map[ctrlmsg.SwitchID]uint16
 
 	// stale holds parked invalidations for PMACs orphaned by an edge
@@ -232,10 +203,8 @@ type Manager struct {
 func New() *Manager {
 	return &Manager{
 		conns:  make(map[ctrlmsg.SwitchID]ctrlnet.Conn),
-		locs:   make(map[ctrlmsg.SwitchID]ctrlmsg.Loc),
+		g:      graph{index: make(map[ctrlmsg.SwitchID]int32)},
 		ips:    make(map[netip.Addr]hostRecord),
-		links:  make(map[pairKey]*linkState),
-		excl:   make(map[ctrlmsg.SwitchID]map[exclKey]bool),
 		groups: make(map[uint32]*group),
 		leases: make(map[ether.Addr]netip.Addr),
 		pods:   make(map[ctrlmsg.SwitchID]uint16),
@@ -304,7 +273,7 @@ func (s *Session) Handle(msg ctrlmsg.Msg) {
 		if v.Loc.Level == ctrlmsg.LevelEdge && v.Loc.Pod < podSentinel {
 			m.syncEdgeHosts(v.Switch, v.Loc)
 		}
-		m.recomputeRoutes()
+		m.syncRoutes(false, 0, 0)
 	case ctrlmsg.PodRequest:
 		// Sticky assignment: a switch the registry already places in a
 		// pod (e.g. the position-0 edge of a whole pod that power-cycled
@@ -431,16 +400,14 @@ func (m *Manager) syncEdgeHosts(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 func (m *Manager) noteStale(old ether.Addr, e staleEntry) {
 	m.stale[old] = e
 	p := pmac.FromAddr(old)
-	owners := make([]ctrlmsg.SwitchID, 0, 1)
-	for sid, l := range m.locs {
-		if l.Level == ctrlmsg.LevelEdge && l.Pod == p.Pod && l.Pos == p.Position {
-			owners = append(owners, sid)
+	m.g.levels()
+	if pod := m.g.pod(p.Pod); pod != nil {
+		for _, i := range pod.edges {
+			if m.g.nodes[i].loc.Pos == p.Position {
+				m.send(m.g.ids[i], ctrlmsg.MigrationUpdate{IP: e.ip, OldPMAC: old, NewPMAC: e.newPMAC})
+				delete(m.stale, old)
+			}
 		}
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	for _, sid := range owners {
-		m.send(sid, ctrlmsg.MigrationUpdate{IP: e.ip, OldPMAC: old, NewPMAC: e.newPMAC})
-		delete(m.stale, old)
 	}
 }
 
@@ -535,7 +502,8 @@ func (m *Manager) serveARP(v ctrlmsg.ARPQuery) {
 	// engine RNG, so map-order iteration here would make the whole
 	// run's random stream depend on Go map layout. The target list is
 	// the cached edge set — one batch, no per-miss sort or filter.
-	for _, id := range m.edgeSwitchIDs() {
+	m.g.levels()
+	for _, id := range m.g.edgeIDs {
 		m.send(id, flood)
 	}
 }
@@ -575,7 +543,8 @@ func (m *Manager) handleARPBatch(v ctrlmsg.ARPQueryBatch) {
 			QueryID: q.QueryID, Found: false, TargetIP: q.TargetIP,
 		})
 		flood := ctrlmsg.ARPFlood{QueryID: q.QueryID, SenderPMAC: q.SenderPMAC, SenderIP: q.SenderIP, TargetIP: q.TargetIP}
-		for _, id := range m.edgeSwitchIDs() {
+		m.g.levels()
+		for _, id := range m.g.edgeIDs {
 			m.send(id, flood)
 		}
 	}
@@ -586,44 +555,32 @@ func (m *Manager) handleARPBatch(v ctrlmsg.ARPQueryBatch) {
 }
 
 // handleFault merges a port report into the graph and fault matrix,
-// then recomputes routing exclusions and multicast trees.
+// then brings routing exclusions and multicast trees in line with it.
 func (m *Manager) handleFault(v ctrlmsg.FaultNotify) {
 	if v.PeerID == v.Switch {
 		return
 	}
-	key := mkPair(v.Switch, v.PeerID)
-	l, ok := m.links[key]
-	if !ok {
-		l = &linkState{lo: key.lo, hi: key.hi, loPort: -1, hiPort: -1, loUp: true, hiUp: true}
-		m.links[key] = l
-	}
-	wasUp := l.up()
-	if v.Switch == l.lo {
-		l.loPort = int(v.Port)
-		l.loUp = !v.Down
-	} else {
-		l.hiPort = int(v.Port)
-		l.hiUp = !v.Down
-	}
-	if wasUp != l.up() {
-		if l.up() {
-			m.downLinks--
-			m.jou.Record(obs.MgrLinkUp, uint64(l.lo), uint64(l.hi), 0, 0)
-		} else {
-			m.downLinks++
-			m.jou.Record(obs.MgrLinkDown, uint64(l.lo), uint64(l.hi), 0, 0)
-		}
-	}
-	m.noteLoc(v.Switch, v.LocalLoc)
+	a := m.noteLoc(v.Switch, v.LocalLoc)
 	m.notePod(v.LocalLoc.Pod)
-	if _, known := m.locs[v.PeerID]; !known || v.PeerLoc.Level != ctrlmsg.LevelUnknown {
-		m.noteLoc(v.PeerID, v.PeerLoc)
+	b, known := m.g.index[v.PeerID]
+	if !known || v.PeerLoc.Level != ctrlmsg.LevelUnknown {
+		b = m.noteLoc(v.PeerID, v.PeerLoc)
 		m.notePod(v.PeerLoc.Pod)
+	}
+	added, wasUp, isUp := m.g.report(a, b, v.Port, v.Down)
+	lo, hi := min(v.Switch, v.PeerID), max(v.Switch, v.PeerID)
+	switch {
+	case wasUp && !isUp:
+		m.downLinks++
+		m.jou.Record(obs.MgrLinkDown, uint64(lo), uint64(hi), 0, 0)
+	case isUp && !wasUp:
+		m.downLinks--
+		m.jou.Record(obs.MgrLinkUp, uint64(lo), uint64(hi), 0, 0)
 	}
 	if v.Down {
 		m.Stats.FaultEvents++
 	}
-	m.recomputeRoutes()
+	m.syncRoutes(added || wasUp != isUp, a, b)
 	m.recomputeGroups()
 }
 
@@ -678,362 +635,23 @@ func (m *Manager) Lookup(ip netip.Addr) (ether.Addr, bool) {
 	return rec.pmac, ok
 }
 
-// noteLoc is the single write path into the location table; it keeps
-// the sorted-ID caches coherent. A brand-new switch dirties both
-// lists; a level transition (switch replaced/recovered into another
-// role) dirties the edge list.
-func (m *Manager) noteLoc(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
-	old, known := m.locs[id]
-	if known && old == loc {
-		return
+// noteLoc is the single write path into the location table and
+// returns the switch's index in the graph. A change — a new switch
+// included — invalidates what is derived from locations: the
+// per-level views and the exclusion tiers.
+func (m *Manager) noteLoc(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) int32 {
+	i, known := m.g.index[id]
+	if known && m.g.nodes[i].loc == loc {
+		return i
 	}
-	if !known {
-		m.idsDirty = true
-		m.edgesDirty = true
-	} else if old.Level != loc.Level {
-		m.edgesDirty = true
+	if known {
+		m.g.nodes[i].loc = loc
+	} else {
+		i = m.g.add(id, loc)
 	}
+	m.g.levelsDirty, m.tiersStale = true, true
 	if loc.Level == ctrlmsg.LevelEdge && loc.Pod < podSentinel {
 		m.pods[id] = loc.Pod
 	}
-	m.locs[id] = loc
-}
-
-// sortedSwitchIDs returns the known switches in ID order for
-// deterministic iteration. The returned slice is a shared cache;
-// callers must not mutate or retain it across manager calls.
-func (m *Manager) sortedSwitchIDs() []ctrlmsg.SwitchID {
-	if m.idsDirty {
-		m.idsSorted = m.idsSorted[:0]
-		for id := range m.locs {
-			m.idsSorted = append(m.idsSorted, id)
-		}
-		sort.Slice(m.idsSorted, func(i, j int) bool { return m.idsSorted[i] < m.idsSorted[j] })
-		m.idsDirty = false
-	}
-	return m.idsSorted
-}
-
-// edgeSwitchIDs returns the ID-sorted edge switches (the ARP-flood
-// fan-out set), with the same sharing caveat as sortedSwitchIDs.
-func (m *Manager) edgeSwitchIDs() []ctrlmsg.SwitchID {
-	if m.edgesDirty {
-		m.edgeIDs = m.edgeIDs[:0]
-		for _, id := range m.sortedSwitchIDs() {
-			if m.locs[id].Level == ctrlmsg.LevelEdge {
-				m.edgeIDs = append(m.edgeIDs, id)
-			}
-		}
-		m.edgesDirty = false
-	}
-	return m.edgeIDs
-}
-
-// linksOf returns the graph edges incident to id, sorted by peer.
-func (m *Manager) linksOf(id ctrlmsg.SwitchID) []*linkState {
-	var out []*linkState
-	for _, l := range m.links {
-		if l.lo == id || l.hi == id {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].other(id) < out[j].other(id) })
-	return out
-}
-
-// isCore/isAgg/isEdge classify by the last reported location.
-func (m *Manager) level(id ctrlmsg.SwitchID) uint8 { return m.locs[id].Level }
-
-// recomputeRoutes derives the full desired exclusion set from the
-// fault matrix (paper §3.5) and pushes deltas to affected switches.
-//
-// Reachability cascades down the tree:
-//
-//  1. A core can deliver to pod P (or to edge position q in P) only
-//     through its aggregation neighbors in P with live links; when
-//     observed faults sever them all, every aggregation switch that
-//     might pick that core for P (or (P,q)) is told to exclude it.
-//  2. An aggregation switch in pod Q can deliver to a remote (P,q)
-//     only through cores that can; when all of its cores are severed
-//     (e.g. the whole core group's descent into P runs through one
-//     failed aggregation switch), the edges below it are told to
-//     exclude it for (P,q).
-//  3. Within pod P, an aggregation switch that lost its link to the
-//     edge at position q is excluded by P's other edges for (P,q).
-//
-// Exclusions are derived only from observed faults: unknown adjacency
-// is assumed healthy, so an incompletely-discovered fabric never
-// blackholes itself.
-func (m *Manager) recomputeRoutes() {
-	// Fast path: a healthy fault matrix implies an empty exclusion
-	// set; if none are installed either, there is nothing to diff.
-	// This is what keeps the manager O(1) under the storm of
-	// adjacency reports a booting fabric produces.
-	if m.downLinks == 0 && len(m.excl) == 0 {
-		return
-	}
-	desired := make(map[ctrlmsg.SwitchID]map[exclKey]bool)
-	add := func(target ctrlmsg.SwitchID, k exclKey) {
-		s, ok := desired[target]
-		if !ok {
-			s = make(map[exclKey]bool)
-			desired[target] = s
-		}
-		s[k] = true
-	}
-
-	ids := m.sortedSwitchIDs()
-
-	// Indexes.
-	podEdges := make(map[uint16][]ctrlmsg.SwitchID)
-	var aggs, cores []ctrlmsg.SwitchID
-	for _, id := range ids {
-		switch m.level(id) {
-		case ctrlmsg.LevelEdge:
-			podEdges[m.locs[id].Pod] = append(podEdges[m.locs[id].Pod], id)
-		case ctrlmsg.LevelAggregation:
-			aggs = append(aggs, id)
-		case ctrlmsg.LevelCore:
-			cores = append(cores, id)
-		}
-	}
-
-	linkState2 := func(a, b ctrlmsg.SwitchID) (up, known bool) {
-		l, ok := m.links[mkPair(a, b)]
-		if !ok {
-			return false, false
-		}
-		return l.up(), true
-	}
-	// Per-switch sorted neighbor lists by level.
-	neighborsOf := func(id ctrlmsg.SwitchID, level uint8) []ctrlmsg.SwitchID {
-		var out []ctrlmsg.SwitchID
-		for _, l := range m.linksOf(id) {
-			n := l.other(id)
-			if m.level(n) == level {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-
-	type podPos struct {
-		pod uint16
-		pos uint8
-	}
-	// Tier 1: core reachability.
-	coreReachPod := make(map[ctrlmsg.SwitchID]map[uint16]bool)
-	coreReachPos := make(map[ctrlmsg.SwitchID]map[podPos]bool)
-	for _, c := range cores {
-		aggsByPod := make(map[uint16][]ctrlmsg.SwitchID)
-		for _, a := range neighborsOf(c, ctrlmsg.LevelAggregation) {
-			aggsByPod[m.locs[a].Pod] = append(aggsByPod[m.locs[a].Pod], a)
-		}
-		coreReachPod[c] = make(map[uint16]bool)
-		coreReachPos[c] = make(map[podPos]bool)
-		for pod, as := range aggsByPod {
-			anyUp := false
-			for _, a := range as {
-				if up, _ := linkState2(c, a); up {
-					anyUp = true
-					break
-				}
-			}
-			coreReachPod[c][pod] = anyUp
-			for _, e := range podEdges[pod] {
-				q := m.locs[e].Pos
-				reach := false
-				for _, a := range as {
-					cu, _ := linkState2(c, a)
-					if !cu {
-						continue
-					}
-					if up, known := linkState2(a, e); up || !known {
-						reach = true
-						break
-					}
-				}
-				coreReachPos[c][podPos{pod, q}] = reach
-			}
-		}
-	}
-	// Push tier-1 exclusions to aggregation switches adjacent to each
-	// core (pods other than the destination).
-	for _, c := range cores {
-		neigh := neighborsOf(c, ctrlmsg.LevelAggregation)
-		for pod, ok := range coreReachPod[c] {
-			if ok {
-				continue
-			}
-			for _, n := range neigh {
-				if m.locs[n].Pod != pod {
-					add(n, exclKey{via: c, pod: pod, pos: ctrlmsg.AnyPos})
-				}
-			}
-		}
-		for pp, ok := range coreReachPos[c] {
-			if ok || !coreReachPod[c][pp.pod] {
-				continue // pod-wide exclusion already covers it
-			}
-			for _, n := range neigh {
-				if m.locs[n].Pod != pp.pod {
-					add(n, exclKey{via: c, pod: pp.pod, pos: pp.pos})
-				}
-			}
-		}
-	}
-
-	// Unknown adjacency reads as reachable: a core we have never seen
-	// linked into a pod must not be excluded (bootstrap safety).
-	corePodReach := func(c ctrlmsg.SwitchID, pod uint16) bool {
-		v, known := coreReachPod[c][pod]
-		return v || !known
-	}
-	corePosReach := func(c ctrlmsg.SwitchID, pp podPos) bool {
-		v, known := coreReachPos[c][pp]
-		return v || !known
-	}
-
-	// Tier 2: aggregation reachability toward remote (pod, pos), and
-	// the edge-level exclusions it implies.
-	for _, x := range aggs {
-		xPod := m.locs[x].Pod
-		coreLinks := neighborsOf(x, ctrlmsg.LevelCore)
-		if len(coreLinks) == 0 {
-			continue // adjacency not yet discovered; assume healthy
-		}
-		edgesBelow := neighborsOf(x, ctrlmsg.LevelEdge)
-		for pod, es := range podEdges {
-			if pod == xPod {
-				continue
-			}
-			podReach := false
-			for _, c := range coreLinks {
-				if up, _ := linkState2(x, c); up && corePodReach(c, pod) {
-					podReach = true
-					break
-				}
-			}
-			if !podReach {
-				for _, e := range edgesBelow {
-					add(e, exclKey{via: x, pod: pod, pos: ctrlmsg.AnyPos})
-				}
-				continue
-			}
-			for _, dst := range es {
-				q := m.locs[dst].Pos
-				reach := false
-				for _, c := range coreLinks {
-					if up, _ := linkState2(x, c); up && corePosReach(c, podPos{pod, q}) {
-						reach = true
-						break
-					}
-				}
-				if !reach {
-					for _, e := range edgesBelow {
-						add(e, exclKey{via: x, pod: pod, pos: q})
-					}
-				}
-			}
-		}
-	}
-
-	// Tier 3: intra-pod position exclusions.
-	for _, a := range aggs {
-		pod := m.locs[a].Pod
-		for _, e := range podEdges[pod] {
-			up, known := linkState2(a, e)
-			if !known || up {
-				continue
-			}
-			q := m.locs[e].Pos
-			for _, x := range podEdges[pod] {
-				if x != e {
-					add(x, exclKey{via: a, pod: pod, pos: q})
-				}
-			}
-		}
-	}
-
-	// Diff against installed state and coalesce the whole trigger's
-	// deltas into one (target, key)-sorted batch, then flush it in a
-	// single pass. The order — targets ascending, adds in key order,
-	// then removes in key order — is observable under CtrlLoss (each
-	// send draws from the RNG), so assembly preserves it exactly; the
-	// batch and key-sort buffers are reused across triggers.
-	targets := make(map[ctrlmsg.SwitchID]bool)
-	for id := range desired {
-		targets[id] = true
-	}
-	for id := range m.excl {
-		targets[id] = true
-	}
-	tids := m.targetBuf[:0]
-	for id := range targets {
-		tids = append(tids, id)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	deltas := m.deltaBuf[:0]
-	for _, id := range tids {
-		if _, connected := m.conns[id]; !connected {
-			// No session yet (its Hello is still in flight — a race a
-			// restarted manager under control loss hits routinely): a
-			// push would vanish into m.send's no-op, so keep the old
-			// installed view. The switch's LocationReport re-runs this
-			// recompute once the session binds, and the diff against
-			// the preserved state emits the missed deltas then.
-			if have := m.excl[id]; have != nil {
-				desired[id] = have
-			} else {
-				delete(desired, id)
-			}
-			continue
-		}
-		want := desired[id]
-		have := m.excl[id]
-		for _, k := range m.sortedExclKeys(want) {
-			if !have[k] {
-				deltas = append(deltas, exclDelta{target: id, key: k, add: true})
-			}
-		}
-		for _, k := range m.sortedExclKeys(have) {
-			if !want[k] {
-				deltas = append(deltas, exclDelta{target: id, key: k, add: false})
-			}
-		}
-	}
-	for _, d := range deltas {
-		k := d.key
-		if d.add {
-			m.Stats.ExclusionsSet++
-			m.jou.Record(obs.MgrExclPush, uint64(d.target), uint64(k.via), uint64(k.pod), uint64(k.pos))
-		} else {
-			m.jou.Record(obs.MgrExclClear, uint64(d.target), uint64(k.via), uint64(k.pod), uint64(k.pos))
-		}
-		m.send(d.target, ctrlmsg.RouteExclude{Add: d.add, Via: k.via, DstPod: k.pod, DstPos: k.pos})
-	}
-	m.targetBuf = tids[:0]
-	m.deltaBuf = deltas[:0]
-	m.excl = desired
-}
-
-// sortedExclKeys returns a set's keys ordered by (via, pod, pos) in
-// the manager's reusable scratch buffer; the result is valid only
-// until the next call.
-func (m *Manager) sortedExclKeys(set map[exclKey]bool) []exclKey {
-	ks := m.keyBuf[:0]
-	for k := range set {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].via != ks[j].via {
-			return ks[i].via < ks[j].via
-		}
-		if ks[i].pod != ks[j].pod {
-			return ks[i].pod < ks[j].pod
-		}
-		return ks[i].pos < ks[j].pos
-	})
-	m.keyBuf = ks
-	return ks
+	return i
 }

@@ -112,13 +112,13 @@ func newRig(t testing.TB) *rig {
 }
 
 func (r *rig) fail(a ctrlmsg.SwitchID, ap uint8, b ctrlmsg.SwitchID, bp uint8) {
-	r.sess[a].Handle(ctrlmsg.FaultNotify{Switch: a, Port: ap, Down: true, PeerID: b, LocalLoc: r.m.locs[a], PeerLoc: r.m.locs[b]})
-	r.sess[b].Handle(ctrlmsg.FaultNotify{Switch: b, Port: bp, Down: true, PeerID: a, LocalLoc: r.m.locs[b], PeerLoc: r.m.locs[a]})
+	r.sess[a].Handle(ctrlmsg.FaultNotify{Switch: a, Port: ap, Down: true, PeerID: b, LocalLoc: r.m.g.loc(a), PeerLoc: r.m.g.loc(b)})
+	r.sess[b].Handle(ctrlmsg.FaultNotify{Switch: b, Port: bp, Down: true, PeerID: a, LocalLoc: r.m.g.loc(b), PeerLoc: r.m.g.loc(a)})
 }
 
 func (r *rig) restore(a ctrlmsg.SwitchID, ap uint8, b ctrlmsg.SwitchID, bp uint8) {
-	r.sess[a].Handle(ctrlmsg.FaultNotify{Switch: a, Port: ap, Down: false, PeerID: b, LocalLoc: r.m.locs[a], PeerLoc: r.m.locs[b]})
-	r.sess[b].Handle(ctrlmsg.FaultNotify{Switch: b, Port: bp, Down: false, PeerID: a, LocalLoc: r.m.locs[b], PeerLoc: r.m.locs[a]})
+	r.sess[a].Handle(ctrlmsg.FaultNotify{Switch: a, Port: ap, Down: false, PeerID: b, LocalLoc: r.m.g.loc(a), PeerLoc: r.m.g.loc(b)})
+	r.sess[b].Handle(ctrlmsg.FaultNotify{Switch: b, Port: bp, Down: false, PeerID: a, LocalLoc: r.m.g.loc(b), PeerLoc: r.m.g.loc(a)})
 }
 
 func TestNoExclusionsOnHealthyFabric(t *testing.T) {

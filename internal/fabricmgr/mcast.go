@@ -86,7 +86,7 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 		if hp == nil {
 			hp = make(map[uint8]bool)
 			hostPorts[mem.edge] = hp
-			pod := m.locs[mem.edge].Pod
+			pod := m.g.loc(mem.edge).Pod
 			pods[pod] = append(pods[pod], mem.edge)
 		}
 		// Receivers get a delivery port; pure sources need only the
@@ -112,18 +112,7 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 		return desired
 	}
 
-	up := func(a, b ctrlmsg.SwitchID) bool {
-		l, ok := m.links[mkPair(a, b)]
-		return ok && l.up()
-	}
-
-	// Candidate cores in deterministic hash-rotated order.
-	var cores []ctrlmsg.SwitchID
-	for _, id := range m.sortedSwitchIDs() {
-		if m.level(id) == ctrlmsg.LevelCore {
-			cores = append(cores, id)
-		}
-	}
+	m.g.levels()
 	singlePod := len(pods) == 1
 
 	// For a single-pod group no core is needed: one aggregation
@@ -134,14 +123,16 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 		for p, es := range pods {
 			pod, edges = p, es
 		}
-		agg, ok := m.pickPodAgg(pod, edges, 0, gid, up)
+		agg, ok := m.pickPodAgg(pod, edges)
 		if !ok {
 			return desired // no live aggregation path; group dark
 		}
-		m.addTreeLegs(desired, agg, edges, hostPorts, up)
+		m.addTreeLegs(desired, agg, edges, hostPorts)
 		return desired
 	}
 
+	// Candidate cores in deterministic hash-rotated order.
+	cores := m.g.cores
 	if len(cores) == 0 {
 		return desired
 	}
@@ -151,7 +142,7 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 		aggOf := make(map[uint16]ctrlmsg.SwitchID)
 		ok := true
 		for pod, edges := range pods {
-			agg, found := m.pickPodAggViaCore(c, pod, edges, up)
+			agg, found := m.pickPodAggViaCore(c, pod, edges)
 			if !found {
 				ok = false
 				break
@@ -170,13 +161,14 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 		sort.Slice(podsSorted, func(a, b int) bool { return podsSorted[a] < podsSorted[b] })
 		for _, pod := range podsSorted {
 			agg := aggOf[pod]
-			l := m.links[mkPair(c, agg)]
-			cports[uint8(l.portOf(c))] = true
-			m.addTreeLegs(desired, agg, pods[pod], hostPorts, up)
+			l, _ := m.g.link(c, agg)
+			downlink, uplink := l.ports()
+			cports[uint8(downlink)] = true
+			m.addTreeLegs(desired, agg, pods[pod], hostPorts)
 			// Aggregation's uplink to the core.
-			desired[agg] = append(desired[agg], uint8(l.portOf(agg)))
+			desired[agg] = append(desired[agg], uint8(uplink))
 		}
-		desired[c] = sortedPorts(cports)
+		desired[m.g.ids[c]] = sortedPorts(cports)
 		// Normalize aggregation port lists.
 		for id, ports := range desired {
 			desired[id] = dedupSorted(ports)
@@ -188,38 +180,34 @@ func (m *Manager) computeTree(gid uint32, g *group) map[ctrlmsg.SwitchID][]uint8
 
 // pickPodAgg returns the lowest aggregation switch in pod with live
 // links to every involved edge.
-func (m *Manager) pickPodAgg(pod uint16, edges []ctrlmsg.SwitchID, _ uint32, _ uint32, up func(a, b ctrlmsg.SwitchID) bool) (ctrlmsg.SwitchID, bool) {
-	for _, a := range m.sortedSwitchIDs() {
-		if m.level(a) != ctrlmsg.LevelAggregation || m.locs[a].Pod != pod {
-			continue
-		}
-		if m.aggServes(a, edges, up) {
-			return a, true
+func (m *Manager) pickPodAgg(pod uint16, edges []ctrlmsg.SwitchID) (ctrlmsg.SwitchID, bool) {
+	if p := m.g.pod(pod); p != nil {
+		for _, i := range p.aggs {
+			if a := m.g.ids[i]; m.aggServes(a, edges) {
+				return a, true
+			}
 		}
 	}
 	return 0, false
 }
 
 // pickPodAggViaCore additionally requires a live link from core c.
-func (m *Manager) pickPodAggViaCore(c ctrlmsg.SwitchID, pod uint16, edges []ctrlmsg.SwitchID, up func(a, b ctrlmsg.SwitchID) bool) (ctrlmsg.SwitchID, bool) {
-	for _, l := range m.linksOf(c) {
-		a := l.other(c)
-		if m.level(a) != ctrlmsg.LevelAggregation || m.locs[a].Pod != pod {
+func (m *Manager) pickPodAggViaCore(c int32, pod uint16, edges []ctrlmsg.SwitchID) (ctrlmsg.SwitchID, bool) {
+	for _, l := range m.g.nodes[c].adj {
+		a := m.g.nodes[l.idx].loc
+		if a.Level != ctrlmsg.LevelAggregation || a.Pod != pod || !l.up() {
 			continue
 		}
-		if !l.up() {
-			continue
-		}
-		if m.aggServes(a, edges, up) {
-			return a, true
+		if peer := m.g.ids[l.idx]; m.aggServes(peer, edges) {
+			return peer, true
 		}
 	}
 	return 0, false
 }
 
-func (m *Manager) aggServes(a ctrlmsg.SwitchID, edges []ctrlmsg.SwitchID, up func(x, y ctrlmsg.SwitchID) bool) bool {
+func (m *Manager) aggServes(a ctrlmsg.SwitchID, edges []ctrlmsg.SwitchID) bool {
 	for _, e := range edges {
-		if !up(a, e) {
+		if !m.g.up(a, e) {
 			return false
 		}
 	}
@@ -227,15 +215,16 @@ func (m *Manager) aggServes(a ctrlmsg.SwitchID, edges []ctrlmsg.SwitchID, up fun
 }
 
 // addTreeLegs installs the agg->edge legs and edge entries.
-func (m *Manager) addTreeLegs(desired map[ctrlmsg.SwitchID][]uint8, agg ctrlmsg.SwitchID, edges []ctrlmsg.SwitchID, hostPorts map[ctrlmsg.SwitchID]map[uint8]bool, up func(a, b ctrlmsg.SwitchID) bool) {
+func (m *Manager) addTreeLegs(desired map[ctrlmsg.SwitchID][]uint8, agg ctrlmsg.SwitchID, edges []ctrlmsg.SwitchID, hostPorts map[ctrlmsg.SwitchID]map[uint8]bool) {
 	for _, e := range edges {
-		l := m.links[mkPair(agg, e)]
-		desired[agg] = append(desired[agg], uint8(l.portOf(agg)))
+		l, _ := m.g.linkByID(agg, e)
+		downlink, uplink := l.ports()
+		desired[agg] = append(desired[agg], uint8(downlink))
 		ports := make(map[uint8]bool)
 		for p := range hostPorts[e] {
 			ports[p] = true
 		}
-		ports[uint8(l.portOf(e))] = true // uplink for local senders
+		ports[uint8(uplink)] = true // uplink for local senders
 		desired[e] = dedupSorted(append(desired[e], sortedPorts(ports)...))
 	}
 	desired[agg] = dedupSorted(desired[agg])

@@ -79,7 +79,13 @@ func (m *Manager) BeginResync(epoch uint32, conns []ctrlnet.Conn) {
 	// pushes everything again — a restarted manager starts empty, but
 	// a promoted standby inherits a mirror's bookkeeping and must not
 	// trust it.
-	m.excl = make(map[ctrlmsg.SwitchID]map[exclKey]bool)
+	for i := range m.g.nodes {
+		if n := &m.g.nodes[i]; len(n.excl) > 0 {
+			n.excl = n.excl[:0]
+			m.markDirty(int32(i))
+		}
+	}
+	m.installed = 0
 	for _, g := range m.groups {
 		g.installed = make(map[ctrlmsg.SwitchID][]uint8)
 	}
@@ -132,8 +138,8 @@ func (m *Manager) Snapshot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc nextPod=%d nextLease=%d\n", m.nextPod, m.nextLease)
 
-	for _, id := range m.sortedSwitchIDs() {
-		fmt.Fprintf(&b, "loc %d %s\n", id, m.locs[id])
+	for _, i := range m.g.order {
+		fmt.Fprintf(&b, "loc %d %s\n", m.g.ids[i], m.g.nodes[i].loc)
 	}
 
 	ips := make([]netip.Addr, 0, len(m.ips))
@@ -146,42 +152,19 @@ func (m *Manager) Snapshot() string {
 		fmt.Fprintf(&b, "ip %s amac=%v pmac=%v edge=%d\n", ip, r.amac, r.pmac, r.edge)
 	}
 
-	pairs := make([]pairKey, 0, len(m.links))
-	for k := range m.links {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lo != pairs[j].lo {
-			return pairs[i].lo < pairs[j].lo
+	for _, i := range m.g.order {
+		for _, l := range m.g.nodes[i].adj {
+			if id, peer := m.g.ids[i], m.g.ids[l.idx]; peer > id {
+				port, peerPort := l.ports()
+				fmt.Fprintf(&b, "link %d/%d ports=%d/%d up=%v/%v\n", id, peer, port, peerPort,
+					l.flags&selfDown == 0, l.flags&peerDown == 0)
+			}
 		}
-		return pairs[i].hi < pairs[j].hi
-	})
-	for _, k := range pairs {
-		l := m.links[k]
-		fmt.Fprintf(&b, "link %d/%d ports=%d/%d up=%v/%v\n", l.lo, l.hi, l.loPort, l.hiPort, l.loUp, l.hiUp)
 	}
 
-	exclIDs := make([]ctrlmsg.SwitchID, 0, len(m.excl))
-	for id := range m.excl {
-		exclIDs = append(exclIDs, id)
-	}
-	sort.Slice(exclIDs, func(i, j int) bool { return exclIDs[i] < exclIDs[j] })
-	for _, id := range exclIDs {
-		ks := make([]exclKey, 0, len(m.excl[id]))
-		for k := range m.excl[id] {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			if ks[i].via != ks[j].via {
-				return ks[i].via < ks[j].via
-			}
-			if ks[i].pod != ks[j].pod {
-				return ks[i].pod < ks[j].pod
-			}
-			return ks[i].pos < ks[j].pos
-		})
-		for _, k := range ks {
-			fmt.Fprintf(&b, "excl %d via=%d dst=%d/%d\n", id, k.via, k.pod, k.pos)
+	for _, i := range m.g.order {
+		for _, k := range m.g.nodes[i].excl {
+			fmt.Fprintf(&b, "excl %d via=%d dst=%d/%d\n", m.g.ids[i], k.via, k.pod, k.pos)
 		}
 	}
 
