@@ -67,6 +67,10 @@ benchmark-test:
 benchmark:
 	bash benchmark/run.sh
 
-# CPU + heap profiles of the Figure 9 sweep, for pprof.
+# CPU + heap profiles of what users run — the whole quick sweep on one
+# worker, the benchmark's paper-sweep shape — for pprof. (One figure
+# alone misleads: f9 is 5% of the sweep's allocation, and a1/f10/f12,
+# where the traffic sources live, are none of it.) Object counts:
+#   go tool pprof -sample_index=alloc_objects -top mem.prof
 profile:
-	$(GO) run ./cmd/portland-bench -quick -exp f9 -cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) run ./cmd/portland-bench -quick -exp all -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof >/dev/null

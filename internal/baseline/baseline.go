@@ -164,6 +164,7 @@ type camEntry struct {
 // Switch is a flooding learning switch with spanning tree.
 type Switch struct {
 	eng   *sim.Proc
+	pool  *ether.FramePool // engine's frame free-list (see ether.FramePool for ownership rules)
 	id    uint32
 	name  string
 	links []*sim.Link
@@ -191,6 +192,7 @@ type Switch struct {
 func New(eng *sim.Proc, id uint32, name string, ports int, cfg Config) *Switch {
 	s := &Switch{
 		eng:      eng,
+		pool:     eng.FramePool(),
 		id:       id,
 		name:     name,
 		links:    make([]*sim.Link, ports),
@@ -275,9 +277,9 @@ func (s *Switch) tick() {
 			continue
 		}
 		s.Stats.BPDUsSent++
-		s.send(i, &ether.Frame{
-			Dst: ether.Broadcast, Src: macFromID(s.id), Type: TypeSTP, Payload: b,
-		})
+		f := s.pool.Get()
+		f.Dst, f.Src, f.Type, f.Payload = ether.Broadcast, macFromID(s.id), TypeSTP, b
+		s.send(i, f)
 	}
 }
 
@@ -418,12 +420,17 @@ func (s *Switch) send(port int, f *ether.Frame) {
 	if l := s.links[port]; l != nil {
 		s.Stats.FramesOut++
 		l.Send(s, f)
+		return
 	}
+	s.pool.Put(f) // unwired port: the frame is consumed here
 }
 
-// HandleFrame implements sim.Node.
+// HandleFrame implements sim.Node. The switch owns f: it hands it on (a
+// learned destination) or consumes it — BPDU, drop, or a flood of
+// pooled clones — and releases it to the engine's pool right there.
 func (s *Switch) HandleFrame(port int, f *ether.Frame) {
 	if s.failed {
+		s.pool.Put(f)
 		return
 	}
 	s.Stats.FramesIn++
@@ -446,10 +453,12 @@ func (s *Switch) HandleFrame(port int, f *ether.Frame) {
 			}
 			s.recompute()
 		}
+		s.pool.Put(f)
 		return
 	}
 	if !s.Forwarding(port) {
 		s.Stats.Dropped++
+		s.pool.Put(f)
 		return
 	}
 	// Learn.
@@ -463,6 +472,7 @@ func (s *Switch) HandleFrame(port int, f *ether.Frame) {
 		if e, ok := s.macTable[f.Dst]; ok {
 			if e.port == port {
 				s.Stats.Dropped++
+				s.pool.Put(f)
 				return
 			}
 			if s.Forwarding(e.port) {
@@ -479,8 +489,9 @@ func (s *Switch) HandleFrame(port int, f *ether.Frame) {
 			continue
 		}
 		s.Stats.FloodCopies++
-		s.send(i, f.Clone())
+		s.send(i, s.pool.Clone(f))
 	}
+	s.pool.Put(f)
 }
 
 // String identifies the switch.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"portland/internal/ether"
+	"portland/internal/ippkt"
 	"portland/internal/sim"
 	"portland/internal/topo"
 )
@@ -311,5 +312,168 @@ func TestMACTablePressureDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("signature[%d] differs across runs: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// sink is a link peer that consumes what it is sent, as a host does.
+type sink struct{ pool *ether.FramePool }
+
+func (sink) Name() string                        { return "sink" }
+func (sink) Attach(int, *sim.Link)               {}
+func (sink) Start()                              {}
+func (s sink) HandleFrame(_ int, f *ether.Frame) { s.pool.Put(f) }
+
+// floodRig is one unstarted k-port switch (no BPDUs), every port wired
+// to a sink and past its listening period.
+func floodRig(k int) (*sim.Engine, *Switch) {
+	eng := sim.New(1)
+	sw := New(eng.NewProc(), 1, "sw", k+1, Config{}) // port k stays unwired
+	for p := 0; p < k; p++ {
+		sim.Connect(eng, sw, p, sink{eng.FramePool()}, 0, sim.LinkConfig{Rate: 1e9, Delay: time.Microsecond, QueueFrames: 8})
+	}
+	eng.RunUntil(time.Second)
+	return eng, sw
+}
+
+// Flooding is the baseline's common case (every ARP, every frame after
+// a topology change): k−1 pooled clones out, the ingress frame back to
+// the pool, nothing from the heap.
+func TestFloodAllocFree(t *testing.T) {
+	const k = 8
+	eng, sw := floodRig(k)
+	pool := eng.FramePool()
+	payload := ether.Zeros(64)
+	flood := func() {
+		f := pool.Get()
+		f.Dst, f.Src, f.Type, f.Payload = ether.Addr{2, 0, 0, 0, 0, 9}, ether.Addr{2, 0, 0, 0, 0, 1}, ether.TypeIPv4, payload
+		sw.HandleFrame(0, f)
+		eng.Run()
+	}
+	flood()
+	parked := pool.Len()
+	if avg := testing.AllocsPerRun(200, flood); avg != 0 {
+		t.Fatalf("flooding one frame to %d ports allocates %.1f objects; want 0", k-1, avg)
+	}
+	if got := sw.Stats.FloodCopies; got != 202*(k-1) { // AllocsPerRun adds one warm-up call
+		t.Fatalf("flood copies %d, want %d", got, 202*(k-1))
+	}
+	if pool.Len() != parked {
+		t.Fatalf("pool holds %d frames at rest, %d after the first flood: frames leaked or multiplied", pool.Len(), parked)
+	}
+}
+
+// Every point at which the switch consumes a frame releases it.
+func TestConsumedFramesReleased(t *testing.T) {
+	const k = 4
+	eng, sw := floodRig(k)
+	pool := eng.FramePool()
+	known := ether.Addr{2, 0, 0, 0, 0, 1}
+	frame := func(dst ether.Addr) *ether.Frame {
+		f := pool.Get()
+		f.Dst, f.Src, f.Type = dst, known, ether.TypeIPv4
+		return f
+	}
+	f := frame(ether.Broadcast)
+	sw.HandleFrame(0, f) // learns known on port 0, floods
+	if !f.Recycled() {
+		t.Fatal("flooded ingress frame not released")
+	}
+	eng.Run()
+	f = frame(known)
+	sw.HandleFrame(0, f)
+	if !f.Recycled() {
+		t.Fatal("frame for a destination behind its own ingress port not released")
+	}
+	f = frame(known)
+	sw.send(k, f)
+	if !f.Recycled() {
+		t.Fatal("frame sent to an unwired port not released")
+	}
+	sw.ports[1].blocked = true
+	f = frame(ether.Broadcast)
+	sw.HandleFrame(1, f)
+	if !f.Recycled() {
+		t.Fatal("frame arriving on a blocked port not released")
+	}
+	sw.Fail()
+	f = frame(ether.Broadcast)
+	sw.HandleFrame(0, f)
+	if !f.Recycled() {
+		t.Fatal("frame arriving at a failed switch not released")
+	}
+}
+
+// TestBaselineFrameOwnership is core's TestPooledFrameOwnership for the
+// flat-L2 fabric: one-way UDP flows (receivers answer one ARP and never
+// transmit again) across a root failure, after which every learned
+// address is flushed, every frame floods, and replicas keep arriving at
+// the dead root. No link tap or host receive hook may observe a
+// recycled frame, and the pool must neither grow nor leak: it parks the
+// same number of frames after each of two equal traffic windows, and —
+// the datagrams being prebuilt — a window allocates next to nothing (a
+// leaked frame is replaced from the heap, so a leak shows there).
+func TestBaselineFrameOwnership(t *testing.T) {
+	f := buildK4(t)
+	observed := 0
+	check := func(fr *ether.Frame) {
+		if fr.Recycled() {
+			t.Fatal("observed a frame that is parked in the free list")
+		}
+		observed++
+	}
+	for _, l := range f.Links {
+		l.Tap = check
+	}
+	for _, h := range f.Hosts {
+		h.RecvHook = check
+	}
+	hosts := f.HostList()
+	sent, delivered := 0, 0
+	for i := 0; i < len(hosts)/2; i++ {
+		src, dst := hosts[i], hosts[len(hosts)-1-i]
+		dst.Endpoint().BindUDP(72, func(netip.Addr, uint16, ether.Payload) { delivered++ })
+		pkt := ippkt.NewUDP(src.IP(), dst.IP(), 72, 72, 64)
+		tick := src.Sim().NewTicker(time.Millisecond, time.Millisecond, func() {
+			sent++
+			src.Endpoint().SendIP(dst.IP(), ippkt.ProtoUDP, pkt)
+		})
+		defer tick.Stop()
+	}
+	f.RunFor(time.Second)
+	for _, id := range f.Spec.Switches() {
+		if sw := f.Switches[id]; sw.IsRoot() {
+			sw.Fail()
+		}
+	}
+	f.RunFor(3 * time.Second) // re-election; the pool reaches its high-water mark
+	pool := f.Eng.FramePool()
+	flooded := func() (n int64) {
+		for _, sw := range f.Switches {
+			n += sw.Stats.Flooded
+		}
+		return n
+	}
+	sent, delivered = 0, 0
+	floodsBefore := flooded()
+	parked := make([]int, 0, 2)
+	allocs := testing.AllocsPerRun(1, func() { // two runs: a warm-up and the measured one
+		f.RunFor(time.Second)
+		parked = append(parked, pool.Len())
+	})
+	// The root may be an edge switch, whose own hosts stay dark.
+	if sent != 16000 || delivered < sent/2 {
+		t.Fatalf("delivered %d of %d datagrams on the new tree", delivered, sent)
+	}
+	if got := flooded() - floodsBefore; got < int64(sent) {
+		t.Fatalf("%d datagrams flooded only %d times; receivers should be unlearnable", sent, got)
+	}
+	if parked[0] == 0 || parked[1] != parked[0] {
+		t.Fatalf("pool parks %v frames after two equal windows; want one stable non-zero level", parked)
+	}
+	if allocs > 500 { // ~200 BPDUs a second; a leak costs thousands
+		t.Fatalf("a window of %d flooded datagrams allocated %.0f objects: frames are leaking from the pool", sent/2, allocs)
+	}
+	if observed == 0 {
+		t.Fatal("taps observed no frames")
 	}
 }

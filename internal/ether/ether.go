@@ -139,6 +139,42 @@ func (r Raw) AppendTo(b []byte) []byte { return append(b, r...) }
 // WireSize implements Payload.
 func (r Raw) WireSize() int { return len(r) }
 
+// zeros is a payload of that many zero bytes, handed out by address
+// from zeroLens (zeroLens[n] == n): a pointer fits an interface word,
+// so such a payload costs neither its bytes nor a box. The two tables
+// are 4.5 KB of static data, none of it heap.
+type zeros uint16
+
+// maxZeros is the largest payload an Ethernet MTU carries.
+const maxZeros = 1500
+
+var (
+	zeroLens = func() (t [maxZeros + 1]zeros) {
+		for n := range t {
+			t[n] = zeros(n)
+		}
+		return t
+	}()
+	zeroBytes [maxZeros]byte // every zeros payload encodes a prefix of it
+)
+
+// Zeros returns a payload of n zero bytes — the body of every probe
+// datagram and bulk-TCP segment the traffic sources send. Its wire
+// bytes equal Raw(make([]byte, n))'s, but up to an MTU it allocates
+// nothing; like every payload it is immutable and shared.
+func Zeros(n int) Payload {
+	if n < 0 || n > maxZeros {
+		return Raw(make([]byte, n))
+	}
+	return &zeroLens[n]
+}
+
+// AppendTo implements Payload.
+func (z *zeros) AppendTo(b []byte) []byte { return append(b, zeroBytes[:*z]...) }
+
+// WireSize implements Payload.
+func (z *zeros) WireSize() int { return int(*z) }
+
 // Frame is an Ethernet II frame.
 type Frame struct {
 	Dst, Src Addr
@@ -208,17 +244,6 @@ func Decode(b []byte) (*Frame, error) {
 	copy(payload, b[HeaderLen:])
 	f.Payload = payload
 	return f, nil
-}
-
-// Clone returns a shallow copy of the frame with the same payload.
-// Switches clone before rewriting headers so other replicas of a
-// flooded frame are unaffected. The copy is an ordinary heap frame
-// regardless of the receiver's pool state; hot paths use
-// FramePool.Clone instead.
-func (f *Frame) Clone() *Frame {
-	g := *f
-	g.pstate = unpooled
-	return &g
 }
 
 // String summarizes the frame for traces.

@@ -1,6 +1,7 @@
 package ether
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,9 +90,33 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// Zeros is Raw(make([]byte, n)) on the wire at every size — including
+// past the table, where it falls back to exactly that — and free to
+// build and to encode.
+func TestZeros(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 1460, 1472, 1500, 1501, 9000} {
+		z, want := Zeros(n), Raw(make([]byte, n))
+		if z.WireSize() != n {
+			t.Fatalf("Zeros(%d).WireSize() = %d", n, z.WireSize())
+		}
+		if got := z.AppendTo([]byte{0xaa}); !bytes.Equal(got, want.AppendTo([]byte{0xaa})) {
+			t.Fatalf("Zeros(%d) appends %d bytes; want the prefix and %d zeros", n, len(got), n)
+		}
+	}
+	buf := make([]byte, 0, 2048)
+	var p Payload
+	if avg := testing.AllocsPerRun(100, func() {
+		p = Zeros(1472)
+		buf = p.AppendTo(buf[:0])
+	}); avg != 0 {
+		t.Fatalf("building and encoding Zeros(1472) allocates %.1f objects; want 0", avg)
+	}
+}
+
 func TestClone(t *testing.T) {
 	f := &Frame{Dst: Broadcast, Type: TypeARP, Payload: Raw("x")}
-	g := f.Clone()
+	var p FramePool
+	g := p.Clone(f)
 	g.Dst = Zero
 	if f.Dst != Broadcast {
 		t.Fatal("clone aliases the original header")

@@ -24,7 +24,14 @@ package ether
 //     literals all over the protocol stacks), so consumption sites can
 //     release unconditionally. Double Put is a no-op.
 //   - Payloads are never pooled: a payload is shared by every clone of
-//     a frame along its path, so only the Frame headers recycle.
+//     a frame along its path and may outlive the frame, so only the
+//     Frame headers recycle.
+//   - Hence the sender rule: a sent packet costs at most one heap
+//     object — its headers as one struct on a pooled frame, a zero body
+//     from Zeros — and none when the sender repeats itself (it builds
+//     the packet once and sends the same pointer again). One object per
+//     distinct packet is the floor: nothing tells a sender when an
+//     in-flight payload has been consumed.
 //
 // The zero value is ready to use.
 type FramePool struct {
@@ -51,8 +58,9 @@ func (p *FramePool) Get() *Frame {
 	return &Frame{pstate: poolLive}
 }
 
-// Clone returns a pool-owned shallow copy of f (same payload), the
-// allocation-free equivalent of f.Clone() for hot paths.
+// Clone returns a pool-owned shallow copy of f (same payload). Switches
+// clone before rewriting headers, and once per replica of a flooded
+// frame, so the other replicas are unaffected.
 func (p *FramePool) Clone(f *Frame) *Frame {
 	g := p.Get()
 	g.Dst, g.Src, g.Type, g.Payload = f.Dst, f.Src, f.Type, f.Payload

@@ -11,6 +11,7 @@ import (
 	"portland/internal/core"
 	"portland/internal/ether"
 	"portland/internal/host"
+	"portland/internal/ippkt"
 	"portland/internal/ldp"
 	"portland/internal/metrics"
 	"portland/internal/sim"
@@ -119,7 +120,7 @@ func crossSectionGoodput(f interface {
 	for i := 0; i < half; i++ {
 		src, dst := hosts[i], hosts[half+i]
 		port := uint16(23000 + i)
-		send := func() { src.Endpoint().SendUDP(dst.IP(), port, port, cfg.Size) }
+		send := a1Sender(src, dst, port, cfg.Size)
 		// De-phase the flows: first tick a random fraction of the interval in.
 		first := time.Duration(f.Rand().Int64N(int64(cfg.FlowRate))) + 1
 		src.Sim().Schedule(first, func() {
@@ -136,6 +137,14 @@ func crossSectionGoodput(f interface {
 		total += n
 	}
 	return float64(total) * 8 / cfg.Duration.Seconds() / 1e6
+}
+
+// a1Sender returns one flow's per-tick send: the flow's datagrams are
+// identical, so one is built and re-sent through SendIP, as
+// workload.StartCBR does (at A1's rate, else the sweep's top allocator).
+func a1Sender(src, dst *host.Host, port uint16, size int) func() {
+	pkt := ippkt.NewUDP(src.IP(), dst.IP(), port, port, size)
+	return func() { src.Endpoint().SendIP(dst.IP(), ippkt.ProtoUDP, pkt) }
 }
 
 // Print emits the comparison.

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
+
+	"portland/internal/ether"
 )
 
 func TestFig9Small(t *testing.T) {
@@ -160,6 +163,40 @@ func TestTable1Small(t *testing.T) {
 			t.Errorf("state gap not widening: k=%d ratio %.2f, k=%d ratio %.2f",
 				res.Rows[0].K, g0, res.Rows[1].K, g1)
 		}
+	}
+}
+
+// A1's blast sends one prebuilt datagram per flow per tick: at 15 µs
+// per packet a sender that built its datagram each tick was the
+// sweep's largest allocator. Once ARP is warm a tick's send, carried
+// across the fabric to the receiver's handler, allocates nothing.
+func TestA1SendAllocFree(t *testing.T) {
+	f, err := DefaultRig().build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := f.HostList()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	got := 0
+	dst.Endpoint().BindUDP(23000, func(netip.Addr, uint16, ether.Payload) { got++ })
+	send := a1Sender(src, dst, 23000, DefaultA1().Size)
+	send() // resolves ARP, installs the flow
+	f.RunFor(100 * time.Millisecond)
+	// LDP keepalives are the only periodic events and are not under test.
+	for _, id := range f.Spec.Switches() {
+		f.Switches[id].Agent().Stop()
+	}
+	f.Eng.Run()
+	before := got
+	avg := testing.AllocsPerRun(200, func() {
+		send()
+		f.Eng.Run()
+	})
+	if got-before != 201 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("%d of 201 datagrams delivered", got-before)
+	}
+	if avg != 0 {
+		t.Fatalf("A1's per-tick send allocates %.1f objects; want 0", avg)
 	}
 }
 

@@ -381,8 +381,11 @@ func (ep *Endpoint) Sim() *sim.Proc { return ep.eng }
 // flat L2 fabric — which PortLand transparently makes a PMAC). The
 // frame comes from the engine's pool: it is consumed (and recycled)
 // wherever it leaves the data path — receiving host stack, edge
-// rewrite, or drop — so steady-state senders allocate only their
-// payloads.
+// rewrite, or drop — so a send costs what its payload cost: one heap
+// object for a freshly built packet (ippkt.NewUDP, tcplite's segments),
+// none for a prebuilt one sent again (workload.StartCBR). Payloads are
+// shared by every clone along the path and may outlive the frame, so
+// they are never pooled; that one object is the floor.
 func (ep *Endpoint) SendIP(dst netip.Addr, _ uint8, payload ether.Payload) {
 	h := ep.host
 	if h == nil {
@@ -397,12 +400,11 @@ func (ep *Endpoint) SendIP(dst netip.Addr, _ uint8, payload ether.Payload) {
 // BindUDP registers a datagram handler on port.
 func (ep *Endpoint) BindUDP(port uint16, fn UDPHandler) { ep.udp[port] = fn }
 
-// SendUDP transmits a datagram with a payload of n zero bytes.
+// SendUDP transmits a datagram with a payload of n zero bytes: one
+// heap object (ippkt.NewUDP). A sender that repeats a datagram builds
+// it once and re-sends it through SendIP for none.
 func (ep *Endpoint) SendUDP(dst netip.Addr, sport, dport uint16, n int) {
-	ep.SendIP(dst, ippkt.ProtoUDP, &ippkt.IPv4{
-		TTL: 64, Protocol: ippkt.ProtoUDP, Src: ep.ip, Dst: dst,
-		Payload: &ippkt.UDP{SrcPort: sport, DstPort: dport, Payload: ether.Raw(make([]byte, n))},
-	})
+	ep.SendIP(dst, ippkt.ProtoUDP, ippkt.NewUDP(ep.ip, dst, sport, dport, n))
 }
 
 // ListenTCP accepts inbound connections on port with default TCP
@@ -443,18 +445,21 @@ func (ep *Endpoint) LeaveGroup(group uint32) {
 	})
 }
 
-// SendGroup transmits a UDP datagram of n zero bytes to the group.
+// groupIP is the IP destination every group datagram carries; the
+// fabric forwards multicast on the group MAC alone.
+var groupIP = netip.AddrFrom4([4]byte{239, 0, 0, 1})
+
+// SendGroup transmits a UDP datagram of n zero bytes to the group, on
+// a pooled frame like SendIP's.
 func (ep *Endpoint) SendGroup(group uint32, sport, dport uint16, n int) {
-	if ep.host == nil {
+	h := ep.host
+	if h == nil {
 		return
 	}
-	ep.host.sendFrame(&ether.Frame{
-		Dst: ether.GroupAddr(group), Src: ep.mac, Type: ether.TypeIPv4,
-		Payload: &ippkt.IPv4{
-			TTL: 64, Protocol: ippkt.ProtoUDP, Src: ep.ip, Dst: netip.AddrFrom4([4]byte{239, 0, 0, 1}),
-			Payload: &ippkt.UDP{SrcPort: sport, DstPort: dport, Payload: ether.Raw(make([]byte, n))},
-		},
-	})
+	f := h.pool.Get()
+	f.Dst, f.Src, f.Type = ether.GroupAddr(group), ep.mac, ether.TypeIPv4
+	f.Payload = ippkt.NewUDP(ep.ip, groupIP, sport, dport, n)
+	h.sendFrame(f)
 }
 
 // handleIP demultiplexes an inbound IP packet to UDP or TCP.

@@ -285,3 +285,43 @@ func TestDHCPTimesOutWithoutServer(t *testing.T) {
 		t.Fatalf("address adopted from nowhere: %v", ip)
 	}
 }
+
+// The sender rule (see ether.FramePool): a sent packet costs at most
+// one heap object — the datagram, its IP and UDP headers one struct,
+// its zero payload none, its frame pooled — and a datagram built once
+// and sent again costs none. The echo responder is a SendUDP per
+// request, so a request/reply round is two.
+func TestSendUDPAllocs(t *testing.T) {
+	eng, a, b := wire(t)
+	got := 0
+	count := func(netip.Addr, uint16, ether.Payload) { got++ }
+	b.Endpoint().BindUDP(9, count)
+	b.Endpoint().JoinGroup(5, false, func(*ether.Frame) { got++ })
+	b.Endpoint().EnableEcho()
+	a.Endpoint().BindUDP(9, count)
+	prebuilt := ippkt.NewUDP(a.IP(), b.IP(), 9, 9, 1472)
+	for _, tc := range []struct {
+		name string
+		send func()
+		want float64
+	}{
+		{"SendUDP", func() { a.Endpoint().SendUDP(b.IP(), 9, 9, 1472) }, 1},
+		{"SendGroup", func() { a.Endpoint().SendGroup(5, 9, 9, 256) }, 1},
+		{"echo round", func() { a.Endpoint().SendUDP(b.IP(), 9, EchoPort, 64) }, 2},
+		{"prebuilt datagram re-sent", func() { a.Endpoint().SendIP(b.IP(), ippkt.ProtoUDP, prebuilt) }, 0},
+	} {
+		tc.send() // resolve ARP, grow the pool and the link rings
+		eng.Run()
+		before := got
+		avg := testing.AllocsPerRun(200, func() {
+			tc.send()
+			eng.Run()
+		})
+		if got-before != 201 { // AllocsPerRun adds one warm-up call
+			t.Fatalf("%s: %d of 201 datagrams delivered", tc.name, got-before)
+		}
+		if avg != tc.want {
+			t.Fatalf("%s allocates %.1f objects per datagram; want %.0f", tc.name, avg, tc.want)
+		}
+	}
+}

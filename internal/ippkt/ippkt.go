@@ -143,6 +143,27 @@ func (u *UDP) AppendTo(b []byte) []byte {
 	return b
 }
 
+// udpDatagram is an IPv4 header and the UDP header it carries,
+// allocated together: a sent datagram is one heap object, its two
+// layers interior pointers into it.
+type udpDatagram struct {
+	ip  IPv4
+	udp UDP
+}
+
+// NewUDP builds a UDP datagram of n zero bytes from (src, sport) to
+// (dst, dport), TTL 64, as one heap object. The packet is immutable
+// once built: a sender that repeats itself builds it once and hands
+// the same pointer to every send.
+func NewUDP(src, dst netip.Addr, sport, dport uint16, n int) *IPv4 {
+	d := &udpDatagram{
+		ip:  IPv4{TTL: 64, Protocol: ProtoUDP, Src: src, Dst: dst},
+		udp: UDP{SrcPort: sport, DstPort: dport, Payload: ether.Zeros(n)},
+	}
+	d.ip.Payload = &d.udp
+	return &d.ip
+}
+
 // ParseUDP decodes a UDP datagram.
 func ParseUDP(b []byte) (*UDP, error) {
 	if len(b) < UDPHeaderLen {

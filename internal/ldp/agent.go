@@ -188,17 +188,6 @@ func (a *Agent) Pos() uint8 { return a.pos }
 // Resolved reports whether LocationResolved has fired.
 func (a *Agent) Resolved() bool { return a.resolvedSent }
 
-// HostPorts returns the ports classified as host-facing.
-func (a *Agent) HostPorts() []int {
-	var ps []int
-	for i := range a.ports {
-		if a.ports[i].host {
-			ps = append(ps, i)
-		}
-	}
-	return ps
-}
-
 // IsHostPort reports whether port faces a host.
 func (a *Agent) IsHostPort(port int) bool { return a.ports[port].host }
 
@@ -209,18 +198,6 @@ func (a *Agent) Neighbor(port int) (Neighbor, bool) {
 		return Neighbor{}, false
 	}
 	return p.neighbor, true
-}
-
-// LiveUpPorts returns the live ports that lead toward the tree root:
-// for an edge switch the ports with aggregation neighbors, for an
-// aggregation switch the ports with core neighbors. Core switches
-// have none.
-func (a *Agent) LiveUpPorts() []int {
-	var ps []int
-	a.ForEachLiveUp(func(port int, _ Neighbor) {
-		ps = append(ps, port)
-	})
-	return ps
 }
 
 // LiveDownNeighbors returns port→neighbor for live lower-level
@@ -237,7 +214,7 @@ func (a *Agent) LiveDownNeighbors() map[int]Neighbor {
 }
 
 // Version returns the route-input version counter: it changes whenever
-// anything that LiveUpPorts / LiveDownNeighbors derive from changes.
+// anything that ForEachLiveUp / LiveDownNeighbors derive from changes.
 // Callers cache candidate sets against it.
 func (a *Agent) Version() uint64 { return a.version }
 
@@ -264,8 +241,10 @@ func (a *Agent) downLevel() uint8 {
 	return ctrlmsg.LevelUnknown
 }
 
-// ForEachLiveUp invokes fn for every live up-facing port in ascending
-// port order, without allocating (unlike LiveUpPorts).
+// ForEachLiveUp invokes fn, without allocating, for every live port
+// that leads toward the tree root, in ascending port order: for an edge
+// switch the ports with aggregation neighbors, for an aggregation
+// switch the ports with core neighbors. Core switches have none.
 func (a *Agent) ForEachLiveUp(fn func(port int, n Neighbor)) {
 	a.forEachLive(a.upLevel(), fn)
 }
@@ -602,8 +581,9 @@ func (a *Agent) proposePosition() {
 	if a.level != ctrlmsg.LevelEdge || a.pos != PosUnknown {
 		return
 	}
-	ups := a.LiveUpPorts()
-	if len(ups) == 0 {
+	ups := 0
+	a.ForEachLiveUp(func(int, Neighbor) { ups++ })
+	if ups == 0 {
 		return // retried from tick once aggregation neighbors appear
 	}
 	if !a.posPending {
@@ -613,8 +593,8 @@ func (a *Agent) proposePosition() {
 		// space grows whenever every candidate has been denied —
 		// positions just need to be unique within the pod, and the
 		// aggregation switches arbitrate whatever values are offered.
-		if a.posSpace < len(ups) {
-			a.posSpace = len(ups)
+		if a.posSpace < ups {
+			a.posSpace = ups
 		}
 		var free []uint8
 		for c := 0; c < a.posSpace && c < int(PosUnknown); c++ {
@@ -652,9 +632,7 @@ func (a *Agent) proposePosition() {
 		Level: a.level, Pod: a.pod, Pos: a.pos,
 		Candidate: a.posCandidate,
 	}
-	for _, port := range ups {
-		a.env.SendLDP(port, prop)
-	}
+	a.ForEachLiveUp(func(port int, _ Neighbor) { a.env.SendLDP(port, prop) })
 }
 
 // handlePropose (aggregation side) grants first-come-first-served.
@@ -689,11 +667,10 @@ func (a *Agent) handleGrant(pkt *Packet) {
 	}
 	a.posGrants[pkt.Switch] = true
 	// All live aggregation neighbors must agree.
-	for _, port := range a.LiveUpPorts() {
-		n, _ := a.Neighbor(port)
-		if !a.posGrants[n.ID] {
-			return
-		}
+	agreed := true
+	a.ForEachLiveUp(func(_ int, n Neighbor) { agreed = agreed && a.posGrants[n.ID] })
+	if !agreed {
+		return
 	}
 	a.pos = a.posCandidate
 	a.posPending = false
@@ -712,9 +689,7 @@ func (a *Agent) releaseCandidate() {
 		Level: a.level, Pod: a.pod, Pos: a.pos,
 		Candidate: a.posCandidate,
 	}
-	for _, port := range a.LiveUpPorts() {
-		a.env.SendLDP(port, rel)
-	}
+	a.ForEachLiveUp(func(port int, _ Neighbor) { a.env.SendLDP(port, rel) })
 }
 
 func (a *Agent) scheduleRetry() {

@@ -596,8 +596,10 @@ func (s *Switch) handleARPFlood(v ctrlmsg.ARPFlood) {
 			TargetIP:  v.TargetIP,
 		},
 	}
-	for _, hp := range s.agent.HostPorts() {
-		s.send(hp, s.pool.Clone(req))
+	for hp := range s.links {
+		if s.agent.IsHostPort(hp) {
+			s.send(hp, s.pool.Clone(req))
+		}
 	}
 }
 

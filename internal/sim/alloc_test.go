@@ -51,6 +51,39 @@ func TestTimerResetAllocFree(t *testing.T) {
 	}
 }
 
+// A ticker reschedules the one tick callback bound by newTicker, on
+// every scheduling surface: LDP and STP keepalives, CBR probes and the
+// A1 blast all tick from one of these. (Re-binding the method value
+// per tick cost an object per tick — 15% of a paper sweep's.)
+func TestTickerAllocFree(t *testing.T) {
+	const period = time.Microsecond
+	e := New(1)
+	d := NewDomain(1, 2)
+	d.SetWorkers(1) // more workers cost a goroutine per epoch by design
+	for _, tc := range []struct {
+		name string
+		s    Sched
+		run  func(time.Duration)
+	}{
+		{"Engine", e, func(dt time.Duration) { e.RunUntil(e.Now() + dt) }},
+		{"Proc", e.NewProc(), func(dt time.Duration) { e.RunUntil(e.Now() + dt) }},
+		{"Domain", d, func(dt time.Duration) { d.RunUntil(d.Now() + dt) }},
+	} {
+		ticks := 0
+		tk := tc.s.NewTicker(period, 0, func() { ticks++ })
+		tc.run(1024 * period) // grow the wheel to its high-water mark
+		before := ticks
+		avg := testing.AllocsPerRun(100, func() { tc.run(16 * period) })
+		tk.Stop()
+		if got := ticks - before; got != 101*16 { // AllocsPerRun adds one warm-up call
+			t.Fatalf("%s ticker ticked %d times in 101 windows of 16 periods", tc.name, got)
+		}
+		if avg != 0 {
+			t.Fatalf("%s ticker allocates %.1f objects per 16 ticks; want 0", tc.name, avg)
+		}
+	}
+}
+
 // Link.Send→deliver is the simulator's per-frame unit of work; with
 // the value-typed delivery event it must not allocate (previously each
 // Send captured the link state in a fresh closure).

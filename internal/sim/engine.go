@@ -572,12 +572,16 @@ func (t *Timer) Stop() {
 // Armed reports whether the timer is waiting to fire.
 func (t *Timer) Armed() bool { return t.armed }
 
-// Ticker invokes fn every interval until stopped.
+// Ticker invokes fn every interval until stopped. Like Timer's fire,
+// the tick callback is bound once, in newTicker, and every tick
+// reschedules that one func value: evaluating the method value t.tick
+// per tick would allocate a closure per tick.
 type Ticker struct {
 	s        Sched
 	interval time.Duration
 	stopped  bool
 	fn       func()
+	bound    func() // t.tick
 }
 
 // NewTicker starts a ticker with the given interval. The first tick is
@@ -595,11 +599,12 @@ func newTicker(s Sched, interval, jitter time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
 	t := &Ticker{s: s, interval: interval, fn: fn}
+	t.bound = t.tick
 	first := interval
 	if jitter > 0 {
 		first = time.Duration(s.Rand().Int64N(int64(jitter))) + 1
 	}
-	s.ScheduleAt(s.Now()+first, t.tick)
+	s.ScheduleAt(s.Now()+first, t.bound)
 	return t
 }
 
@@ -611,7 +616,7 @@ func (t *Ticker) tick() {
 	if t.stopped { // fn may stop the ticker
 		return
 	}
-	t.s.ScheduleAt(t.s.Now()+t.interval, t.tick)
+	t.s.ScheduleAt(t.s.Now()+t.interval, t.bound)
 }
 
 // Stop halts the ticker.

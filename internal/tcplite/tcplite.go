@@ -171,7 +171,7 @@ func newConn(ep Endpoint, cfg Config, lport, rport uint16, rip netip.Addr) *Conn
 func Dial(ep Endpoint, rip netip.Addr, lport, rport uint16, cfg Config) *Conn {
 	c := newConn(ep, cfg, lport, rport, rip)
 	c.state = StateSynSent
-	c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagSYN, Seq: 0})
+	c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN, Seq: 0})
 	c.sndNxt = 1
 	c.sndUna = 0
 	c.armTimer()
@@ -205,15 +205,29 @@ func (c *Conn) Queue(n int) {
 	c.push()
 }
 
-func (c *Conn) sendSeg(s *ippkt.TCPSegment) {
+// packet is an IPv4 header and the TCP segment it carries, allocated
+// together.
+type packet struct {
+	ip  ippkt.IPv4
+	seg ippkt.TCPSegment
+}
+
+// sendSeg transmits s as one heap object — the floor for a TCP sender:
+// every segment differs (seq, ack), and nothing tells a sender when an
+// in-flight packet has been consumed, so none can be reused.
+func (c *Conn) sendSeg(s ippkt.TCPSegment) {
 	s.SrcPort, s.DstPort = c.localPort, c.remotePort
 	s.Window = uint16(min(c.cfg.Window, 0xffff))
 	c.Stats.SegsSent++
-	c.ep.SendIP(c.remoteIP, ippkt.ProtoTCP, &ippkt.IPv4{
-		TTL: 64, Protocol: ippkt.ProtoTCP,
-		Src: c.ep.LocalIP(), Dst: c.remoteIP,
-		Payload: s,
-	})
+	p := &packet{
+		ip: ippkt.IPv4{
+			TTL: 64, Protocol: ippkt.ProtoTCP,
+			Src: c.ep.LocalIP(), Dst: c.remoteIP,
+		},
+		seg: s,
+	}
+	p.ip.Payload = &p.seg
+	c.ep.SendIP(c.remoteIP, ippkt.ProtoTCP, &p.ip)
 }
 
 // push transmits new data permitted by min(cwnd, rwnd).
@@ -257,9 +271,9 @@ func (c *Conn) transmit(seq uint32, n int, retx bool) {
 		c.rtSeq = seq + uint32(n)
 		c.rtAt = c.ep.Sim().Now()
 	}
-	c.sendSeg(&ippkt.TCPSegment{
+	c.sendSeg(ippkt.TCPSegment{
 		Flags: ippkt.FlagACK, Seq: seq, Ack: c.rcvNxt,
-		Payload: ether.Raw(make([]byte, n)),
+		Payload: ether.Zeros(n),
 	})
 }
 
@@ -277,13 +291,13 @@ func (c *Conn) onTimeout() {
 	switch c.state {
 	case StateSynSent:
 		c.Stats.Timeouts++
-		c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagSYN, Seq: 0})
+		c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN, Seq: 0})
 		c.rto = min(c.rto*2, c.cfg.MaxRTO)
 		c.timer.Reset(c.rto)
 		return
 	case StateSynReceived:
 		c.Stats.Timeouts++
-		c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagSYN | ippkt.FlagACK, Seq: 0, Ack: c.rcvNxt})
+		c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN | ippkt.FlagACK, Seq: 0, Ack: c.rcvNxt})
 		c.rto = min(c.rto*2, c.cfg.MaxRTO)
 		c.timer.Reset(c.rto)
 		return
@@ -313,7 +327,7 @@ func (c *Conn) HandleSegment(s *ippkt.TCPSegment) {
 		if s.HasFlag(ippkt.FlagSYN) && !s.HasFlag(ippkt.FlagACK) {
 			c.state = StateSynReceived
 			c.rcvNxt = s.Seq + 1
-			c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagSYN | ippkt.FlagACK, Seq: 0, Ack: c.rcvNxt})
+			c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN | ippkt.FlagACK, Seq: 0, Ack: c.rcvNxt})
 			c.sndNxt = 1
 			c.sndUna = 0
 			c.timer.Reset(c.rto)
@@ -324,7 +338,7 @@ func (c *Conn) HandleSegment(s *ippkt.TCPSegment) {
 			c.sndUna = 1
 			// ACK the SYN-ACK before establish() pushes queued data,
 			// so the handshake completes in order on the wire.
-			c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagACK, Seq: 1, Ack: c.rcvNxt})
+			c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagACK, Seq: 1, Ack: c.rcvNxt})
 			c.establish()
 		}
 	case StateSynReceived:
@@ -379,7 +393,7 @@ func (c *Conn) handleEstablished(s *ippkt.TCPSegment) {
 		// ACK everything we have (immediate ACKs; no delayed-ACK
 		// timer — the paper's Linux hosts ACK at least every other
 		// segment and delayed ACKs only blur the traces).
-		c.sendSeg(&ippkt.TCPSegment{Flags: ippkt.FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
+		c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
 	}
 
 	// --- sender side ---

@@ -59,7 +59,6 @@ func StartTrace(cfg TraceConfig, place Placement, hosts []*host.Host) *Trace {
 		sent:      make([]int64, len(hosts)),
 		delivered: make([]int64, len(hosts)),
 	}
-	raw := ether.Raw(make([]byte, cfg.PayloadBytes)) // shared, read-only
 	perHost := make([]int, len(hosts))
 	for i := range t.Specs {
 		sp := cfg.Flow(place, i)
@@ -72,10 +71,7 @@ func StartTrace(cfg TraceConfig, place Placement, hosts []*host.Host) *Trace {
 	for i, sp := range t.Specs {
 		src, dst := hosts[sp.Src], hosts[sp.Dst]
 		t.dstIP[i] = dst.IP()
-		t.payloads[i] = &ippkt.IPv4{
-			TTL: 64, Protocol: ippkt.ProtoUDP, Src: src.IP(), Dst: dst.IP(),
-			Payload: &ippkt.UDP{SrcPort: sp.SrcPort, DstPort: sp.DstPort, Payload: raw},
-		}
+		t.payloads[i] = ippkt.NewUDP(src.IP(), dst.IP(), sp.SrcPort, sp.DstPort, cfg.PayloadBytes)
 		for j := 0; j < sp.Packets; j++ {
 			t.events[sp.Src] = append(t.events[sp.Src],
 				traceEvent{at: sp.Start + time.Duration(j)*cfg.PacketGap, flow: int32(i)})

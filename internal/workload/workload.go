@@ -72,10 +72,7 @@ type CBR struct {
 // source, not just the fabric, off the allocator.
 func StartCBR(src, dst *host.Host, port uint16, interval time.Duration, size int) *CBR {
 	c := &CBR{Src: src, Dst: dst, Port: port, Interval: interval, Size: size}
-	c.payload = &ippkt.IPv4{
-		TTL: 64, Protocol: ippkt.ProtoUDP, Src: src.IP(), Dst: dst.IP(),
-		Payload: &ippkt.UDP{SrcPort: port, DstPort: port, Payload: ether.Raw(make([]byte, size))},
-	}
+	c.payload = ippkt.NewUDP(src.IP(), dst.IP(), port, port, size)
 	rxNow := dst.Sim().Now
 	dst.Endpoint().BindUDP(port, func(_ netip.Addr, _ uint16, _ ether.Payload) {
 		c.RX.Record(rxNow())
