@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench benchmark benchmark-test profile docs-lint report-golden loc
+.PHONY: check build vet test race fuzz bench benchmark benchmark-test profile profile-boot docs-lint report-golden loc
 
 check: vet build docs-lint test race fuzz bench benchmark-test loc
 
@@ -74,3 +74,9 @@ benchmark:
 #   go tool pprof -sample_index=alloc_objects -top mem.prof
 profile:
 	$(GO) run ./cmd/portland-bench -quick -exp all -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof >/dev/null
+
+# The same two profiles of a k=48 discovery boot, where links are most
+# of the heap (the sweep's fabrics are tiny). By site:
+#   go tool pprof -sample_index=alloc_space -top boot-mem.prof
+profile-boot:
+	$(GO) test ./internal/core -run '^$$' -bench K48Discovery -benchtime 1x -cpuprofile boot-cpu.prof -memprofile boot-mem.prof

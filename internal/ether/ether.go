@@ -184,10 +184,14 @@ type Frame struct {
 	// pstate tracks FramePool ownership (see pool.go). The zero value
 	// marks an ordinary heap frame that is never recycled.
 	pstate uint8
+	// queued marks a frame sitting in a FrameQueue, and next links it
+	// to the frame behind it there (see queue.go).
+	queued bool
 	// gen increments each time a pool recycles this struct for a new
 	// frame, so (pointer, Generation) identifies one frame's lifetime
 	// even though pointers are reused (see Generation).
-	gen uint32
+	gen  uint32
+	next *Frame
 }
 
 // WireSize returns the frame's size on the wire including FCS and

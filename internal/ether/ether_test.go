@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddrStringParseRoundTrip(t *testing.T) {
@@ -147,4 +148,78 @@ func TestTypeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", uint16(typ), got, want)
 		}
 	}
+}
+
+// A frame stays in the 48-byte size class with its FrameQueue link.
+func TestFrameSize(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size != 48 {
+		t.Fatalf("ether.Frame is %d bytes; want 48", size)
+	}
+}
+
+func TestFrameQueueFIFO(t *testing.T) {
+	var q FrameQueue
+	frames := make([]*Frame, 5)
+	for i := range frames {
+		frames[i] = &Frame{Payload: Raw{byte(i)}}
+	}
+	if q.Pop() != nil {
+		t.Fatal("zero FrameQueue is not empty")
+	}
+	for round := 0; round < 2; round++ { // the second round re-queues popped frames
+		for _, f := range frames {
+			q.Push(f)
+		}
+		for i, want := range frames {
+			f := q.Pop()
+			if f != want {
+				t.Fatalf("round %d: pop %d returned the wrong frame", round, i)
+			}
+			if f.next != nil || f.queued {
+				t.Fatalf("round %d: popped frame %d still linked", round, i)
+			}
+		}
+		if q.Pop() != nil {
+			t.Fatalf("round %d: queue not empty after popping every frame", round)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, f := range frames {
+			q.Push(f)
+		}
+		for range frames {
+			q.Pop()
+		}
+	}); avg != 0 {
+		t.Fatalf("FrameQueue push/pop allocates %.1f objects; want 0", avg)
+	}
+}
+
+// A frame is in at most one queue, and a queued frame is not consumed:
+// a second Push and a FramePool.Put both panic. Once popped, a pooled
+// frame recycles clean.
+func TestFrameQueueOwnership(t *testing.T) {
+	var pool FramePool
+	var q, other FrameQueue
+	f := pool.Get()
+	q.Push(f)
+	mustPanic(t, "second Push of a queued frame", func() { other.Push(f) })
+	mustPanic(t, "Put of a queued frame", func() { pool.Put(f) })
+	if q.Pop() != f || other.Pop() != nil {
+		t.Fatal("the failed Push disturbed a queue")
+	}
+	pool.Put(f)
+	if g := pool.Get(); g != f || g.next != nil || g.queued {
+		t.Fatal("recycled frame does not start unlinked")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

@@ -69,8 +69,12 @@ func (p *FramePool) Clone(f *Frame) *Frame {
 
 // Put releases a consumed frame back to the free list. Frames that are
 // not pool-owned (and frames already released) are ignored, so every
-// consumption site can call Put unconditionally.
+// consumption site can call Put unconditionally. A frame still in a
+// FrameQueue has not been consumed: releasing one panics.
 func (p *FramePool) Put(f *Frame) {
+	if f != nil && f.queued {
+		panic("ether: FramePool.Put of a frame still in a FrameQueue")
+	}
 	if f == nil || f.pstate != poolLive {
 		return
 	}

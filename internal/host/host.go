@@ -67,6 +67,10 @@ type Host struct {
 	link *sim.Link
 	pool *ether.FramePool
 
+	// primary is matched before eps, which holds attached VMs and
+	// stays nil until the first one attaches. Like arp and pending
+	// (and an Endpoint's socket maps), it is made on first insert: a
+	// reader of a nil map sees an empty one.
 	primary *Endpoint
 	eps     map[ether.Addr]*Endpoint
 
@@ -82,18 +86,8 @@ type Host struct {
 
 // New builds a host whose primary endpoint has the given MAC and IP.
 func New(eng *sim.Proc, name string, mac ether.Addr, ip netip.Addr) *Host {
-	h := &Host{
-		eng:     eng,
-		name:    name,
-		pool:    eng.FramePool(),
-		eps:     make(map[ether.Addr]*Endpoint),
-		arp:     make(map[netip.Addr]arpEntry),
-		pending: make(map[netip.Addr]*resolution),
-	}
-	h.primary = newEndpoint(mac, ip)
-	h.primary.host = h
-	h.primary.eng = eng
-	h.eps[mac] = h.primary
+	h := &Host{eng: eng, name: name, pool: eng.FramePool()}
+	h.primary = &Endpoint{host: h, eng: eng, mac: mac, ip: ip}
 	return h
 }
 
@@ -125,7 +119,7 @@ func (h *Host) IP() netip.Addr { return h.primary.ip }
 func (h *Host) AttachVM(ep *Endpoint) {
 	ep.host = h
 	ep.eng = h.eng
-	h.eps[ep.mac] = ep
+	put(&h.eps, ep.mac, ep)
 	h.sendFrame(arppkt.GratuitousReply(ep.mac, ep.ip))
 }
 
@@ -176,14 +170,20 @@ func (h *Host) HandleFrame(_ int, f *ether.Frame) {
 		if h.RecvHook != nil {
 			h.RecvHook(f)
 		}
+		if handler := h.primary.groups[group]; handler != nil {
+			handler(f)
+		}
 		for _, ep := range h.eps {
-			if handler, ok := ep.groups[group]; ok && handler != nil {
+			if handler := ep.groups[group]; handler != nil {
 				handler(f)
 			}
 		}
 	default:
-		ep, ok := h.eps[f.Dst]
-		if !ok {
+		ep := h.primary
+		if f.Dst != ep.mac {
+			ep = h.eps[f.Dst]
+		}
+		if ep == nil {
 			h.Stats.Filtered++
 			break
 		}
@@ -204,17 +204,38 @@ func (h *Host) handleBroadcast(f *ether.Frame) {
 		return
 	}
 	if p.Op == arppkt.OpRequest {
-		for _, ep := range h.eps {
-			if ep.ip == p.TargetIP {
-				h.Stats.ARPReplies++
-				h.sendFrame(arppkt.Reply(ep.mac, ep.ip, p.SenderMAC, p.SenderIP))
-				return
-			}
+		if ep := h.endpointByIP(p.TargetIP); ep != nil {
+			h.Stats.ARPReplies++
+			h.sendFrame(arppkt.Reply(ep.mac, ep.ip, p.SenderMAC, p.SenderIP))
 		}
 		return
 	}
 	// Broadcast reply (gratuitous): refresh the cache.
 	h.learnARP(p.SenderIP, p.SenderMAC)
+}
+
+// put inserts k→v into *m, making the map on first insert: a host's
+// and an endpoint's maps start nil, so one that never resolves, binds
+// or dials costs none.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
+// endpointByIP returns the endpoint holding ip, the primary first, or
+// nil.
+func (h *Host) endpointByIP(ip netip.Addr) *Endpoint {
+	if h.primary.ip == ip {
+		return h.primary
+	}
+	for _, ep := range h.eps {
+		if ep.ip == ip {
+			return ep
+		}
+	}
+	return nil
 }
 
 func (h *Host) deliver(ep *Endpoint, f *ether.Frame) {
@@ -258,7 +279,7 @@ func (h *Host) learnARP(ip netip.Addr, mac ether.Addr) {
 	if !ip.IsValid() || mac.IsZero() {
 		return
 	}
-	h.arp[ip] = arpEntry{mac: mac, expires: h.eng.Now() + arpCacheTTL}
+	put(&h.arp, ip, arpEntry{mac: mac, expires: h.eng.Now() + arpCacheTTL})
 	if res, ok := h.pending[ip]; ok {
 		delete(h.pending, ip)
 		res.timer.Stop()
@@ -296,7 +317,7 @@ func (h *Host) resolveAndSend(ep *Endpoint, dst netip.Addr, f *ether.Frame) {
 	}
 	res = &resolution{queued: []*ether.Frame{f}, ep: ep}
 	res.timer = h.eng.NewTimer(func() { h.retryARP(dst) })
-	h.pending[dst] = res
+	put(&h.pending, dst, res)
 	h.sendARPRequest(ep, dst)
 	res.timer.Reset(arpRetry)
 }
@@ -350,19 +371,8 @@ type listener struct {
 	accept func(*tcplite.Conn)
 }
 
-func newEndpoint(mac ether.Addr, ip netip.Addr) *Endpoint {
-	return &Endpoint{
-		mac:       mac,
-		ip:        ip,
-		udp:       make(map[uint16]UDPHandler),
-		listeners: make(map[uint16]listener),
-		conns:     make(map[tcpKey]*tcplite.Conn),
-		groups:    make(map[uint32]func(f *ether.Frame)),
-	}
-}
-
 // NewVM creates a detached VM endpoint; attach it with Host.AttachVM.
-func NewVM(mac ether.Addr, ip netip.Addr) *Endpoint { return newEndpoint(mac, ip) }
+func NewVM(mac ether.Addr, ip netip.Addr) *Endpoint { return &Endpoint{mac: mac, ip: ip} }
 
 // MAC returns the endpoint's hardware address.
 func (ep *Endpoint) MAC() ether.Addr { return ep.mac }
@@ -398,7 +408,7 @@ func (ep *Endpoint) SendIP(dst netip.Addr, _ uint8, payload ether.Payload) {
 }
 
 // BindUDP registers a datagram handler on port.
-func (ep *Endpoint) BindUDP(port uint16, fn UDPHandler) { ep.udp[port] = fn }
+func (ep *Endpoint) BindUDP(port uint16, fn UDPHandler) { put(&ep.udp, port, fn) }
 
 // SendUDP transmits a datagram with a payload of n zero bytes: one
 // heap object (ippkt.NewUDP). A sender that repeats a datagram builds
@@ -416,20 +426,20 @@ func (ep *Endpoint) ListenTCP(port uint16, accept func(*tcplite.Conn)) {
 // ListenTCPWith accepts inbound connections with a custom TCP config
 // (e.g. delivery tracing on the server side).
 func (ep *Endpoint) ListenTCPWith(port uint16, cfg tcplite.Config, accept func(*tcplite.Conn)) {
-	ep.listeners[port] = listener{cfg: cfg, accept: accept}
+	put(&ep.listeners, port, listener{cfg: cfg, accept: accept})
 }
 
 // DialTCP opens a connection to (dst, dport) from lport.
 func (ep *Endpoint) DialTCP(dst netip.Addr, lport, dport uint16, cfg tcplite.Config) *tcplite.Conn {
 	c := tcplite.Dial(ep, dst, lport, dport, cfg)
-	ep.conns[tcpKey{lip: ep.ip, lport: lport, rip: dst, rport: dport}] = c
+	put(&ep.conns, tcpKey{lip: ep.ip, lport: lport, rip: dst, rport: dport}, c)
 	return c
 }
 
 // JoinGroup subscribes to a multicast group; handler receives the
 // group's frames. Source-only members pass a nil handler.
 func (ep *Endpoint) JoinGroup(group uint32, source bool, handler func(f *ether.Frame)) {
-	ep.groups[group] = handler
+	put(&ep.groups, group, handler)
 	ep.host.sendFrame(&ether.Frame{
 		Dst: ether.Broadcast, Src: ep.mac, Type: ether.TypeGroupMgmt,
 		Payload: &grouppkt.Packet{Group: group, Join: true, Source: source},
@@ -478,7 +488,7 @@ func (ep *Endpoint) handleIP(ip *ippkt.IPv4) {
 				return
 			}
 			c = tcplite.Accept(ep, ip.Src, p.DstPort, p.SrcPort, l.cfg)
-			ep.conns[key] = c
+			put(&ep.conns, key, c)
 			if l.accept != nil {
 				l.accept(c)
 			}

@@ -325,3 +325,18 @@ func TestSendUDPAllocs(t *testing.T) {
 		}
 	}
 }
+
+// An idle host is two objects, the Host and its primary Endpoint: its
+// resolver, socket and group maps, and the VM map, are made on first
+// insert.
+func TestNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation count; the race runtime adds its own")
+	}
+	eng := sim.New(1)
+	p := eng.NewProc()
+	ip := netip.MustParseAddr("10.0.0.1")
+	if n := testing.AllocsPerRun(100, func() { New(p, "h", ether.Addr{2, 0, 0, 0, 0, 1}, ip) }); n != 2 {
+		t.Fatalf("host.New allocates %.1f objects; want 2", n)
+	}
+}

@@ -128,9 +128,14 @@ func TestPopReleasesCallback(t *testing.T) {
 			t.Fatalf("due-heap slot %d still references its event after pop", i)
 		}
 	}
-	for i := range e.nodes {
-		if n := &e.nodes[i]; n.ev.fn != nil || n.ev.dir != nil {
-			t.Fatalf("wheel arena node %d still references its event after drain", i)
+	if e.used == 0 {
+		t.Fatal("no event passed through the wheel arena")
+	}
+	for c, chunk := range e.nodes {
+		for i := range chunk {
+			if n := &chunk[i]; n.ev.fn != nil || n.ev.dir != nil {
+				t.Fatalf("wheel arena node %d still references its event after drain", c*arenaChunk+i)
+			}
 		}
 	}
 	for i, ev := range e.overflow[:cap(e.overflow)] {

@@ -76,16 +76,22 @@ func BenchmarkLinkSend(b *testing.B) {
 }
 
 // BenchmarkLinkThroughput measures frames/second through one
-// simulated link, including serialization and delivery events.
+// simulated link, including serialization and delivery events. Up to
+// 1024 frames are in flight at once, so it sends 1024 distinct frames
+// in turn: a frame is in one link's in-flight queue at a time.
 func BenchmarkLinkThroughput(b *testing.B) {
 	e := New(1)
 	a := &node{name: "a", eng: e}
 	c := &node{name: "b", eng: e}
 	l := Connect(e, a, 0, c, 0, LinkConfig{Rate: 100e9, Delay: time.Microsecond, QueueFrames: 1 << 20})
-	f := &ether.Frame{Type: ether.TypeIPv4, Payload: ether.Raw(make([]byte, 1000))}
+	payload := ether.Raw(make([]byte, 1000))
+	frames := make([]ether.Frame, 1024)
+	for i := range frames {
+		frames[i] = ether.Frame{Type: ether.TypeIPv4, Payload: payload}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Send(a, f)
+		l.Send(a, &frames[i%1024])
 		if i%1024 == 1023 {
 			e.Run()
 		}

@@ -77,7 +77,7 @@ type Domain struct {
 	seed    uint64
 	engines []*Engine
 	ranks   *rankSpace
-	drv     *Proc     // the exclusive stream's identity (rank 1)
+	drv     Proc      // the exclusive stream's identity (rank 1)
 	excl    eventHeap // pending exclusive events (multi-shard mode only)
 
 	// look is the global conservative lookahead: the minimum registered
@@ -186,7 +186,7 @@ func NewDomain(seed uint64, shards int) *Domain {
 		d.engines[i] = e
 	}
 	d.out = make([]xmailbox, shards*shards)
-	d.drv = d.engines[0].NewProc()
+	d.drv = d.engines[0].proc()
 	return d
 }
 
@@ -328,7 +328,7 @@ func (d *Domain) SyncStats() SyncStats {
 func (d *Domain) Now() time.Duration { return d.engines[0].now }
 
 // Rand returns the exclusive stream's deterministic PRNG.
-func (d *Domain) Rand() *rand.Rand { return d.drv.rng }
+func (d *Domain) Rand() *rand.Rand { return d.drv.Rand() }
 
 // Schedule runs fn after delay dl on the exclusive stream: at fn's
 // instant every shard is parked at the same virtual time and fn may
@@ -382,7 +382,7 @@ func (d *Domain) Pending() int {
 // mailbox. Called on the transmitting shard inside a window; the
 // record is drained into the receiving shard at the next barrier.
 func (d *Domain) sendFrame(src *Engine, dir *direction, at time.Duration, seq uint64, f *ether.Frame) {
-	box := &d.out[src.shard*len(d.engines)+dir.rxEng.shard]
+	box := &d.out[src.shard*len(d.engines)+dir.proc.eng.shard]
 	if box.recs == nil {
 		box.recs = make([]xrec, 0, mailboxCap)
 	}
@@ -426,7 +426,7 @@ func (d *Domain) drainMail() {
 						di, rec.at, rx.now, d.pairLook(si, di), d.look))
 				}
 				if rec.dir != nil {
-					rec.dir.pushFrame(rec.f)
+					rec.dir.inflight.Push(rec.f)
 					rx.enqueue(event{at: rec.at, seq: rec.seq, dir: rec.dir})
 				} else {
 					rx.enqueue(event{at: rec.at, seq: rec.seq, fn: rec.fn})

@@ -24,7 +24,7 @@ import (
 // (previously Link.Send captured link state in a fresh closure for
 // every frame). The frame itself is NOT stored here: deliveries for a
 // link direction fire in FIFO order, so the direction keeps its own
-// in-flight ring and the event carries only the direction pointer.
+// in-flight queue and the event carries only the direction pointer.
 // Keeping the event at four words matters — the due heap swaps events
 // by value, and a fatter struct measurably slows every Schedule/Run.
 type event struct {
@@ -135,6 +135,17 @@ type wheelNode struct {
 	next int32 // arena index of the next node in the bucket, -1 at the tail
 }
 
+// The arena grows in fixed chunks of arenaChunk nodes and never copies:
+// node i lives at nodes[i>>arenaShift][i&arenaMask]. What an engine
+// allocates for it is its high-water mark rounded up to one chunk —
+// not, as with a doubling slice, whichever power of two the mark
+// happens to cross, plus every smaller one it outgrew.
+const (
+	arenaShift = 12
+	arenaChunk = 1 << arenaShift
+	arenaMask  = arenaChunk - 1
+)
+
 // Engine is a discrete-event executor with a virtual clock.
 // The zero value is not usable; construct with New.
 //
@@ -161,7 +172,8 @@ type Engine struct {
 	base  uint64                          // wheel position, in ticks
 	heads [wheelLevels][wheelSlots]int32  // bucket list heads (arena indices)
 	occ   [wheelLevels][wheelWords]uint64 // bucket occupancy bitmaps
-	nodes []wheelNode                     // arena backing every bucket list
+	nodes []*[arenaChunk]wheelNode        // arena backing every bucket list
+	used  int32                           // arena nodes ever handed out
 	free  int32                           // arena free-list head, -1 when empty
 
 	// overflow parks events beyond the wheels' horizon (~13 virtual
@@ -263,13 +275,16 @@ func (e *Engine) wheelPush(ev event, t uint64) {
 	}
 	i := e.free
 	if i >= 0 {
-		e.free = e.nodes[i].next
+		e.free = e.node(i).next
 	} else {
-		e.nodes = append(e.nodes, wheelNode{})
-		i = int32(len(e.nodes) - 1)
+		if int(e.used) == len(e.nodes)*arenaChunk {
+			e.nodes = append(e.nodes, new([arenaChunk]wheelNode))
+		}
+		i = e.used
+		e.used++
 	}
 	s := int(t>>(l*wheelBits)) & wheelMask
-	n := &e.nodes[i]
+	n := e.node(i)
 	n.ev = ev
 	w, b := s>>6, uint64(1)<<(s&63)
 	if e.occ[l][w]&b != 0 {
@@ -280,6 +295,9 @@ func (e *Engine) wheelPush(ev event, t uint64) {
 	}
 	e.heads[l][s] = i
 }
+
+// node returns arena node i.
+func (e *Engine) node(i int32) *wheelNode { return &e.nodes[i>>arenaShift][i&arenaMask] }
 
 // nextSet returns the first occupied slot >= from at level l, or -1.
 func (e *Engine) nextSet(l uint, from int) int {
@@ -302,12 +320,11 @@ func (e *Engine) drain(l uint, s int) {
 	e.occ[l][s>>6] &^= 1 << uint(s&63)
 	i := e.heads[l][s]
 	for i >= 0 {
-		n := &e.nodes[i]
+		n := e.node(i)
 		ev, next := n.ev, n.next
 		n.ev = event{}
 		n.next = e.free
 		e.free = i
-		// n is dead past this point: wheelPush may grow the arena.
 		if t := uint64(ev.at) >> tickShift; t > e.base {
 			e.wheelPush(ev, t)
 		} else {

@@ -71,7 +71,9 @@ func (c LinkConfig) SerializationDelay(wireBytes int) time.Duration {
 // what its NIC would count: frames that made it (Delivered) and frames
 // corrupted on the wire (LossDrops, GrayDrops). QueueDrops happen at
 // the sender's egress and DownDrops only while the link is
-// administratively down — neither is a wire error.
+// administratively down — neither is a wire error. A link keeps each
+// direction's counts as two halves, one per owning end (txStats,
+// rxStats); RxStats merges them into this.
 type DirStats struct {
 	// Delivered counts frames handed to this direction's receiver.
 	Delivered int64
@@ -85,6 +87,13 @@ type DirStats struct {
 	// DownDrops counts frames discarded because the link was down.
 	DownDrops int64
 }
+
+// txStats is the transmitter-owned half of a direction's counts:
+// outcomes decided at send time.
+type txStats struct{ QueueDrops, DownDrops int64 }
+
+// rxStats is the receiver-owned half: outcomes decided at delivery.
+type rxStats struct{ Delivered, LossDrops, GrayDrops, DownDrops int64 }
 
 // Link is a full-duplex point-to-point link between two node ports.
 // Each direction has an independent transmitter with a FIFO drop-tail
@@ -126,30 +135,31 @@ type endpoint struct {
 	port int
 }
 
-// direction is one transmitter of a full-duplex link. It owns the
-// frames serialized onto the wire: delivery events fire in (at, seq)
-// order, and this direction schedules them with non-decreasing times
-// and increasing seq, so the in-flight frames form a FIFO — the
-// delivery event carries only the direction pointer and the frame is
-// popped from the ring when it fires. (Storing the frame in the event
-// itself would fatten every heap entry; see sim.event.)
+// direction is one transmitter of a full-duplex link, embedded in the
+// Link. It owns the frames serialized onto the wire: delivery events
+// fire in (at, seq) order, and this direction schedules them with
+// non-decreasing times and increasing seq, so the in-flight frames form
+// a FIFO — the delivery event carries only the direction pointer and
+// the frame is popped from the queue when it fires. (Storing the frame
+// in the event itself would fatten every heap entry; see sim.event.)
+//
+// Past wiring (and grayRate, which faults set at exclusive instants),
+// each field has one writer. The transmitting end writes busyUntil, tx
+// and the serEnds ring; the receiving end writes rx and inflight
+// (pushing at send time on a same-shard link, at the barrier's mailbox
+// drain on a cross-shard one) and builds and draws proc's PRNG.
 type direction struct {
+	// proc is the direction's scheduling identity, a Proc of the
+	// receiving engine. Its counter is advanced at send time by the
+	// transmitting shard; its PRNG is built and drawn at delivery time
+	// by the receiving shard. The fields are disjoint and the phases
+	// cannot overlap (a delivery is at least one lookahead after its
+	// send), so the shared struct is race-free.
+	proc Proc
+
 	link      *Link
-	toB       bool // this direction delivers to endpoint b
+	txEng     *Engine // the transmitting endpoint's engine
 	busyUntil time.Duration
-	queued    int // frames in the ring == scheduled, undelivered
-
-	// txEng/rxEng are the engines of the transmitting and receiving
-	// endpoints (equal on a same-shard link).
-	txEng *Engine
-	rxEng *Engine
-
-	// proc is the direction's scheduling identity, a Proc of rxEng. Its
-	// counter is advanced at send time by the transmitting shard; its
-	// PRNG is drawn at delivery time by the receiving shard. The fields
-	// are disjoint and the phases cannot overlap (a delivery is at least
-	// one lookahead after its send), so the shared struct is race-free.
-	proc *Proc
 
 	// grayRate drops each non-LDP frame independently with this
 	// probability while the link is up. LDP keepalives are tiny and
@@ -158,51 +168,20 @@ type direction struct {
 	// liveness-protocol blind spot the detector exists for.
 	grayRate float64
 
-	// tx tallies outcomes decided at the transmitter (QueueDrops,
-	// send-time DownDrops); rx tallies outcomes decided at the
-	// receiver (Delivered, LossDrops, GrayDrops, in-flight
-	// DownDrops). Separate structs because on a cross-shard link they
-	// are written by different shards.
-	tx DirStats
-	rx DirStats
+	tx txStats
+	rx rxStats
 
 	// serEnds tracks the serialization-end time of every frame the
 	// transmitter has accepted: the egress queue occupancy at time t is
-	// the count of entries > t. (The in-flight ring below is popped by
+	// the count of entries > t. (The in-flight queue below is popped by
 	// the receiving shard and must not feed back into transmit
 	// decisions.)
 	serEnds []time.Duration
-	serHead int
-	serLen  int
+	serHead int32
+	serLen  int32
 
-	// inflight is a circular buffer of queued frames; head indexes the
-	// oldest. Capacity grows on demand and is reused thereafter, so
-	// steady-state sends allocate nothing.
-	inflight []*ether.Frame
-	head     int
-}
-
-// pushFrame appends f to the in-flight ring, growing it if full. Ring
-// sizes are powers of two; wrap is a mask (once per frame hop).
-func (d *direction) pushFrame(f *ether.Frame) {
-	if d.queued == len(d.inflight) {
-		grown := make([]*ether.Frame, max(8, 2*len(d.inflight)))
-		for i := 0; i < d.queued; i++ {
-			grown[i] = d.inflight[(d.head+i)&(len(d.inflight)-1)]
-		}
-		d.inflight, d.head = grown, 0
-	}
-	d.inflight[(d.head+d.queued)&(len(d.inflight)-1)] = f
-	d.queued++
-}
-
-// popFrame removes and returns the oldest in-flight frame.
-func (d *direction) popFrame() *ether.Frame {
-	f := d.inflight[d.head]
-	d.inflight[d.head] = nil
-	d.head = (d.head + 1) & (len(d.inflight) - 1)
-	d.queued--
-	return f
+	// inflight holds the scheduled, undelivered frames, oldest first.
+	inflight ether.FrameQueue
 }
 
 // pushSer records a frame leaving the egress queue at time t (its
@@ -210,21 +189,22 @@ func (d *direction) popFrame() *ether.Frame {
 // powers of two, so index wrap is a mask — this path runs once per
 // transmitted frame and shows up in steady-state profiles.
 func (d *direction) pushSer(t time.Duration) {
-	if d.serLen == len(d.serEnds) {
-		grown := make([]time.Duration, max(8, 2*len(d.serEnds)))
-		for i := 0; i < d.serLen; i++ {
-			grown[i] = d.serEnds[(d.serHead+i)&(len(d.serEnds)-1)]
+	n := int32(len(d.serEnds))
+	if d.serLen == n {
+		grown := make([]time.Duration, max(8, 2*n))
+		for i := int32(0); i < d.serLen; i++ {
+			grown[i] = d.serEnds[(d.serHead+i)&(n-1)]
 		}
-		d.serEnds, d.serHead = grown, 0
+		d.serEnds, d.serHead, n = grown, 0, int32(len(grown))
 	}
-	d.serEnds[(d.serHead+d.serLen)&(len(d.serEnds)-1)] = t
+	d.serEnds[(d.serHead+d.serLen)&(n-1)] = t
 	d.serLen++
 }
 
 // reapSer drops queue entries fully serialized by time now.
 func (d *direction) reapSer(now time.Duration) {
 	for d.serLen > 0 && d.serEnds[d.serHead] <= now {
-		d.serHead = (d.serHead + 1) & (len(d.serEnds) - 1)
+		d.serHead = (d.serHead + 1) & (int32(len(d.serEnds)) - 1)
 		d.serLen--
 	}
 }
@@ -251,9 +231,12 @@ func connect(ea, eb *Engine, an Node, ap int, bn Node, bp int, cfg LinkConfig) *
 	if cfg.Rate == 0 {
 		cfg = DefaultLinkConfig
 	}
+	// One object: both directions, their Procs and their in-flight
+	// queues live in the Link; only the serialization-end rings and a
+	// drawn PRNG are allocated later, on first use.
 	l := &Link{cfg: cfg, a: endpoint{an, ap}, b: endpoint{bn, bp}, up: true}
-	l.ab = direction{link: l, toB: true, txEng: ea, rxEng: eb, proc: eb.NewProc()}
-	l.ba = direction{link: l, txEng: eb, rxEng: ea, proc: ea.NewProc()}
+	l.ab = direction{proc: eb.proc(), link: l, txEng: ea}
+	l.ba = direction{proc: ea.proc(), link: l, txEng: eb}
 	an.Attach(ap, l)
 	bn.Attach(bp, l)
 	return l
@@ -304,10 +287,8 @@ func (l *Link) GrayLoss() (rateToA, rateToB float64) {
 // RxWireErrs instead.
 func (l *Link) RxStats(n Node) DirStats {
 	d := l.dirTo(n)
-	s := d.rx
-	s.QueueDrops += d.tx.QueueDrops
-	s.DownDrops += d.tx.DownDrops
-	return s
+	return DirStats{Delivered: d.rx.Delivered, QueueDrops: d.tx.QueueDrops, LossDrops: d.rx.LossDrops,
+		GrayDrops: d.rx.GrayDrops, DownDrops: d.tx.DownDrops + d.rx.DownDrops}
 }
 
 // RxWireErrs returns the cumulative wire-error count (loss + gray
@@ -396,7 +377,7 @@ func (l *Link) Send(from Node, f *ether.Frame) {
 	// data class, so congestion must not masquerade as a dead neighbor.
 	// (Detector probes deliberately stay in the data class — they exist
 	// to experience what data experiences.)
-	if dir.serLen >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
+	if int(dir.serLen) >= l.cfg.QueueFrames && f.Type != ether.TypeLDP {
 		dir.tx.QueueDrops++
 		e.pool.Put(f)
 		return
@@ -410,8 +391,8 @@ func (l *Link) Send(from Node, f *ether.Frame) {
 	dir.pushSer(dir.busyUntil)
 	at := dir.busyUntil + l.cfg.Delay
 	seq := dir.proc.key()
-	if dir.rxEng == e {
-		dir.pushFrame(f)
+	if dir.proc.eng == e {
+		dir.inflight.Push(f)
 		e.enqueue(event{at: at, seq: seq, dir: dir})
 		return
 	}
@@ -422,12 +403,12 @@ func (l *Link) Send(from Node, f *ether.Frame) {
 // the receiving engine's event loop as a value-typed delivery event
 // (no per-frame closure; see sim.event).
 func (l *Link) deliver(dir *direction) {
-	f := dir.popFrame()
+	f := dir.inflight.Pop()
 	dst := l.a
-	if dir.toB {
+	if dir == &l.ab {
 		dst = l.b
 	}
-	e := dir.rxEng
+	e := dir.proc.eng
 	if !l.up { // failed while in flight
 		dir.rx.DownDrops++
 		e.pool.Put(f)
@@ -436,12 +417,12 @@ func (l *Link) deliver(dir *direction) {
 	// Wire-corruption coins at the receiver, from the direction's own
 	// stream — draw order equals delivery order, which is the same in
 	// serial and sharded runs.
-	if l.cfg.LossRate > 0 && dir.proc.rng.Float64() < l.cfg.LossRate {
+	if l.cfg.LossRate > 0 && dir.proc.Rand().Float64() < l.cfg.LossRate {
 		dir.rx.LossDrops++
 		e.pool.Put(f)
 		return
 	}
-	if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.rng.Float64() < dir.grayRate {
+	if dir.grayRate > 0 && f.Type != ether.TypeLDP && dir.proc.Rand().Float64() < dir.grayRate {
 		dir.rx.GrayDrops++
 		e.pool.Put(f)
 		return

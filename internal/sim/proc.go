@@ -81,21 +81,22 @@ type Sched interface {
 //
 // A Proc is single-owner: only code running on its engine's shard may
 // call its methods (the one exception is the link-direction Proc, whose
-// counter is advanced by the transmitting shard while its RNG is drawn
-// by the receiving shard — disjoint fields, disjoint phases).
+// counter is advanced by the transmitting shard while its RNG is built
+// and drawn by the receiving shard — disjoint fields, disjoint phases).
 type Proc struct {
 	eng  *Engine
 	rank uint64
 	ctr  uint64
-	rng  *rand.Rand
+	rng  *rand.Rand // nil until the first Rand
 }
 
 // NewProc allocates the next entity rank in this engine's rank space
 // (the Domain's space, for a Domain engine) and binds it to the engine.
-func (e *Engine) NewProc() *Proc {
-	rank := e.ranks.alloc()
-	return &Proc{eng: e, rank: rank, rng: procRNG(e.ranks.seed, rank)}
-}
+func (e *Engine) NewProc() *Proc { p := e.proc(); return &p }
+
+// proc is NewProc by value, for owners that embed their Proc (a link
+// direction).
+func (e *Engine) proc() Proc { return Proc{eng: e, rank: e.ranks.alloc()} }
 
 // Engine returns the engine (shard) this Proc schedules on.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -103,8 +104,17 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time of the Proc's engine.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
-// Rand returns the entity's private deterministic PRNG.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns the entity's private deterministic PRNG. It is built on
+// the first call, from the same (space seed, rank) an eager build would
+// use, so the stream is the same whenever it starts; an entity that
+// never draws (a loss-free link) never pays for one. Only code on the
+// Proc's own shard may call it.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = procRNG(p.eng.ranks.seed, p.rank)
+	}
+	return p.rng
+}
 
 // FramePool returns the frame free-list of the Proc's engine.
 func (p *Proc) FramePool() *ether.FramePool { return &p.eng.pool }

@@ -1,0 +1,8 @@
+//go:build race
+
+package sim
+
+// raceEnabled reports whether this test binary was built with the race
+// detector, whose runtime allocates on its own: exact allocation counts
+// skip themselves under it.
+const raceEnabled = true

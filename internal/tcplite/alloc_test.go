@@ -32,7 +32,12 @@ func TestTCPBulkAllocsPerSegment(t *testing.T) {
 	b.Endpoint().ListenTCPWith(80, cfg, func(c *tcplite.Conn) { srv = c })
 	cli := a.Endpoint().DialTCP(b.IP(), 40000, 80, cfg)
 	cli.Queue(1 << 30)
-	eng.RunUntil(100 * time.Millisecond) // handshake, slow start, rings at size
+	// Handshake, slow start, rings at size — and a steady event
+	// population: every ACK re-arms the RTO timer, whose superseded
+	// events (MinRTO, 200 ms out) pile up in the wheel until the first
+	// of them come due, about 250 ms in. Past that the population is
+	// flat, so the window sees no wheel-arena growth.
+	eng.RunUntil(500 * time.Millisecond)
 	if srv == nil || cli.Cwnd() < cfg.Window {
 		t.Fatalf("transfer not in steady state after warm-up (cwnd %d)", cli.Cwnd())
 	}
