@@ -1,10 +1,11 @@
 // VM migration: a client streams TCP to a virtual machine, which then
 // live-migrates to a host in a different pod. PortLand keeps the
 // connection alive with no client-side changes: the VM's gratuitous
-// ARP re-registers it under a new PMAC, the fabric manager tells the
-// old edge switch, and the old edge answers strays with unicast
-// gratuitous ARPs that fix the client's neighbor cache (paper §3.4,
-// Figure 12).
+// ARP re-registers it under a new PMAC, and the fabric manager tells
+// the old edge switch to forget the old one. The old edge then traps
+// the client's strays, asks the manager where the VM's IP lives now,
+// and sends the client a unicast ARP reply that fixes its neighbor
+// cache (paper §3.4, Figure 12).
 package main
 
 import (

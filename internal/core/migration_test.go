@@ -51,11 +51,15 @@ func TestVMMigrationTCP(t *testing.T) {
 	if after <= before {
 		t.Fatalf("no progress after migration: %d -> %d bytes", before, after)
 	}
-	// The client must have learned the VM's new PMAC via the old
-	// edge switch's unicast gratuitous ARP (paper §3.4).
+	// The client must have learned the VM's new PMAC from the old edge
+	// switch: it traps the client's strays and answers with a unicast
+	// ARP reply carrying the registry's mapping (paper §3.4).
 	mac, ok := client.ARPCacheLookup(vm.LocalIP())
 	if !ok {
 		t.Fatal("client lost its ARP entry for the VM")
+	}
+	if want, _ := f.Manager.Lookup(vm.LocalIP()); mac != want {
+		t.Errorf("client maps the VM to %v, registry to %v", mac, want)
 	}
 	oldEdge := f.SwitchByName("edge-p1-s0")
 	newEdge := f.SwitchByName("edge-p3-s1")
@@ -63,7 +67,7 @@ func TestVMMigrationTCP(t *testing.T) {
 		_ = isOld // silence: structural check below is what matters
 	}
 	if oldEdge.Stats.GratuitousSent == 0 {
-		t.Error("old edge switch sent no invalidation gratuitous ARPs")
+		t.Error("old edge switch sent the client no correction")
 	}
 	if newEdge.PMACTableLen() == 0 {
 		t.Error("new edge switch assigned no PMAC for the migrated VM")

@@ -58,6 +58,8 @@ func (f *Fabric) ObsCounters() obs.Counters {
 		c["sw.ingress_rewrites"] += s.IngressRewrites
 		c["sw.egress_rewrites"] += s.EgressRewrites
 		c["sw.mcast_replicas"] += s.McastReplicas
+		// Unicast ARP corrections answering stale-frame traps. The
+		// traps themselves (s.StaleTraps) are summed in sw.dropped.
 		c["sw.gratuitous_sent"] += s.GratuitousSent
 		c["sw.dhcp_punts"] += s.DHCPPunts
 		c["sw.dhcp_proxied"] += s.DHCPProxied

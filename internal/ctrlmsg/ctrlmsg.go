@@ -210,14 +210,13 @@ type McastInstall struct {
 	OutPorts []uint8
 }
 
-// MigrationUpdate tells the *old* edge switch that IP has moved to
-// NewPMAC. The switch installs a transient rule that answers traffic
-// sent to OldPMAC with a unicast gratuitous ARP, invalidating stale
-// neighbor caches (paper §3.4).
+// MigrationUpdate tells the *old* edge switch that IP has moved away
+// from OldPMAC: the switch forgets that mapping (if it still belongs to
+// IP), so frames sent from stale neighbor caches trap there and their
+// senders are corrected with a unicast ARP reply (paper §3.4).
 type MigrationUpdate struct {
 	IP      netip.Addr
 	OldPMAC ether.Addr
-	NewPMAC ether.Addr
 }
 
 // DHCPQuery punts a host's DHCP Discover to the fabric manager, which
@@ -592,7 +591,6 @@ func Encode(m Msg) []byte {
 	case MigrationUpdate:
 		w.ip(v.IP)
 		w.mac(v.OldPMAC)
-		w.mac(v.NewPMAC)
 	case DHCPQuery:
 		w.u32(uint32(v.Switch))
 		w.u64(v.QueryID)
@@ -688,7 +686,7 @@ func Decode(b []byte) (Msg, error) {
 		}
 		m = mi
 	case KindMigrationUpdate:
-		m = MigrationUpdate{IP: r.ip(), OldPMAC: r.mac(), NewPMAC: r.mac()}
+		m = MigrationUpdate{IP: r.ip(), OldPMAC: r.mac()}
 	case KindDHCPQuery:
 		m = DHCPQuery{Switch: SwitchID(r.u32()), QueryID: r.u64(), XID: r.u32(), ClientMAC: r.mac()}
 	case KindDHCPAnswer:

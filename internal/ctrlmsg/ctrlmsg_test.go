@@ -28,7 +28,7 @@ func TestAllKindsRoundTrip(t *testing.T) {
 		McastJoin{Switch: 6, Group: 0xbeef, HostPMAC: ether.Addr{0, 1, 1, 0, 0, 1}, Join: true, Source: true},
 		McastInstall{Group: 0xbeef, OutPorts: []uint8{0, 2, 3}},
 		McastInstall{Group: 0xbeef}, // removal (empty ports)
-		MigrationUpdate{IP: ip([4]byte{10, 99, 0, 1}), OldPMAC: ether.Addr{0, 1, 0, 0, 0, 1}, NewPMAC: ether.Addr{0, 3, 1, 1, 0, 1}},
+		MigrationUpdate{IP: ip([4]byte{10, 99, 0, 1}), OldPMAC: ether.Addr{0, 1, 0, 0, 0, 1}},
 		DHCPQuery{Switch: 4, QueryID: 11, XID: 0xdeadbeef, ClientMAC: ether.Addr{2, 0, 0, 0, 0, 9}},
 		DHCPAnswer{QueryID: 11, XID: 0xdeadbeef, IP: ip([4]byte{10, 200, 0, 1})},
 		StateSyncRequest{Epoch: 3},

@@ -5,26 +5,29 @@ import (
 	"testing"
 )
 
-// TestPodPowerPositionSwapHeals replays the pod-power cells of the
-// scenario sweep and requires every flow to recover. Trial 1's seed is
-// the interesting one: the power-cycled pod's edges come back with
-// their positions swapped, so each host's old PMAC is one VMID away
-// from its neighbour's new one. The registry replay must then issue
-// corrected PMACs from VMIDs disjoint with every outstanding address —
-// otherwise the stale-address invalidation for one host tears down the
-// other's live mapping and the §3.4 gratuitous corrections redirect
-// senders to the wrong IP, blackholing inbound flows forever.
+// TestPodPowerPositionSwapHeals replays the pod-power cell at rig seeds
+// 1..48, one trial each — the benchmark sweep's shape — and requires
+// every flow to recover. A power-cycled pod's edges can come back with
+// their positions swapped, so senders' caches hold PMACs that now route
+// to an edge with no host there, or with a different host that was
+// issued the same address. Only the frame's destination IP tells the
+// two apart: the edge must refuse every frame whose PMAC's host does
+// not own that IP, and ask the registry on the sender's behalf. Seeds
+// 5, 16, 32, 36 and 45 each stranded one flow while corrections were
+// keyed on the PMAC alone.
 func TestPodPowerPositionSwapHeals(t *testing.T) {
-	cfg := DefaultSC()
-	for trial := 0; trial < cfg.Trials; trial++ {
-		rep, err := ReplaySC(cfg, "pod-power", trial)
+	for seed := uint64(1); seed <= 48; seed++ {
+		cfg := DefaultSC()
+		cfg.Rig.Seed = seed
+		cfg.Trials = 1
+		rep, err := ReplaySC(cfg, "pod-power", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, fl := range rep.Convergence.Flows {
 			if !fl.Recovered {
-				t.Errorf("trial %d (%s): flow %s never recovered",
-					trial, rep.Params["scenario"], fl.Flow)
+				t.Errorf("seed %d (%s): flow %s never recovered",
+					seed, rep.Params["scenario"], fl.Flow)
 			}
 		}
 	}

@@ -12,7 +12,6 @@
 package fabricmgr
 
 import (
-	"bytes"
 	"net/netip"
 	"sort"
 	"sync"
@@ -70,14 +69,6 @@ type hostRecord struct {
 	amac ether.Addr
 	pmac ether.Addr
 	edge ctrlmsg.SwitchID
-}
-
-// staleEntry is a parked §3.4 invalidation: a PMAC that stopped
-// routing to its host because the issuing edge rebooted into a
-// different position. Keyed by the stale PMAC in Manager.stale.
-type staleEntry struct {
-	ip      netip.Addr
-	newPMAC ether.Addr
 }
 
 type exclKey struct {
@@ -164,10 +155,6 @@ type Manager struct {
 	// remote ARP cache.
 	pods map[ctrlmsg.SwitchID]uint16
 
-	// stale holds parked invalidations for PMACs orphaned by an edge
-	// rebooting into a different position (see syncEdgeHosts).
-	stale map[ether.Addr]staleEntry
-
 	// passive suppresses all transmissions: a warm standby mirrors
 	// the control stream to build state but must stay silent until
 	// promoted (resync.go).
@@ -208,7 +195,6 @@ func New() *Manager {
 		groups: make(map[uint32]*group),
 		leases: make(map[ether.Addr]netip.Addr),
 		pods:   make(map[ctrlmsg.SwitchID]uint16),
-		stale:  make(map[ether.Addr]staleEntry),
 	}
 }
 
@@ -340,13 +326,11 @@ func ip4u32(ip netip.Addr) uint64 {
 // Reboots can also change the location itself — position negotiation
 // is randomized, so a power-cycled pod's edges may come back with
 // their positions swapped. Every PMAC the edge issued is then stale
-// fabric-wide: senders' ARP caches and the registry still route to
-// the old position. The registry rewrites to the new location (port
-// and VMID survive; pod and position follow the report), and the old
-// PMACs become invalidation entries planted on whichever edge now
-// owns the old position, so stale senders are corrected by the
-// ordinary §3.4 migration mechanism the moment their next frame
-// lands there.
+// fabric-wide. The registry rewrites to the new location (port and
+// VMID survive; pod and position follow the report), and nothing else
+// is owed: a frame still sent to an old PMAC lands on an edge that
+// either has no host there or has one with a different IP, so that
+// edge traps it and the sender is corrected from this registry.
 func (m *Manager) syncEdgeHosts(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 	ips := make([]netip.Addr, 0, len(m.ips))
 	for ip, rec := range m.ips {
@@ -355,17 +339,11 @@ func (m *Manager) syncEdgeHosts(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 		}
 	}
 	sort.Slice(ips, func(i, j int) bool { return ips[i].Less(ips[j]) })
-	// Outstanding PMACs: every live record plus every parked stale
-	// address. A corrected PMAC must never collide with one of them —
-	// after a position swap, host A's old address would otherwise be
-	// byte-identical to host B's new one, and the invalidation for A's
-	// stale address would tear down B's freshly replayed mapping.
-	used := make(map[ether.Addr]struct{}, len(m.ips)+len(m.stale))
+	// A corrected PMAC must never collide with a live record's: two
+	// hosts would then share one address.
+	used := make(map[ether.Addr]struct{}, len(m.ips))
 	for _, rec := range m.ips {
 		used[rec.pmac] = struct{}{}
-	}
-	for a := range m.stale {
-		used[a] = struct{}{}
 	}
 	for _, ip := range ips {
 		rec := m.ips[ip]
@@ -378,54 +356,13 @@ func (m *Manager) syncEdgeHosts(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 				}
 				want.VMID++
 			}
-			wa := want.Addr()
-			used[wa] = struct{}{}
-			m.noteStale(rec.pmac, staleEntry{ip: ip, newPMAC: wa})
-			rec.pmac = wa
+			rec.pmac = want.Addr()
+			used[rec.pmac] = struct{}{}
 			m.ips[ip] = rec
 		}
 		m.Stats.HostReplays++
 		m.jou.Record(obs.MgrHostReplay, uint64(id), ip4u32(ip), 0, 0)
 		m.send(id, ctrlmsg.HostInstall{IP: ip, AMAC: rec.amac, PMAC: rec.pmac})
-	}
-	m.deliverStales(id, loc)
-}
-
-// noteStale parks an invalidation for a PMAC that no longer routes to
-// its host and, if some edge already owns the stale position, delivers
-// it immediately. Either this direct delivery or a later
-// deliverStales (when the position's new owner reports in) hands the
-// invalidation to the edge where stale-addressed frames actually
-// land — whichever resolves the position first.
-func (m *Manager) noteStale(old ether.Addr, e staleEntry) {
-	m.stale[old] = e
-	p := pmac.FromAddr(old)
-	m.g.levels()
-	if pod := m.g.pod(p.Pod); pod != nil {
-		for _, i := range pod.edges {
-			if m.g.nodes[i].loc.Pos == p.Position {
-				m.send(m.g.ids[i], ctrlmsg.MigrationUpdate{IP: e.ip, OldPMAC: old, NewPMAC: e.newPMAC})
-				delete(m.stale, old)
-			}
-		}
-	}
-}
-
-// deliverStales hands the edge that just claimed a position every
-// parked invalidation for PMACs that route there.
-func (m *Manager) deliverStales(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
-	addrs := make([]ether.Addr, 0, len(m.stale))
-	for a := range m.stale {
-		p := pmac.FromAddr(a)
-		if p.Pod == loc.Pod && p.Position == loc.Pos {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return bytes.Compare(addrs[i][:], addrs[j][:]) < 0 })
-	for _, a := range addrs {
-		e := m.stale[a]
-		m.send(id, ctrlmsg.MigrationUpdate{IP: e.ip, OldPMAC: a, NewPMAC: e.newPMAC})
-		delete(m.stale, a)
 	}
 }
 
@@ -449,10 +386,9 @@ func (m *Manager) register(v ctrlmsg.PMACRegister) {
 	}
 	m.Stats.Migrations++
 	m.jou.Record(obs.MgrMigrate, uint64(v.Switch), ip4u32(v.IP), uint64(prev.edge), 0)
-	// Tell the old edge switch so it can invalidate stale caches.
-	if prev.edge != v.Switch || prev.pmac != v.PMAC {
-		m.send(prev.edge, ctrlmsg.MigrationUpdate{IP: v.IP, OldPMAC: prev.pmac, NewPMAC: v.PMAC})
-	}
+	// The old edge must forget the mapping, so frames still sent to the
+	// old PMAC trap there and their senders learn the new one.
+	m.send(prev.edge, ctrlmsg.MigrationUpdate{IP: v.IP, OldPMAC: prev.pmac})
 	// Multicast membership follows the VM.
 	changed := false
 	for _, g := range m.groups {

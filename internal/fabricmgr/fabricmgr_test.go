@@ -275,7 +275,7 @@ func TestMigrationDetection(t *testing.T) {
 			mu = &v
 		}
 	}
-	if mu == nil || mu.OldPMAC != old || mu.NewPMAC != newer || mu.IP != ip {
+	if mu == nil || *mu != (ctrlmsg.MigrationUpdate{IP: ip, OldPMAC: old}) {
 		t.Fatalf("migration update %+v", mu)
 	}
 	// Re-registering the same mapping is idempotent.

@@ -13,7 +13,10 @@
 package pmac
 
 import (
+	"bytes"
 	"fmt"
+	"net/netip"
+	"slices"
 
 	"portland/internal/ether"
 )
@@ -60,14 +63,23 @@ func (p PMAC) SamePod(q PMAC) bool { return p.Pod == q.Pod }
 func (p PMAC) SameEdge(q PMAC) bool { return p.Pod == q.Pod && p.Position == q.Position }
 
 // Table is an edge switch's bidirectional AMAC↔PMAC map with
-// per-(port,AMAC) VMID allocation. The zero value is not usable;
-// construct with NewTable.
+// per-(port,AMAC) VMID allocation, and each host's IP once learned.
+// The zero value is not usable; construct with NewTable.
 type Table struct {
 	pod      uint16
 	position uint8
 	byAMAC   map[ether.Addr]PMAC
-	byPMAC   map[ether.Addr]ether.Addr // PMAC addr -> AMAC
-	nextVMID map[uint8]uint16          // per edge port
+	byPMAC   map[ether.Addr]Host // PMAC addr -> the host behind it
+	nextVMID map[uint8]uint16    // per edge port
+}
+
+// Host is one mapping of a Table: a host's actual MAC, the PMAC issued
+// to it, and its IP (the zero Addr until learned). The IP sits beside
+// the mapping because egress delivery checks it on every frame.
+type Host struct {
+	AMAC ether.Addr
+	PMAC PMAC
+	IP   netip.Addr
 }
 
 // NewTable returns an empty table for the edge switch at (pod,
@@ -75,7 +87,7 @@ type Table struct {
 func NewTable() *Table {
 	return &Table{
 		byAMAC:   make(map[ether.Addr]PMAC),
-		byPMAC:   make(map[ether.Addr]ether.Addr),
+		byPMAC:   make(map[ether.Addr]Host),
 		nextVMID: make(map[uint8]uint16),
 	}
 }
@@ -102,20 +114,21 @@ func (t *Table) Assign(amac ether.Addr, port uint8) (PMAC, bool) {
 	t.nextVMID[port] = vmid + 1
 	p := PMAC{Pod: t.pod, Position: t.position, Port: port, VMID: vmid}
 	t.byAMAC[amac] = p
-	t.byPMAC[p.Addr()] = amac
+	t.byPMAC[p.Addr()] = Host{AMAC: amac, PMAC: p}
 	return p, true
 }
 
-// Install records an explicit AMAC↔PMAC mapping, as replayed by the
-// fabric manager to a rebooted edge (ctrlmsg.HostInstall). The VMID
-// counter advances past the installed VMID so later Assign calls on
-// the same port never collide with replayed mappings.
-func (t *Table) Install(amac ether.Addr, p PMAC) {
+// Install records an explicit AMAC↔PMAC mapping and the host's IP, as
+// replayed by the fabric manager to a rebooted edge
+// (ctrlmsg.HostInstall). The VMID counter advances past the installed
+// VMID so later Assign calls on the same port never collide with
+// replayed mappings.
+func (t *Table) Install(amac ether.Addr, p PMAC, ip netip.Addr) {
 	if old, ok := t.byAMAC[amac]; ok {
 		delete(t.byPMAC, old.Addr())
 	}
 	t.byAMAC[amac] = p
-	t.byPMAC[p.Addr()] = amac
+	t.byPMAC[p.Addr()] = Host{AMAC: amac, PMAC: p, IP: ip}
 	if next := t.nextVMID[p.Port]; p.VMID >= next {
 		t.nextVMID[p.Port] = p.VMID + 1
 	}
@@ -127,10 +140,32 @@ func (t *Table) LookupAMAC(amac ether.Addr) (PMAC, bool) {
 	return p, ok
 }
 
-// LookupPMAC returns the AMAC behind a PMAC address.
-func (t *Table) LookupPMAC(addr ether.Addr) (ether.Addr, bool) {
-	a, ok := t.byPMAC[addr]
-	return a, ok
+// LookupPMAC returns the host behind a PMAC address.
+func (t *Table) LookupPMAC(addr ether.Addr) (Host, bool) {
+	h, ok := t.byPMAC[addr]
+	return h, ok
+}
+
+// SetIP records ip as the IP of the host behind p and reports whether
+// that changed it. A PMAC that maps to no host is left alone.
+func (t *Table) SetIP(p PMAC, ip netip.Addr) bool {
+	h, ok := t.byPMAC[p.Addr()]
+	if !ok || h.IP == ip {
+		return false
+	}
+	h.IP = ip
+	t.byPMAC[p.Addr()] = h
+	return true
+}
+
+// Hosts returns every mapping, sorted by AMAC.
+func (t *Table) Hosts() []Host {
+	out := make([]Host, 0, len(t.byPMAC))
+	for _, h := range t.byPMAC {
+		out = append(out, h)
+	}
+	slices.SortFunc(out, func(a, b Host) int { return bytes.Compare(a.AMAC[:], b.AMAC[:]) })
+	return out
 }
 
 // Remove deletes a mapping (VM migrated away or host unplugged).

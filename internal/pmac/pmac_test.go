@@ -1,6 +1,7 @@
 package pmac
 
 import (
+	"net/netip"
 	"testing"
 	"testing/quick"
 
@@ -59,8 +60,18 @@ func TestTableAssignStable(t *testing.T) {
 	if got, ok := tb.LookupAMAC(amac); !ok || got != p1 {
 		t.Fatal("LookupAMAC")
 	}
-	if got, ok := tb.LookupPMAC(p1.Addr()); !ok || got != amac {
+	if got, ok := tb.LookupPMAC(p1.Addr()); !ok || got != (Host{AMAC: amac, PMAC: p1}) {
 		t.Fatal("LookupPMAC")
+	}
+	ip := netip.MustParseAddr("10.0.0.1")
+	if !tb.SetIP(p1, ip) || tb.SetIP(p1, ip) {
+		t.Fatal("SetIP must report a change exactly once")
+	}
+	if got, _ := tb.LookupPMAC(p1.Addr()); got.IP != ip {
+		t.Fatalf("LookupPMAC after SetIP: %v", got)
+	}
+	if tb.SetIP(PMAC{Pod: 7, Position: 1, Port: 3, VMID: 99}, ip) {
+		t.Fatal("SetIP on an unmapped PMAC")
 	}
 }
 
@@ -84,6 +95,9 @@ func TestVMIDAllocation(t *testing.T) {
 	}
 	if pa.Addr().IsZero() {
 		t.Fatal("PMAC must never be the zero MAC")
+	}
+	if hs := tb.Hosts(); len(hs) != 3 || hs[0].PMAC != pa || hs[1].PMAC != pb || hs[2].PMAC != pc {
+		t.Fatalf("Hosts() = %v, want a, b, c in AMAC order", hs)
 	}
 }
 

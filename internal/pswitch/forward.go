@@ -45,7 +45,7 @@ func (s *Switch) fromHost(port int, f *ether.Frame) {
 			q := *p
 			q.SenderMAC = pm.Addr()
 			g.Payload = &q
-			s.forwardUnicast(port, g)
+			s.forwardUnicast(g)
 		}
 	case ether.TypeGroupMgmt:
 		p, ok := f.Payload.(*grouppkt.Packet)
@@ -87,21 +87,17 @@ func (s *Switch) fromHost(port int, f *ether.Frame) {
 		default:
 			g := s.pool.Clone(f)
 			g.Src = pm.Addr()
-			s.forwardUnicast(port, g)
+			s.forwardUnicast(g)
 		}
 	}
 }
 
-// learnIP records amac's IP and registers the mapping with the fabric
-// manager the first time (or whenever the IP changes).
+// learnIP records the IP of amac (issued pm) and registers the mapping
+// with the fabric manager the first time (or whenever the IP changes).
 func (s *Switch) learnIP(amac ether.Addr, pm pmac.PMAC, ip netip.Addr) {
-	if !ip.IsValid() || ip.IsUnspecified() {
+	if !ip.IsValid() || ip.IsUnspecified() || !s.table.SetIP(pm, ip) {
 		return
 	}
-	if prev, ok := s.ipOf[amac]; ok && prev == ip {
-		return
-	}
-	s.ipOf[amac] = ip
 	s.sendCtrlTo(ctrlmsg.ShardOfIP(ip, s.numShards()),
 		ctrlmsg.PMACRegister{Switch: s.id, IP: ip, AMAC: amac, PMAC: pm.Addr()})
 }
@@ -110,30 +106,58 @@ func (s *Switch) learnIP(amac ether.Addr, pm pmac.PMAC, ip netip.Addr) {
 // parks the request until the answer comes back.
 func (s *Switch) puntARP(port int, hostMAC ether.Addr, p *arppkt.Packet) {
 	s.Stats.ARPPunts++
+	s.punt(pendingARP{hostPort: port, hostMAC: hostMAC, hostIP: p.SenderIP, targetIP: p.TargetIP, at: s.eng.Now()})
+}
+
+// trap asks the fabric manager where dstIP lives now, on behalf of a
+// sender whose frame deliverLocal refused; the answer comes back as
+// that sender's correction (handleARPAnswer). At most one trap per
+// (sender, dstIP) is in flight, so every further stale frame before
+// the answer costs a scan of the parked queries and nothing else.
+func (s *Switch) trap(senderPMAC ether.Addr, senderIP, dstIP netip.Addr) {
+	for _, p := range s.pending {
+		if p.trap && p.hostMAC == senderPMAC && p.targetIP == dstIP {
+			return
+		}
+	}
+	s.punt(pendingARP{trap: true, hostMAC: senderPMAC, hostIP: senderIP, targetIP: dstIP, at: s.eng.Now()})
+}
+
+// senderPMAC returns the PMAC a parked query names as its sender: a
+// trap's stale sender, or the PMAC issued to the asking host.
+func (s *Switch) senderPMAC(p pendingARP) ether.Addr {
+	if p.trap {
+		return p.hostMAC
+	}
+	pm, _ := s.table.LookupAMAC(p.hostMAC)
+	return pm.Addr()
+}
+
+// punt parks p and sends its query to the manager shard owning the
+// target IP, which holds the mapping being asked for.
+func (s *Switch) punt(p pendingARP) {
 	s.nextQueryID++
 	id := s.nextQueryID
-	s.pending[id] = pendingARP{hostPort: port, hostMAC: hostMAC, hostIP: p.SenderIP, targetIP: p.TargetIP, at: s.eng.Now()}
+	s.pending[id] = p
 	// Bound the parked-request table: answers normally arrive in
 	// microseconds; anything older than a host ARP retry is dead.
 	s.eng.Schedule(pendingARPTTL, func() { delete(s.pending, id) })
-	senderPM, _ := s.table.LookupAMAC(hostMAC)
-	// The shard owning the *target* IP holds the mapping being asked for.
-	shard := ctrlmsg.ShardOfIP(p.TargetIP, s.numShards())
+	shard := ctrlmsg.ShardOfIP(p.targetIP, s.numShards())
 	if s.puntBatch > 0 {
 		s.bufferPunt(shard, ctrlmsg.ARPQueryItem{
 			QueryID:    id,
-			SenderPMAC: senderPM.Addr(),
-			SenderIP:   p.SenderIP,
-			TargetIP:   p.TargetIP,
+			SenderPMAC: s.senderPMAC(p),
+			SenderIP:   p.hostIP,
+			TargetIP:   p.targetIP,
 		})
 		return
 	}
 	s.sendCtrlTo(shard, ctrlmsg.ARPQuery{
 		Switch:     s.id,
 		QueryID:    id,
-		SenderPMAC: senderPM.Addr(),
-		SenderIP:   p.SenderIP,
-		TargetIP:   p.TargetIP,
+		SenderPMAC: s.senderPMAC(p),
+		SenderIP:   p.hostIP,
+		TargetIP:   p.targetIP,
 	})
 }
 
@@ -248,7 +272,7 @@ func (s *Switch) fromFabric(port int, f *ether.Frame) {
 		s.Stats.Dropped++
 		s.pool.Put(f)
 	default:
-		s.forwardUnicast(port, f)
+		s.forwardUnicast(f)
 	}
 }
 
@@ -259,12 +283,12 @@ func (s *Switch) fromFabric(port int, f *ether.Frame) {
 // flow entry; subsequent packets hit the cache until it expires or a
 // fault invalidates it — exactly the reactive model the paper's
 // switches ran.
-func (s *Switch) forwardUnicast(inPort int, f *ether.Frame) {
+func (s *Switch) forwardUnicast(f *ether.Frame) {
 	dst := pmac.FromAddr(f.Dst)
 	if s.loc.Level == ctrlmsg.LevelEdge && dst.Pod == s.loc.Pod && dst.Position == s.loc.Pos {
-		// Local delivery is uncached: it rewrites headers and owns
-		// the migration-invalidation special case.
-		s.deliverLocal(inPort, f, dst)
+		// Local delivery is uncached: it rewrites headers and checks
+		// every frame against its destination host.
+		s.deliverLocal(f, dst)
 		return
 	}
 	// One hash per frame: the flow-table key and the ECMP modulus on
@@ -304,47 +328,45 @@ func (s *Switch) routeUnicast(h uint32, dst pmac.PMAC) (int, bool) {
 }
 
 // deliverLocal hands a frame addressed to one of this edge switch's
-// own PMACs to the host, rewriting PMAC→AMAC (paper §3.1), or serves
-// the migration-invalidation rule for PMACs that have moved away
-// (paper §3.4).
-func (s *Switch) deliverLocal(inPort int, f *ether.Frame, dst pmac.PMAC) {
-	if amac, ok := s.table.LookupPMAC(f.Dst); ok {
+// own PMACs to the host, rewriting PMAC→AMAC (paper §3.1) — but only
+// to the host that owns the frame's destination IP. Any other frame
+// left a stale ARP cache: the PMAC maps to no host (it moved away, or
+// this edge rebooted into another position), or to a host that was
+// issued the address since. It is dropped, and trapped so its sender
+// is corrected (paper §3.4); a frame that carries no IP cannot be.
+func (s *Switch) deliverLocal(f *ether.Frame, dst pmac.PMAC) {
+	srcIP, dstIP := frameIPs(f)
+	if h, ok := s.table.LookupPMAC(f.Dst); ok && dstIP.IsValid() && h.IP == dstIP {
 		s.Stats.EgressRewrites++
 		g := s.pool.Clone(f)
-		g.Dst = amac
+		g.Dst = h.AMAC
 		if p, ok := g.Payload.(*arppkt.Packet); ok && p.TargetMAC == f.Dst {
 			q := *p
-			q.TargetMAC = amac
+			q.TargetMAC = h.AMAC
 			g.Payload = &q
 		}
 		s.send(int(dst.Port), g)
 		s.pool.Put(f)
 		return
 	}
-	if me, ok := s.migrated[f.Dst]; ok {
-		// Invalidate the sender's stale neighbor-cache entry with a
-		// unicast gratuitous ARP announcing the new PMAC; the dropped
-		// frame is recovered by the transport (paper §3.4).
-		s.Stats.GratuitousSent++
-		garp := &ether.Frame{
-			Dst:  f.Src,
-			Src:  me.newPMAC,
-			Type: ether.TypeARP,
-			Payload: &arppkt.Packet{
-				Op:        arppkt.OpReply,
-				SenderMAC: me.newPMAC,
-				SenderIP:  me.ip,
-				TargetMAC: f.Src,
-				TargetIP:  me.ip,
-			},
-		}
-		s.forwardUnicast(inPort, garp)
-		s.Stats.Dropped++
-		s.pool.Put(f)
-		return
-	}
+	s.Stats.StaleTraps++
 	s.Stats.Dropped++
+	if dstIP.IsValid() {
+		s.trap(f.Src, srcIP, dstIP)
+	}
 	s.pool.Put(f)
+}
+
+// frameIPs returns the IPs a frame carries: its IPv4 header's source
+// and destination, or its ARP packet's sender and target.
+func frameIPs(f *ether.Frame) (src, dst netip.Addr) {
+	switch p := f.Payload.(type) {
+	case *ippkt.IPv4:
+		return p.Src, p.Dst
+	case *arppkt.Packet:
+		return p.SenderIP, p.TargetIP
+	}
+	return netip.Addr{}, netip.Addr{}
 }
 
 // Candidate-set cache. Each destination class a switch routes toward

@@ -31,6 +31,7 @@ type Counters struct {
 	FramesIn        int64
 	FramesOut       int64
 	Dropped         int64 // no route / filtered
+	StaleTraps      int64 // local-prefix frames refused by the delivery rule (also in Dropped)
 	Blackholed      int64 // had a route class but no live port
 	ARPPunts        int64 // host ARP requests punted to the fabric manager
 	ARPProxied      int64 // ARP replies synthesized from fabric-manager answers
@@ -38,7 +39,7 @@ type Counters struct {
 	IngressRewrites int64 // AMAC→PMAC
 	EgressRewrites  int64 // PMAC→AMAC
 	McastReplicas   int64
-	GratuitousSent  int64 // migration-invalidation gratuitous ARPs
+	GratuitousSent  int64 // unicast ARP corrections sent to stale senders (§3.4)
 	DHCPPunts       int64 // host Discovers punted to the fabric manager
 	DHCPProxied     int64 // Acks synthesized from manager answers
 	ProbesSent      int64 // gray-detector probe requests transmitted
@@ -46,9 +47,13 @@ type Counters struct {
 	EcmpDegrades    int64 // group-table admission failures (see resources.go)
 }
 
+// pendingARP is one query parked until the fabric manager answers:
+// a host's ARP request, or a trap, whose answer corrects a stale
+// sender (hostMAC is then the sender's PMAC, and hostPort unused).
 type pendingARP struct {
 	hostPort int
 	hostMAC  ether.Addr
+	trap     bool
 	hostIP   netip.Addr
 	targetIP netip.Addr
 	at       time.Duration // punt time, for ARP-resolution latency
@@ -58,11 +63,6 @@ type pendingDHCPReq struct {
 	hostPort  int
 	clientMAC ether.Addr
 	xid       uint32
-}
-
-type migrationEntry struct {
-	ip      netip.Addr
-	newPMAC ether.Addr
 }
 
 type exclKey struct {
@@ -98,17 +98,15 @@ type Switch struct {
 	loc      ctrlmsg.Loc
 	resolved bool
 
-	table *pmac.Table // AMAC↔PMAC (edge role)
-	ipOf  map[ether.Addr]netip.Addr
+	table *pmac.Table // AMAC↔PMAC↔IP (edge role)
 
 	pending     map[uint64]pendingARP
 	pendingDHCP map[uint64]pendingDHCPReq
 	nextQueryID uint64
 
-	excl     map[exclKey]bool
-	mcast    map[uint32][]int
-	migrated map[ether.Addr]migrationEntry
-	flows    *flowtable.Table
+	excl  map[exclKey]bool
+	mcast map[uint32][]int
+	flows *flowtable.Table
 
 	// pool is the engine's frame free-list; the data path clones and
 	// releases through it (see ether.FramePool for ownership rules).
@@ -170,12 +168,10 @@ func New(eng *sim.Proc, id ctrlmsg.SwitchID, name string, ports int, cfg ldp.Con
 		name:        name,
 		links:       make([]*sim.Link, ports),
 		table:       pmac.NewTable(),
-		ipOf:        make(map[ether.Addr]netip.Addr),
 		pending:     make(map[uint64]pendingARP),
 		pendingDHCP: make(map[uint64]pendingDHCPReq),
 		excl:        make(map[exclKey]bool),
 		mcast:       make(map[uint32][]int),
-		migrated:    make(map[ether.Addr]migrationEntry),
 		leases:      make(map[ether.Addr]netip.Addr),
 		joins:       make(map[joinKey]bool),
 		pool:        eng.FramePool(),
@@ -284,12 +280,10 @@ func (s *Switch) Recover() {
 	s.resolved = false
 	s.loc = ctrlmsg.Loc{}
 	s.table = pmac.NewTable()
-	s.ipOf = make(map[ether.Addr]netip.Addr)
 	s.pending = make(map[uint64]pendingARP)
 	s.pendingDHCP = make(map[uint64]pendingDHCPReq)
 	s.excl = make(map[exclKey]bool)
 	s.mcast = make(map[uint32][]int)
-	s.migrated = make(map[ether.Addr]migrationEntry)
 	s.leases = make(map[ether.Addr]netip.Addr)
 	s.joins = make(map[joinKey]bool)
 	s.flows = flowtable.New(s.eng.Now, 0)
@@ -325,11 +319,11 @@ func (s *Switch) PMACTableLen() int { return s.table.Len() }
 func (s *Switch) FlowTable() *flowtable.Table { return s.flows }
 
 // RoutingStateSize returns the number of forwarding-table entries the
-// switch holds: live flow entries, PMAC mappings, multicast entries,
-// migration entries and route exclusions. The Table 1 experiment
-// compares this against the baseline's flat MAC table.
+// switch holds: live flow entries, PMAC mappings, multicast entries
+// and route exclusions. The Table 1 experiment compares this against
+// the baseline's flat MAC table.
 func (s *Switch) RoutingStateSize() int {
-	n := s.flows.Len() + s.table.Len() + len(s.excl) + len(s.migrated)
+	n := s.flows.Len() + s.table.Len() + len(s.excl)
 	for _, ports := range s.mcast {
 		n += len(ports)
 	}
@@ -551,8 +545,7 @@ func (s *Switch) handleCtrlFrom(shard int, m ctrlmsg.Msg) {
 		// hosts that never transmit (pure receivers) are deliverable
 		// again without waiting for ingress learning that may never
 		// come.
-		s.table.Install(v.AMAC, pmac.FromAddr(v.PMAC))
-		s.ipOf[v.AMAC] = v.IP
+		s.table.Install(v.AMAC, pmac.FromAddr(v.PMAC), v.IP)
 	case ctrlmsg.DHCPAnswer:
 		s.handleDHCPAnswer(v)
 	case ctrlmsg.StateSyncRequest:
@@ -568,16 +561,22 @@ func (s *Switch) handleARPAnswer(v ctrlmsg.ARPAnswer) {
 		return
 	}
 	delete(s.pending, v.QueryID)
-	if v.Found {
-		s.jou.Record(obs.ARPResolved, uint64(s.eng.Now()-p.at), v.QueryID, 0, 0)
-	}
 	if !v.Found {
 		// The fabric manager has launched the broadcast fallback;
 		// the eventual ARP reply arrives through the dataplane.
 		return
 	}
+	reply := arppkt.Reply(v.PMAC, v.TargetIP, p.hostMAC, p.hostIP)
+	if p.trap {
+		// A trap's answer is §3.4's correction: a unicast ARP reply
+		// routed through the fabric to the stale sender.
+		s.Stats.GratuitousSent++
+		s.forwardUnicast(reply)
+		return
+	}
+	s.jou.Record(obs.ARPResolved, uint64(s.eng.Now()-p.at), v.QueryID, 0, 0)
 	s.Stats.ARPProxied++
-	s.send(p.hostPort, arppkt.Reply(v.PMAC, v.TargetIP, p.hostMAC, p.hostIP))
+	s.send(p.hostPort, reply)
 }
 
 func (s *Switch) handleARPFlood(v ctrlmsg.ARPFlood) {
@@ -603,18 +602,16 @@ func (s *Switch) handleARPFlood(v ctrlmsg.ARPFlood) {
 	}
 }
 
+// handleMigrationUpdate forgets the mapping of a host that moved
+// away, so frames still addressed to its old PMAC trap (deliverLocal)
+// instead of reaching the empty port.
 func (s *Switch) handleMigrationUpdate(v ctrlmsg.MigrationUpdate) {
 	s.flushFlows()
-	s.migrated[v.OldPMAC] = migrationEntry{ip: v.IP, newPMAC: v.NewPMAC}
-	// Drop the stale local mapping so the old PMAC is no longer
-	// deliverable here — but only when the mapping actually belongs to
-	// the migrating host. The manager keeps reissued PMACs disjoint
-	// from outstanding ones, so a same-address mapping for a different
-	// IP means this invalidation is stale and must not take down a
-	// live host.
-	if amac, ok := s.table.LookupPMAC(v.OldPMAC); ok && s.ipOf[amac] == v.IP {
-		s.table.Remove(amac)
-		delete(s.ipOf, amac)
+	// Only when the mapping still belongs to the migrating host: a
+	// same-address mapping for a different IP means this removal is
+	// stale, and taking it would turn a live host into a trap.
+	if h, ok := s.table.LookupPMAC(v.OldPMAC); ok && h.IP == v.IP {
+		s.table.Remove(h.AMAC)
 	}
 	// Membership followed the VM; never replay it from the old edge.
 	for k := range s.joins {
@@ -622,15 +619,7 @@ func (s *Switch) handleMigrationUpdate(v ctrlmsg.MigrationUpdate) {
 			delete(s.joins, k)
 		}
 	}
-	// The transient entry self-expires; the paper keeps it only long
-	// enough to invalidate stale neighbor caches.
-	old := v.OldPMAC
-	s.eng.Schedule(migrationEntryTTL, func() { delete(s.migrated, old) })
 }
-
-// migrationEntryTTL bounds how long an edge switch answers for a
-// PMAC that migrated away.
-const migrationEntryTTL = 30 * time.Second
 
 // String identifies the switch.
 func (s *Switch) String() string {

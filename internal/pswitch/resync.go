@@ -61,15 +61,11 @@ func (s *Switch) resync(shard int, epoch uint32) {
 	}
 	// Host registry (edge role), this shard's slice. Sorted for
 	// deterministic replay.
-	for _, amac := range sortedMACKeys(s.ipOf) {
-		if ctrlmsg.ShardOfIP(s.ipOf[amac], n) != shard {
+	for _, h := range s.table.Hosts() {
+		if !h.IP.IsValid() || ctrlmsg.ShardOfIP(h.IP, n) != shard {
 			continue
 		}
-		pm, ok := s.table.LookupAMAC(amac)
-		if !ok {
-			continue
-		}
-		s.sendCtrlTo(shard, ctrlmsg.PMACRegister{Switch: s.id, IP: s.ipOf[amac], AMAC: amac, PMAC: pm.Addr()})
+		s.sendCtrlTo(shard, ctrlmsg.PMACRegister{Switch: s.id, IP: h.IP, AMAC: h.AMAC, PMAC: h.PMAC.Addr()})
 	}
 	if shard == 0 {
 		// DHCP leases cached from proxied answers.
@@ -111,11 +107,10 @@ func (s *Switch) resync(shard int, epoch uint32) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		p := s.pending[id]
-		senderPM, _ := s.table.LookupAMAC(p.hostMAC)
 		s.sendCtrlTo(shard, ctrlmsg.ARPQuery{
 			Switch:     s.id,
 			QueryID:    id,
-			SenderPMAC: senderPM.Addr(),
+			SenderPMAC: s.senderPMAC(p),
 			SenderIP:   p.hostIP,
 			TargetIP:   p.targetIP,
 		})
