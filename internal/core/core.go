@@ -44,9 +44,9 @@ type Options struct {
 	// control channel in a Reliable go-back-N layer whose
 	// retransmits mask the loss.
 	CtrlLoss float64
-	// Standby provisions a warm-standby fabric manager that mirrors
-	// all switch→manager traffic and takes over (after a heartbeat
-	// timeout) when the primary is killed.
+	// Standby arms a heartbeat watchdog per manager shard: a shard
+	// silent for the heartbeat timeout is replaced by a fresh manager
+	// that resyncs from the switches, the path RestartManager takes.
 	Standby bool
 	// LDP tunes the location-discovery timers.
 	LDP ldp.Config
@@ -157,13 +157,6 @@ type Fabric struct {
 	// and restart replace entries in place.
 	Mgrs []*fabricmgr.Manager
 
-	// Standby is shard 0's warm-standby manager (nil unless
-	// Options.Standby). After takeover it is also installed as Manager.
-	Standby *fabricmgr.Manager
-	// Standbys holds every shard's standby, parallel to Mgrs (nil
-	// unless Options.Standby).
-	Standbys []*fabricmgr.Manager
-
 	Switches map[topo.NodeID]*pswitch.Switch
 	Hosts    map[topo.NodeID]*host.Host
 	// Links is parallel to Spec.Links.
@@ -177,7 +170,7 @@ type Fabric struct {
 	// injected by the harness, manager kill/restart, takeover).
 	jFabric *obs.Journal
 
-	// OnTakeover, if set, observes standby promotion (failover.go).
+	// OnTakeover, if set, observes each watchdog takeover (failover.go).
 	OnTakeover func(epoch uint32)
 
 	// ctrl is each switch's control channels, indexed by manager shard
@@ -248,7 +241,7 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 	}
 	f.Manager = f.Mgrs[0]
 	if opts.Standby {
-		f.wireStandby()
+		f.wireWatchdog()
 	}
 	hostIdx := 0
 	for _, n := range spec.Nodes {
@@ -486,9 +479,7 @@ func (f *Fabric) RecoverSwitch(name string) bool {
 }
 
 // ControlStats sums control-channel traffic in both directions:
-// toMgr is switch→manager, fromMgr is manager→switch. Standby mirror
-// channels are included when provisioned — a warm standby's traffic
-// is real control-network load.
+// toMgr is switch→manager, fromMgr is manager→switch.
 func (f *Fabric) ControlStats() (toMgr, fromMgr ctrlnet.Stats) {
 	acc := func(dst *ctrlnet.Stats, c *ctrlnet.SimConn) {
 		s := c.Stats()
@@ -499,10 +490,8 @@ func (f *Fabric) ControlStats() (toMgr, fromMgr ctrlnet.Stats) {
 	}
 	for _, chans := range f.ctrl {
 		for _, c := range chans {
-			for ; c != nil; c = c.standby {
-				acc(&toMgr, c.swRaw)
-				acc(&fromMgr, c.mgrRaw)
-			}
+			acc(&toMgr, c.swRaw)
+			acc(&fromMgr, c.mgrRaw)
 		}
 	}
 	return toMgr, fromMgr

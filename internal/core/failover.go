@@ -1,6 +1,7 @@
 // Fabric-manager survivability: manager kill/restart with soft-state
-// resync, the optional warm-standby manager, and the lossy-control-
-// channel wiring (Reliable wrappers over the switch↔manager pipes).
+// resync, the optional heartbeat watchdog that restarts a silent
+// shard, and the lossy-control-channel wiring (Reliable wrappers over
+// the switch↔manager pipes).
 package core
 
 import (
@@ -16,7 +17,7 @@ import (
 	"portland/internal/topo"
 )
 
-// Heartbeat cadence between the primary and the warm standby, and the
+// Heartbeat cadence from each manager shard to its watchdog, and the
 // silence that triggers takeover.
 const (
 	hbInterval = 20 * time.Millisecond
@@ -34,31 +35,7 @@ const (
 type ctrlChan struct {
 	swRaw, mgrRaw   *ctrlnet.SimConn
 	swConn, mgrConn ctrlnet.Conn
-	// standby is the mirror channel to the shard's warm standby (nil
-	// without Options.Standby).
-	standby *ctrlChan
 }
-
-// muxConn fans a switch's control transmissions out to the primary
-// manager and the standby mirror, so the standby builds the same soft
-// state the primary does.
-type muxConn struct {
-	primary ctrlnet.Conn
-	mirror  ctrlnet.Conn
-}
-
-func (m *muxConn) Send(msg ctrlmsg.Msg) error {
-	_ = m.mirror.Send(msg)
-	return m.primary.Send(msg)
-}
-
-func (m *muxConn) Close() error {
-	_ = m.mirror.Close()
-	return m.primary.Close()
-}
-
-func (m *muxConn) Stats() ctrlnet.Stats { return m.primary.Stats() }
-func (m *muxConn) Err() error           { return m.primary.Err() }
 
 // wrapCtrl returns the Conn the protocol speaks over a raw pipe end.
 // On a lossless control network it is the bare pipe (zero overhead —
@@ -93,50 +70,29 @@ func (f *Fabric) ctrlPipe(swEng *sim.Engine) (raw1, raw2 *ctrlnet.SimConn) {
 	})
 }
 
-// newCtrlChan wires one switch to one manager: a shard's primary or
-// its standby.
-func (f *Fabric) newCtrlChan(id topo.NodeID, sw *pswitch.Switch, shard int, m *fabricmgr.Manager) *ctrlChan {
-	swRaw, mgrRaw := f.ctrlPipe(f.engOf[id])
-	c := &ctrlChan{swRaw: swRaw, mgrRaw: mgrRaw, swConn: f.wrapCtrl(swRaw), mgrConn: f.wrapCtrl(mgrRaw)}
-	setCtrlHandler(c.swConn, sw.CtrlHandlerFor(shard))
-	setCtrlHandler(c.mgrConn, m.NewSession(c.mgrConn).Handle)
-	return c
-}
-
-// wireControl connects one switch to every fabric-manager shard (and,
-// when configured, each shard's standby). Every primary channel is
-// built before the first standby one, so provisioning a standby leaves
-// the primaries' construction order — and with it their tie-break
-// ranks — alone.
+// wireControl connects one switch to every fabric-manager shard.
 func (f *Fabric) wireControl(id topo.NodeID, sw *pswitch.Switch) {
 	chans := make([]*ctrlChan, len(f.Mgrs))
 	conns := make([]ctrlnet.Conn, len(f.Mgrs))
 	for i, m := range f.Mgrs {
-		chans[i] = f.newCtrlChan(id, sw, i, m)
-		conns[i] = chans[i].swConn
-	}
-	for i, sb := range f.Standbys {
-		chans[i].standby = f.newCtrlChan(id, sw, i, sb)
-		conns[i] = &muxConn{primary: chans[i].swConn, mirror: chans[i].standby.swConn}
+		swRaw, mgrRaw := f.ctrlPipe(f.engOf[id])
+		c := &ctrlChan{swRaw: swRaw, mgrRaw: mgrRaw, swConn: f.wrapCtrl(swRaw), mgrConn: f.wrapCtrl(mgrRaw)}
+		setCtrlHandler(c.swConn, sw.CtrlHandlerFor(i))
+		setCtrlHandler(c.mgrConn, m.NewSession(c.mgrConn).Handle)
+		chans[i], conns[i] = c, c.swConn
 	}
 	sw.SetControlShards(conns)
 	f.ctrl[id] = chans
 }
 
-// wireStandby sets up one passive mirror manager per shard and the
-// heartbeat channel each shard's takeover watchdog listens on. Called
-// from Build before the switches are wired.
-func (f *Fabric) wireStandby() {
+// wireWatchdog gives each manager shard a heartbeat channel and a
+// watchdog that calls takeover when the beats stop. Called from Build
+// before the switches are wired.
+func (f *Fabric) wireWatchdog() {
 	n := len(f.Mgrs)
-	f.Standbys = make([]*fabricmgr.Manager, n)
 	f.hbPrimary = make([]*ctrlnet.SimConn, n)
 	for i := 0; i < n; i++ {
 		i := i
-		sb := fabricmgr.New()
-		sb.SetShard(i, n)
-		sb.SetPassive(true)
-		sb.SetJournal(f.Obs.Journal(standbyName(i), 2048, f.Eng.Now))
-		f.Standbys[i] = sb
 		hbP, hbS := ctrlnet.SimPipe(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
 		f.hbPrimary[i] = hbP
 		hbS.SetHandler(func(m ctrlmsg.Msg) {
@@ -156,38 +112,22 @@ func (f *Fabric) wireStandby() {
 			}
 		})
 	}
-	f.Standby = f.Standbys[0]
 }
 
-// standbyName returns shard i's standby journal name; shard 0 keeps
-// the historical unsharded name.
-func standbyName(i int) string {
-	if i == 0 {
-		return "mgr-standby"
-	}
-	return fmt.Sprintf("mgr-standby%d", i)
-}
-
-// takeover promotes shard's standby: it goes active, becomes that
-// shard's entry in f.Mgrs (and f.Manager, for shard 0), and resyncs
-// the fabric to validate its mirrored state.
+// takeover replaces a silent shard: a fresh manager boots on the dead
+// one's pipes and resyncs from the switches, exactly as
+// RestartManagerShard does; only the fabric journal's record differs.
 func (f *Fabric) takeover(shard int) {
 	f.tookOver[shard] = true
 	f.epoch++
 	f.jFabric.Record(obs.Takeover, uint64(f.epoch), uint64(shard), 0, 0)
-	sb := f.Standbys[shard]
-	sb.SetPassive(false)
-	f.Mgrs[shard] = sb
-	if shard == 0 {
-		f.Manager = sb
-	}
-	sb.BeginResync(f.epoch, f.standbyConns(shard))
+	f.restartShard(shard)
 	if f.OnTakeover != nil {
 		f.OnTakeover(f.epoch)
 	}
 }
 
-// TookOver reports whether any shard's standby has assumed control.
+// TookOver reports whether the watchdog has replaced any shard.
 func (f *Fabric) TookOver() bool {
 	for _, t := range f.tookOver {
 		if t {
@@ -197,21 +137,21 @@ func (f *Fabric) TookOver() bool {
 	return false
 }
 
-// ShardTookOver reports whether the given manager shard's standby has
-// assumed control.
+// ShardTookOver reports whether the watchdog has replaced the given
+// manager shard.
 func (f *Fabric) ShardTookOver(shard int) bool {
 	return shard >= 0 && shard < len(f.tookOver) && f.tookOver[shard]
 }
 
 // Epoch returns the current control-plane epoch: 0 at boot, bumped by
-// every manager restart or standby takeover.
+// every manager restart or watchdog takeover.
 func (f *Fabric) Epoch() uint32 { return f.epoch }
 
 // KillManager crashes the fabric manager process. Its ends of every
 // control pipe go dead: frames from switches are silently discarded
 // (or, under CtrlLoss, parked in the switches' retransmit buffers)
 // and the manager transmits nothing — including heartbeats, which is
-// what the standby's watchdog notices. The fabric's dataplane keeps
+// what the shard's watchdog notices. The fabric's dataplane keeps
 // forwarding on installed state; only reactive services (proxy ARP,
 // DHCP, new fault reactions) go dark.
 func (f *Fabric) KillManager() {
@@ -223,7 +163,7 @@ func (f *Fabric) KillManager() {
 
 // KillManagerShard crashes one registry shard's manager, leaving the
 // others serving: only mappings (and parked ARP queries) on the dead
-// shard go dark until its standby takes over or it is restarted.
+// shard go dark until its watchdog takes over or it is restarted.
 func (f *Fabric) KillManagerShard(shard int) {
 	f.jFabric.Record(obs.MgrKilled, uint64(f.epoch), uint64(shard), 0, 0)
 	f.killShard(shard)
@@ -300,14 +240,4 @@ func (f *Fabric) restartShard(shard int) *fabricmgr.Manager {
 	}
 	m.BeginResync(f.epoch, conns)
 	return m
-}
-
-// standbyConns returns one shard's standby-side conns in blueprint
-// order.
-func (f *Fabric) standbyConns(shard int) []ctrlnet.Conn {
-	conns := make([]ctrlnet.Conn, 0, len(f.ctrl))
-	for _, id := range f.Spec.Switches() {
-		conns = append(conns, f.ctrl[id][shard].standby.mgrConn)
-	}
-	return conns
 }

@@ -125,15 +125,15 @@ func TestPuntBatching(t *testing.T) {
 // TestMgrShardFailover (the PR's failover satellite): killing one
 // registry shard mid-storm leaves the other shard serving; ARP queries
 // for the dead shard's mappings park on the switches until that
-// shard's standby takes over and re-serves them from its resync
-// replay — well before the hosts' 1s ARP retry could mask the
-// mechanism.
+// shard's watchdog replaces it and the replacement re-serves them from
+// its resync replay — well before the hosts' 1s ARP retry could mask
+// the mechanism.
 func TestMgrShardFailover(t *testing.T) {
 	f := buildSharded(t, Options{Seed: 7, MgrShards: 2, Standby: true})
 	hosts := f.HostList()
 
-	// Register everything first, so the standby mirrors own the full
-	// registry before the kill.
+	// Register everything first, so the switches hold the full
+	// registry the replacement resyncs from.
 	warm := crossPodPairs(f)
 	f.RunFor(500 * time.Millisecond)
 	if *warm != 8 {
@@ -184,10 +184,10 @@ func TestMgrShardFailover(t *testing.T) {
 	// Takeover and resync re-serve the parked query.
 	f.RunFor(440 * time.Millisecond)
 	if !f.ShardTookOver(1) {
-		t.Fatal("shard 1's standby never took over")
+		t.Fatal("shard 1's watchdog never took over")
 	}
 	if f.ShardTookOver(0) {
-		t.Fatal("shard 0's standby took over; its primary was healthy")
+		t.Fatal("shard 0's watchdog took over; its primary was healthy")
 	}
 	if got1 == 0 {
 		t.Fatal("parked shard-1 ARP never re-served after takeover")
@@ -195,11 +195,11 @@ func TestMgrShardFailover(t *testing.T) {
 	if d := got1At - killAt; d > 500*time.Millisecond {
 		t.Fatalf("shard-1 delivery %v after kill; parked-query replay should beat the 1s host ARP retry", d)
 	}
-	// The promoted shard serves only its own slice.
+	// The replacement serves only its own slice.
 	if _, ok := f.Mgrs[1].Lookup(hosts[dst1].IP()); !ok {
-		t.Fatal("promoted standby missing its own mapping")
+		t.Fatal("replacement shard missing its own mapping")
 	}
 	if _, ok := f.Mgrs[1].Lookup(hosts[dst0].IP()); ok {
-		t.Fatal("promoted standby holds shard 0's mapping")
+		t.Fatal("replacement shard holds shard 0's mapping")
 	}
 }

@@ -17,10 +17,9 @@ import (
 func (f *Fabric) ObsCounters() obs.Counters {
 	c := obs.Counters{}
 
-	// Merge the active manager shards (promoted standbys included,
-	// still-passive mirrors not): punts are routed, never mirrored, so
-	// summing across shards counts each event exactly once. With one
-	// shard this is f.Manager.Stats verbatim.
+	// Merge the manager shards: each punt is routed to exactly one
+	// shard, so summing across shards counts each event exactly once.
+	// With one shard this is f.Manager.Stats verbatim.
 	var ms fabricmgr.Counters
 	for _, m := range f.Mgrs {
 		ms.Add(m.Stats)

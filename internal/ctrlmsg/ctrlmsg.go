@@ -263,8 +263,8 @@ type SyncDone struct {
 	Epoch  uint32
 }
 
-// Heartbeat is the primary fabric manager's liveness beacon to a warm
-// standby; a run of missed heartbeats triggers takeover.
+// Heartbeat is a fabric-manager shard's liveness beacon to its
+// watchdog; a run of missed heartbeats triggers takeover.
 type Heartbeat struct {
 	Epoch uint32
 }

@@ -25,20 +25,13 @@ import (
 // Handler consumes inbound control messages.
 type Handler func(ctrlmsg.Msg)
 
-// Conn is one end of a control channel.
+// Conn is one end of a control channel: all the protocol needs of
+// it is to send. The concrete ends (SimConn, TCPConn) also close,
+// count their traffic and report the first decode error.
 type Conn interface {
 	// Send transmits m to the peer. Implementations deliver
 	// asynchronously and in order.
 	Send(m ctrlmsg.Msg) error
-	// Close tears the channel down; subsequent Sends fail.
-	Close() error
-	// Stats returns cumulative byte/message counters for this end's
-	// transmit direction.
-	Stats() Stats
-	// Err reports the first protocol-level error observed on the
-	// channel (e.g. a control frame that failed to decode), or nil.
-	// Errors that only discard one frame do not close the channel.
-	Err() error
 }
 
 // Stats counts one direction of a control channel.
@@ -175,16 +168,18 @@ func (c *SimConn) deliverRaw(b []byte) {
 	}
 }
 
-// Close implements Conn.
+// Close tears the channel down; subsequent Sends fail.
 func (c *SimConn) Close() error {
 	c.closed = true
 	return nil
 }
 
-// Stats implements Conn.
+// Stats returns cumulative byte/message counters for this end's
+// transmit direction.
 func (c *SimConn) Stats() Stats { return c.stats }
 
-// Err implements Conn: the first decode failure seen by this end.
+// Err reports the first decode failure seen by this end, or nil. A
+// frame that fails to decode is discarded; the channel stays open.
 func (c *SimConn) Err() error { return c.err }
 
 // frameOverhead is the per-message framing cost (length prefix),
@@ -237,7 +232,7 @@ func (t *TCPConn) Send(m ctrlmsg.Msg) error {
 	return nil
 }
 
-// Close implements Conn and waits for the read loop to exit.
+// Close tears the connection down and waits for the read loop to exit.
 func (t *TCPConn) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -252,7 +247,8 @@ func (t *TCPConn) Close() error {
 	return err
 }
 
-// Stats implements Conn.
+// Stats returns cumulative byte/message counters for this end's
+// transmit direction.
 func (t *TCPConn) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -271,9 +267,8 @@ func (t *TCPConn) ReadErr() error {
 	return t.readErr
 }
 
-// Err implements Conn; for TCP it is the read-loop error, since a
-// framing or decode failure on a byte stream loses synchronization
-// and terminates the session.
+// Err reports the read-loop error: on TCP a framing or decode failure
+// on a byte stream loses synchronization and terminates the session.
 func (t *TCPConn) Err() error { return t.ReadErr() }
 
 func (t *TCPConn) readLoop() {

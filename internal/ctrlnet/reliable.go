@@ -52,8 +52,6 @@ type Reliable struct {
 
 	recvNext uint64 // next sequence number expected
 
-	closed bool
-
 	// Retransmits counts timeout-driven resends (frames, not
 	// timeouts; one timeout resends the whole window).
 	Retransmits int64
@@ -88,9 +86,6 @@ func (r *Reliable) SetHandler(h Handler) { r.handler = h }
 
 // Send implements Conn: enqueue, transmit, arm the timer.
 func (r *Reliable) Send(m ctrlmsg.Msg) error {
-	if r.closed {
-		return ErrClosed
-	}
 	env := ctrlmsg.SeqData{Seq: r.sendNext, Payload: m}
 	r.sendNext++
 	r.queue = append(r.queue, env)
@@ -105,9 +100,6 @@ func (r *Reliable) Send(m ctrlmsg.Msg) error {
 // the reliability machinery. SimConn ends are wired automatically by
 // NewReliable; other transports call this from their handler.
 func (r *Reliable) Receive(m ctrlmsg.Msg) {
-	if r.closed {
-		return
-	}
 	switch v := m.(type) {
 	case ctrlmsg.SeqData:
 		if v.Seq == r.recvNext {
@@ -150,7 +142,7 @@ func (r *Reliable) onAck(next uint64) {
 }
 
 func (r *Reliable) onTimeout() {
-	if r.closed || len(r.queue) == 0 {
+	if len(r.queue) == 0 {
 		return
 	}
 	r.backoff++
@@ -178,18 +170,3 @@ func (r *Reliable) armTimer() {
 
 // Pending reports the number of unacked buffered messages.
 func (r *Reliable) Pending() int { return len(r.queue) }
-
-// Close implements Conn.
-func (r *Reliable) Close() error {
-	r.closed = true
-	r.timer.Stop()
-	return r.under.Close()
-}
-
-// Stats implements Conn, delegating to the underlying channel (so
-// byte counters include envelope overhead and retransmissions —
-// honest wire cost).
-func (r *Reliable) Stats() Stats { return r.under.Stats() }
-
-// Err implements Conn.
-func (r *Reliable) Err() error { return r.under.Err() }

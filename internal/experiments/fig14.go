@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"portland/internal/ctrlmsg"
-	"portland/internal/ctrlnet"
 	"portland/internal/ether"
 	"portland/internal/fabricmgr"
 )
@@ -75,9 +74,6 @@ func MeasureARPThroughput(registry, ops int) (arpsPerSec, nsPerARP float64) {
 type nopConn struct{}
 
 func (nopConn) Send(ctrlmsg.Msg) error { return nil }
-func (nopConn) Close() error           { return nil }
-func (nopConn) Stats() ctrlnet.Stats   { return ctrlnet.Stats{} }
-func (nopConn) Err() error             { return nil }
 
 // RunFig14 reproduces Figure 14: measure our fabric manager's
 // single-core ARP service rate, then scale cores = hosts × rate /

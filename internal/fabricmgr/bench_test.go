@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"portland/internal/ctrlmsg"
-	"portland/internal/ctrlnet"
 	"portland/internal/ether"
 )
 
@@ -17,9 +16,6 @@ import (
 type benchConn struct{}
 
 func (benchConn) Send(ctrlmsg.Msg) error { return nil }
-func (benchConn) Close() error           { return nil }
-func (benchConn) Stats() ctrlnet.Stats   { return ctrlnet.Stats{} }
-func (benchConn) Err() error             { return nil }
 
 // benchIP is the i-th synthetic host address, matching the Figure 14
 // convention.
@@ -175,6 +171,3 @@ func TestFaultFlapAllocs(t *testing.T) {
 type countConn struct{ n *int }
 
 func (c countConn) Send(ctrlmsg.Msg) error { *c.n++; return nil }
-func (countConn) Close() error             { return nil }
-func (countConn) Stats() ctrlnet.Stats     { return ctrlnet.Stats{} }
-func (countConn) Err() error               { return nil }

@@ -47,8 +47,7 @@ type Counters struct {
 // running N registry shards reports the sum of every active shard's
 // counters, and because each registration and ARP punt is routed to
 // exactly one owning shard, summing never double-counts registry
-// churn (passive standbys mirror the stream and must be excluded by
-// the caller).
+// churn.
 func (c *Counters) Add(o Counters) {
 	c.ARPQueries += o.ARPQueries
 	c.ARPHits += o.ARPHits
@@ -154,11 +153,6 @@ type Manager struct {
 	// every member PMAC — back instead of a fresh one that stales every
 	// remote ARP cache.
 	pods map[ctrlmsg.SwitchID]uint16
-
-	// passive suppresses all transmissions: a warm standby mirrors
-	// the control stream to build state but must stay silent until
-	// promoted (resync.go).
-	passive bool
 
 	// shardID/shardN make this manager one replica of a
 	// prefix-partitioned registry: it owns exactly the IPs with
@@ -300,9 +294,6 @@ func (s *Session) Handle(msg ctrlmsg.Msg) {
 }
 
 func (m *Manager) send(id ctrlmsg.SwitchID, msg ctrlmsg.Msg) {
-	if m.passive {
-		return
-	}
 	if c, ok := m.conns[id]; ok {
 		_ = c.Send(msg)
 	}
@@ -411,36 +402,22 @@ func (m *Manager) handleARP(v ctrlmsg.ARPQuery) {
 	m.serveARP(v)
 }
 
-// serveARP answers one query from the registry. A miss while a resync
-// is outstanding is parked rather than flooded: the target may simply
-// not have been replayed yet, and a flood keyed off a half-built
-// location map would go nowhere. Parked queries are re-served the
-// moment the last switch reports (handleSyncDone) — which is what
-// lets a fresh ARP issued the instant a manager restarts resolve
-// within one resync round instead of a full host-side retry.
+// serveARP answers one query from the registry, journaling it as a
+// hit or a miss; a miss also floods (resolveARP says when a query
+// parks instead).
 func (m *Manager) serveARP(v ctrlmsg.ARPQuery) {
-	if rec, ok := m.ips[v.TargetIP]; ok {
-		m.Stats.ARPHits++
-		m.jou.Record(obs.MgrARPHit, uint64(v.Switch), v.QueryID, ip4u32(v.TargetIP), 0)
-		m.send(v.Switch, ctrlmsg.ARPAnswer{QueryID: v.QueryID, Found: true, TargetIP: v.TargetIP, PMAC: rec.pmac})
+	a, parked := m.resolveARP(v)
+	if parked {
 		return
 	}
-	if m.syncWaiting > 0 {
-		m.jou.Record(obs.MgrARPParked, uint64(v.Switch), v.QueryID, ip4u32(v.TargetIP), 0)
-		m.pendingARP = append(m.pendingARP, v)
-		return
+	ev := obs.MgrARPHit
+	if !a.Found {
+		ev = obs.MgrARPMiss
 	}
-	m.Stats.ARPMisses++
-	m.jou.Record(obs.MgrARPMiss, uint64(v.Switch), v.QueryID, ip4u32(v.TargetIP), 0)
-	m.send(v.Switch, ctrlmsg.ARPAnswer{QueryID: v.QueryID, Found: false, TargetIP: v.TargetIP})
-	flood := ctrlmsg.ARPFlood{QueryID: v.QueryID, SenderPMAC: v.SenderPMAC, SenderIP: v.SenderIP, TargetIP: v.TargetIP}
-	// Flood in ID order: under CtrlLoss every send draws from the
-	// engine RNG, so map-order iteration here would make the whole
-	// run's random stream depend on Go map layout. The target list is
-	// the cached edge set — one batch, no per-miss sort or filter.
-	m.g.levels()
-	for _, id := range m.g.edgeIDs {
-		m.send(id, flood)
+	m.jou.Record(ev, uint64(v.Switch), v.QueryID, ip4u32(v.TargetIP), 0)
+	m.send(v.Switch, a)
+	if !a.Found {
+		m.floodARP(v)
 	}
 }
 
@@ -456,37 +433,61 @@ func (m *Manager) handleARPBatch(v ctrlmsg.ARPQueryBatch) {
 	m.Stats.ARPQueries += int64(len(v.Queries))
 	answers := make([]ctrlmsg.ARPAnswerItem, 0, len(v.Queries))
 	hits, misses := 0, 0
-	for _, q := range v.Queries {
-		if rec, ok := m.ips[q.TargetIP]; ok {
-			m.Stats.ARPHits++
+	for _, it := range v.Queries {
+		q := ctrlmsg.ARPQuery{Switch: v.Switch, QueryID: it.QueryID,
+			SenderPMAC: it.SenderPMAC, SenderIP: it.SenderIP, TargetIP: it.TargetIP}
+		a, parked := m.resolveARP(q)
+		switch {
+		case parked:
+			continue
+		case a.Found:
 			hits++
-			answers = append(answers, ctrlmsg.ARPAnswerItem{
-				QueryID: q.QueryID, Found: true, TargetIP: q.TargetIP, PMAC: rec.pmac,
-			})
-			continue
+		default:
+			misses++
+			m.floodARP(q)
 		}
-		if m.syncWaiting > 0 {
-			m.jou.Record(obs.MgrARPParked, uint64(v.Switch), q.QueryID, ip4u32(q.TargetIP), 0)
-			m.pendingARP = append(m.pendingARP, ctrlmsg.ARPQuery{
-				Switch: v.Switch, QueryID: q.QueryID,
-				SenderPMAC: q.SenderPMAC, SenderIP: q.SenderIP, TargetIP: q.TargetIP,
-			})
-			continue
-		}
-		m.Stats.ARPMisses++
-		misses++
-		answers = append(answers, ctrlmsg.ARPAnswerItem{
-			QueryID: q.QueryID, Found: false, TargetIP: q.TargetIP,
-		})
-		flood := ctrlmsg.ARPFlood{QueryID: q.QueryID, SenderPMAC: q.SenderPMAC, SenderIP: q.SenderIP, TargetIP: q.TargetIP}
-		m.g.levels()
-		for _, id := range m.g.edgeIDs {
-			m.send(id, flood)
-		}
+		answers = append(answers, ctrlmsg.ARPAnswerItem(a))
 	}
 	m.jou.Record(obs.MgrARPBatch, uint64(v.Switch), uint64(len(v.Queries)), uint64(hits), uint64(misses))
 	if len(answers) > 0 {
 		m.send(v.Switch, ctrlmsg.ARPAnswerBatch{Answers: answers})
+	}
+}
+
+// resolveARP decides one query against the registry and counts the
+// verdict. A miss while a resync is outstanding is parked rather than
+// answered: the target may simply not have been replayed yet, and a
+// flood keyed off a half-built location map would go nowhere. Parked
+// queries are re-served the moment the last switch reports
+// (handleSyncDone) — which is what lets a fresh ARP issued the instant
+// a manager restarts resolve within one resync round instead of a full
+// host-side retry.
+func (m *Manager) resolveARP(q ctrlmsg.ARPQuery) (a ctrlmsg.ARPAnswer, parked bool) {
+	a = ctrlmsg.ARPAnswer{QueryID: q.QueryID, TargetIP: q.TargetIP}
+	if rec, ok := m.ips[q.TargetIP]; ok {
+		m.Stats.ARPHits++
+		a.Found, a.PMAC = true, rec.pmac
+		return a, false
+	}
+	if m.syncWaiting > 0 {
+		m.jou.Record(obs.MgrARPParked, uint64(q.Switch), q.QueryID, ip4u32(q.TargetIP), 0)
+		m.pendingARP = append(m.pendingARP, q)
+		return a, true
+	}
+	m.Stats.ARPMisses++
+	return a, false
+}
+
+// floodARP asks every edge switch to broadcast a missed query on its
+// host ports. Floods go in ID order: under CtrlLoss every send draws
+// from the engine RNG, so map-order iteration here would make the
+// whole run's random stream depend on Go map layout. The target list
+// is the cached edge set — one batch, no per-miss sort or filter.
+func (m *Manager) floodARP(q ctrlmsg.ARPQuery) {
+	flood := ctrlmsg.ARPFlood{QueryID: q.QueryID, SenderPMAC: q.SenderPMAC, SenderIP: q.SenderIP, TargetIP: q.TargetIP}
+	m.g.levels()
+	for _, id := range m.g.edgeIDs {
+		m.send(id, flood)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"portland/internal/ctrlmsg"
-	"portland/internal/ctrlnet"
 	"portland/internal/ether"
 	"portland/internal/pmac"
 )
@@ -16,9 +15,6 @@ type recConn struct {
 }
 
 func (c *recConn) Send(m ctrlmsg.Msg) error { c.msgs = append(c.msgs, m); return nil }
-func (c *recConn) Close() error             { return nil }
-func (c *recConn) Stats() ctrlnet.Stats     { return ctrlnet.Stats{} }
-func (c *recConn) Err() error               { return nil }
 
 func (c *recConn) excludes() map[ctrlmsg.RouteExclude]bool {
 	set := make(map[ctrlmsg.RouteExclude]bool)

@@ -127,7 +127,6 @@ type oracle struct {
 	log   []sentExclude // RouteExcludes the manager sent for this message
 	last  ctrlmsg.Msg
 	step  int
-	epoch uint32
 }
 
 // logConn records the RouteExcludes sent to one switch in the
@@ -143,9 +142,6 @@ func (c logConn) Send(m ctrlmsg.Msg) error {
 	}
 	return nil
 }
-func (logConn) Close() error         { return nil }
-func (logConn) Stats() ctrlnet.Stats { return ctrlnet.Stats{} }
-func (logConn) Err() error           { return nil }
 
 func newOracle(tb testing.TB, k int, d *draws) *oracle {
 	o := &oracle{tb: tb, d: d, feed: newFatTreeFeed(tb, k), m: New(), ref: newRefManager(),
@@ -315,20 +311,12 @@ func (o *oracle) next() {
 		o.locate(id, l)
 	case op < 81: // a late Hello
 		o.hello(anyID())
-	case op < 84: // resync, possibly in the middle of a fault
-		o.resync()
-	case op < 86: // the standby is promoted
-		if o.m.passive {
-			o.m.SetPassive(false)
-			o.ref.passive = false
-			o.resync()
-		}
-	case op < 87: // a pod power-cycles
+	case op < 82: // a pod power-cycles
 		o.powerCycle(o.d.intn(o.feed.k))
-	case op < 89: // everything heals: back to the healthy fast path
+	case op < 84: // everything heals: back to the healthy fast path
 		for o.heal(false) {
 		}
-	case op < 92: // a report about a switch outside the fabric
+	case op < 87: // a report about a switch outside the fabric
 		o.report(anyID(), ctrlmsg.SwitchID(9000+o.d.intn(3)), 200, o.d.chance(50))
 	default: // multicast membership moves: every later fault rebuilds
 		// the trees on the same graph, which must not disturb exclusions
@@ -338,14 +326,6 @@ func (o *oracle) next() {
 		host := pmac.PMAC{Pod: l.Pod, Position: l.Pos, Port: uint8(o.d.intn(2)), VMID: 1}.Addr()
 		o.deliver(id, ctrlmsg.McastJoin{Switch: id, Group: uint32(1 + o.d.intn(3)), HostPMAC: host, Join: o.d.chance(75), Source: o.d.chance(30)})
 	}
-}
-
-func (o *oracle) resync() {
-	o.epoch++
-	o.log, o.ref.sent = o.log[:0], o.ref.sent[:0]
-	o.m.BeginResync(o.epoch, nil)
-	o.ref.beginResync()
-	o.compare("BeginResync")
 }
 
 // powerCycle is -exp sc's pod power event as the manager sees it: the
@@ -379,8 +359,8 @@ func (o *oracle) powerCycle(pod int) {
 
 // TestExclusionsMatchReference holds the incremental exclusion
 // maintenance to the full-fabric reference derivation over seeded
-// schedules of faults, late Hellos, relocations, resyncs and standby
-// promotion: same RouteExcludes in the same order, same snapshot, same
+// schedules of faults, late Hellos, relocations, pod power cycles and
+// multicast churn: same RouteExcludes in the same order, same snapshot, same
 // exclusion count, after every single message. The k=8 schedules are
 // two thirds of its run time and are skipped under -short.
 func TestExclusionsMatchReference(t *testing.T) {
@@ -392,12 +372,6 @@ func TestExclusionsMatchReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("k=%d/seed=%d", k, seed), func(t *testing.T) {
 				o := newOracle(t, k, &draws{rng: rand.New(rand.NewSource(seed))})
-				if seed == 3 {
-					// A passive mirror: derives but does not send,
-					// until the schedule promotes it.
-					o.m.SetPassive(true)
-					o.ref.passive = true
-				}
 				o.boot(seed != 1)
 				for booted := o.step; o.step < booted+2000; {
 					o.next()
@@ -420,10 +394,6 @@ func FuzzExclusionSchedule(f *testing.F) {
 			return
 		}
 		o := newOracle(t, 4, &draws{data: data[1:]})
-		if data[0]&2 != 0 {
-			o.m.SetPassive(true)
-			o.ref.passive = true
-		}
 		o.boot(data[0]&1 != 0)
 		for !o.d.exhausted() && o.step < 1500 {
 			o.next()

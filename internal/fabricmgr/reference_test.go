@@ -5,11 +5,11 @@ package fabricmgr
 // maintenance became incremental, kept verbatim (the planGlobalRef
 // precedent in internal/sim) on the flat link map it was written for.
 // refManager models just enough of the manager around it — sessions,
-// locations, the link merge, resync, passivity — to be fed the same
-// message schedule as a real Manager; oracle_test.go compares the two
-// after every message. The only edits to the moved code are the
-// receiver type, the journal calls (dropped), send (recorded) and the
-// name of the per-switch link scan (incident).
+// locations, the link merge — to be fed the same message schedule as
+// a real Manager; oracle_test.go compares the two after every message.
+// The only edits to the moved code are the receiver type, the journal
+// calls (dropped), send (recorded) and the name of the per-switch link
+// scan (incident).
 
 import (
 	"fmt"
@@ -56,11 +56,10 @@ type sentExclude struct {
 }
 
 type refManager struct {
-	conns   map[ctrlmsg.SwitchID]bool
-	locs    map[ctrlmsg.SwitchID]ctrlmsg.Loc
-	links   map[pairKey]*linkState
-	excl    map[ctrlmsg.SwitchID]map[exclKey]bool
-	passive bool
+	conns map[ctrlmsg.SwitchID]bool
+	locs  map[ctrlmsg.SwitchID]ctrlmsg.Loc
+	links map[pairKey]*linkState
+	excl  map[ctrlmsg.SwitchID]map[exclKey]bool
 
 	idsSorted []ctrlmsg.SwitchID
 	idsDirty  bool
@@ -99,7 +98,7 @@ func (m *refManager) handle(msg ctrlmsg.Msg) {
 }
 
 func (m *refManager) send(id ctrlmsg.SwitchID, msg ctrlmsg.RouteExclude) {
-	if !m.passive && m.conns[id] {
+	if m.conns[id] {
 		m.sent = append(m.sent, sentExclude{id, msg})
 	}
 }
@@ -115,10 +114,6 @@ func (m *refManager) noteLoc(id ctrlmsg.SwitchID, loc ctrlmsg.Loc) {
 		m.idsDirty = true
 	}
 	m.locs[id] = loc
-}
-
-func (m *refManager) beginResync() {
-	m.excl = make(map[ctrlmsg.SwitchID]map[exclKey]bool)
 }
 
 func (m *refManager) handleFault(v ctrlmsg.FaultNotify) {

@@ -1,6 +1,6 @@
-// Soft-state resync: everything a restarted (or newly promoted)
-// fabric manager needs to rebuild its state from the fabric, plus the
-// deterministic snapshot the recovery tests compare against.
+// Soft-state resync: everything a restarted fabric manager needs to
+// rebuild its state from the fabric, plus the deterministic snapshot
+// the recovery tests compare against.
 package fabricmgr
 
 import (
@@ -23,7 +23,7 @@ const podSentinel = 0xfffe
 // notePod advances the pod allocator past an observed pod number so a
 // restarted manager never re-issues a pod already in use. Called on
 // every location observation (not just during resync) so a manager
-// that learned pods passively holds the same allocator state as one
+// that learned pods from reports holds the same allocator state as one
 // that assigned them.
 func (m *Manager) notePod(pod uint16) {
 	if pod >= podSentinel {
@@ -44,15 +44,6 @@ func (m *Manager) noteLease(mac ether.Addr, ip netip.Addr) {
 	}
 }
 
-// SetPassive puts the manager in mirror mode: it ingests every
-// message (building the same soft state as the active manager sees)
-// but transmits nothing. A warm standby runs passive until takeover.
-func (m *Manager) SetPassive(p bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.passive = p
-}
-
 // SetOnSyncDone installs the callback fired when the last outstanding
 // StateSyncRequest of an epoch is answered. The callback runs with
 // the manager lock held — record the instant, don't call back in.
@@ -65,30 +56,18 @@ func (m *Manager) SetOnSyncDone(fn func(epoch uint32)) {
 // BeginResync solicits a full state dump from every switch reachable
 // over conns. The manager counts SyncDone replies for this epoch and
 // fires the OnSyncDone callback when the fabric has fully reported.
-// A lost request or reply leaves the count short; callers re-issue
-// BeginResync (or run it over a Reliable channel) on lossy fabrics.
+//
+// Call it on a fresh manager, before it has handled anything: each
+// switch drops the exclusions and multicast entries a manager
+// installed when the request arrives, and only an empty manager's
+// installed-state bookkeeping already agrees. A lost request or reply
+// leaves the count short, so on a lossy fabric run it over Reliable
+// channels.
 func (m *Manager) BeginResync(epoch uint32, conns []ctrlnet.Conn) {
 	m.mu.Lock()
 	m.syncEpoch = epoch
 	m.syncWaiting = len(conns)
 	m.jou.Record(obs.MgrResyncBegin, uint64(epoch), uint64(len(conns)), 0, 0)
-	// Switches drop manager-owned state (exclusions, multicast
-	// entries) when they receive StateSyncRequest, so whatever this
-	// manager believes is installed out there no longer is. Reset the
-	// installed-state bookkeeping so the recompute after the replays
-	// pushes everything again — a restarted manager starts empty, but
-	// a promoted standby inherits a mirror's bookkeeping and must not
-	// trust it.
-	for i := range m.g.nodes {
-		if n := &m.g.nodes[i]; len(n.excl) > 0 {
-			n.excl = n.excl[:0]
-			m.markDirty(int32(i))
-		}
-	}
-	m.installed = 0
-	for _, g := range m.groups {
-		g.installed = make(map[ctrlmsg.SwitchID][]uint8)
-	}
 	m.mu.Unlock()
 	// Send outside the lock: SimConn delivery is synchronous with the
 	// event loop and replies re-enter Handle.

@@ -334,6 +334,44 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// RefcountBalance simulates Apply's bookkeeping without a fabric and
+// returns the hold counts left outstanding after every event has fired
+// and recovered: all zeros iff every fault-holding event recovers.
+// The fuzz harness asserts this for every generated scenario.
+func (s Schedule) RefcountBalance() (links map[int]int, switches map[topo.NodeID]int, manager int) {
+	links = make(map[int]int)
+	switches = make(map[topo.NodeID]int)
+	for _, e := range s.Events {
+		n := 1
+		if e.Duration > 0 {
+			n = 0
+		}
+		for _, li := range e.Links {
+			links[li] += n
+		}
+		for _, g := range e.Gray {
+			links[g.Link] += n
+		}
+		for _, id := range e.Switches {
+			switches[id] += n
+		}
+		if e.Manager {
+			manager += n
+		}
+	}
+	for k, v := range links {
+		if v == 0 {
+			delete(links, k)
+		}
+	}
+	for k, v := range switches {
+		if v == 0 {
+			delete(switches, k)
+		}
+	}
+	return links, switches, manager
+}
+
 // TestRefcountBalance pins the bookkeeping simulator.
 func TestRefcountBalance(t *testing.T) {
 	s := Schedule{Events: []Event{

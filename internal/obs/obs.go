@@ -127,7 +127,8 @@ const (
 	// MgrRestarted: a fresh manager booted and began resync. A=new
 	// control-plane epoch.
 	MgrRestarted
-	// Takeover: the warm standby promoted itself. A=new epoch.
+	// Takeover: a manager shard's watchdog heard no heartbeat and
+	// booted a fresh manager in its place. A=new epoch, B=shard.
 	Takeover
 
 	// GrayOnset: the harness injected a gray failure on a blueprint

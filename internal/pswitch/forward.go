@@ -496,14 +496,6 @@ func (s *Switch) downToPod(h uint32, dst pmac.PMAC) (int, bool) {
 	}
 }
 
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // forwardMulticast replicates a group frame along the fabric-manager
 // installed tree (paper §3.6).
 func (s *Switch) forwardMulticast(inPort int, f *ether.Frame) {

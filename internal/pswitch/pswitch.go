@@ -130,7 +130,7 @@ type Switch struct {
 	resMembers int
 	wild       *candSet
 
-	// Soft state mirrored for manager resync: DHCP leases this switch
+	// Soft state kept for manager resync: DHCP leases this switch
 	// proxied (client MAC → IP) and active group memberships punted
 	// upward (value: source flag). Both replay on StateSyncRequest.
 	leases map[ether.Addr]netip.Addr

@@ -79,6 +79,14 @@ func TestUnresolvedSwitchDropsData(t *testing.T) {
 	}
 }
 
+func sortInts(v []int) {
+	for i := 1; i < len(v); i++ {
+		for j := i; j > 0 && v[j] < v[j-1]; j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+}
+
 func TestSortInts(t *testing.T) {
 	v := []int{5, 1, 4, 1, 3}
 	sortInts(v)

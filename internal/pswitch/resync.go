@@ -17,9 +17,9 @@ type joinKey struct {
 }
 
 // resync answers a fabric-manager StateSyncRequest: dump everything
-// the switch knows so a freshly restarted (or newly promoted) manager
-// can rebuild its soft state from the fabric alone — the paper's §3.2
-// claim, made operational.
+// the switch knows so a freshly restarted manager can rebuild its soft
+// state from the fabric alone — the paper's §3.2 claim, made
+// operational.
 //
 // Manager-owned state (route exclusions, multicast forwarding
 // entries) is dropped first: the new manager diffs its recomputed

@@ -19,9 +19,6 @@ import (
 type recConn struct{ msgs []ctrlmsg.Msg }
 
 func (c *recConn) Send(m ctrlmsg.Msg) error { c.msgs = append(c.msgs, m); return nil }
-func (c *recConn) Close() error             { return nil }
-func (c *recConn) Stats() ctrlnet.Stats     { return ctrlnet.Stats{} }
-func (c *recConn) Err() error               { return nil }
 
 // The edge rig's cast. The host's IP and the stale target's IP are
 // owned by different manager shards of two (ShardOfIP stripes /30
