@@ -17,7 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/ether"
 	"portland/internal/ippkt"
 )
@@ -39,7 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	f, err := portland.NewFatTree(*k, portland.Options{Seed: *seed})
+	f, err := core.NewFatTree(*k, core.Options{Seed: *seed})
 	if err != nil {
 		fatal(err)
 	}
@@ -47,8 +47,8 @@ func main() {
 	if err := f.AwaitDiscovery(10 * time.Second); err != nil {
 		fatal(err)
 	}
-	hosts := f.Hosts()
-	srcH := f.Host(*src)
+	hosts := f.HostList()
+	srcH := f.HostByName(*src)
 	if srcH == nil {
 		fatal(fmt.Errorf("no host %q", *src))
 	}
@@ -56,17 +56,16 @@ func main() {
 	if dstName == "" {
 		dstName = hosts[len(hosts)-1].Name()
 	}
-	dstH := f.Host(dstName)
+	dstH := f.HostByName(dstName)
 	if dstH == nil {
 		fatal(fmt.Errorf("no host %q", dstName))
 	}
 
 	// Tap every switch; collect probe hops keyed by UDP source port.
-	inner := f.Internal()
 	hopsByProbe := map[uint16][]hop{}
 	pending := map[string]map[uint16]int{} // node -> probe -> in port
-	for _, id := range inner.Spec.Switches() {
-		sw := inner.Switches[id]
+	for _, id := range f.Spec.Switches() {
+		sw := f.Switches[id]
 		name := sw.Name()
 		pending[name] = map[uint16]int{}
 		sw.Tap = func(port int, frame *ether.Frame, egress bool) {
@@ -87,13 +86,13 @@ func main() {
 	}
 
 	if *pcapF != "" {
-		edge := edgeOf(f, *src)
+		edge := edgeOf(*src)
 		file, err := os.Create(*pcapF)
 		if err != nil {
 			fatal(err)
 		}
 		defer file.Close()
-		pw, err := f.Internal().CapturePcap(edge, file)
+		pw, err := f.CapturePcap(edge, file)
 		if err != nil {
 			fatal(err)
 		}
@@ -120,10 +119,12 @@ func main() {
 	sendProbe(1, 33001)
 
 	if *fail != "" {
-		parts := strings.SplitN(*fail, ":", 2)
-		if len(parts) != 2 || !f.FailLink(parts[0], parts[1]) {
+		a, b, _ := strings.Cut(*fail, ":")
+		link, ok := f.LinkBetween(a, b)
+		if !ok {
 			fatal(fmt.Errorf("no such link %q", *fail))
 		}
+		f.FailLink(link)
 		fmt.Printf("\nfailed link %s; waiting for reconvergence...\n\n", *fail)
 		f.RunFor(500 * time.Millisecond)
 		sendProbe(2, 33002)
@@ -144,7 +145,7 @@ func probeID(f *ether.Frame) (uint16, bool) {
 	return udp.SrcPort, true
 }
 
-func edgeOf(f *portland.Fabric, hostName string) string {
+func edgeOf(hostName string) string {
 	// host-pX-eY-hZ attaches to edge-pX-sY.
 	var p, e, h int
 	if _, err := fmt.Sscanf(hostName, "host-p%d-e%d-h%d", &p, &e, &h); err != nil {

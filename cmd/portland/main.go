@@ -17,7 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/workload"
 )
 
@@ -30,7 +30,7 @@ func main() {
 	)
 	flag.Parse()
 
-	f, err := portland.NewFatTree(*k, portland.Options{Seed: *seed})
+	f, err := core.NewFatTree(*k, core.Options{Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -41,42 +41,42 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("location discovery complete at t=%v\n", f.Now())
-	if err := f.VerifyDiscovery(); err != nil {
+	if err := f.CheckDiscovery(); err != nil {
 		fmt.Fprintf(os.Stderr, "ground-truth check failed: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Println("ground-truth check: OK")
 
-	inner := f.Internal()
 	fmt.Println("\ndiscovered locations:")
 	var names []string
-	for _, id := range inner.Spec.Switches() {
-		names = append(names, inner.Switches[id].Name())
+	for _, id := range f.Spec.Switches() {
+		names = append(names, f.Switches[id].Name())
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		sw := f.Switch(n)
-		fmt.Printf("  %-14s %v\n", n, sw.Loc())
+		fmt.Printf("  %-14s %v\n", n, f.SwitchByName(n).Loc())
 	}
 
-	n := workload.ARPStorm(f.Hosts(), *warm)
+	n := workload.ARPStorm(f.HostList(), *warm)
 	f.RunFor(2 * time.Second)
 	fmt.Printf("\nwarm-up: %d resolutions, fabric manager now holds %d host mappings\n",
-		n, f.Manager().NumHosts())
+		n, f.Manager.NumHosts())
 
 	if *fail != "" {
-		parts := strings.SplitN(*fail, ":", 2)
-		if len(parts) != 2 || !f.FailLink(parts[0], parts[1]) {
+		a, b, _ := strings.Cut(*fail, ":")
+		link, ok := f.LinkBetween(a, b)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "no such link: %s\n", *fail)
 			os.Exit(1)
 		}
+		f.FailLink(link)
 		f.RunFor(500 * time.Millisecond)
 		fmt.Printf("\nfailed link %s; fabric manager recorded %d fault events and pushed %d route exclusions\n",
-			*fail, f.Manager().Stats.FaultEvents, f.Manager().Stats.ExclusionsSet)
+			*fail, f.Manager.Stats.FaultEvents, f.Manager.Stats.ExclusionsSet)
 	}
 
-	toMgr, fromMgr := f.ControlTraffic()
+	toMgr, fromMgr := f.ControlStats()
 	fmt.Printf("\ncontrol plane: %d msgs / %d bytes to manager, %d msgs / %d bytes from manager\n",
 		toMgr.Msgs, toMgr.Bytes, fromMgr.Msgs, fromMgr.Bytes)
-	fmt.Printf("manager counters: %+v\n", f.Manager().Stats)
+	fmt.Printf("manager counters: %+v\n", f.Manager.Stats)
 }

@@ -10,13 +10,13 @@ import (
 	"log"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
 
 func main() {
-	fabric, err := portland.NewFatTree(4, portland.Options{Seed: 7})
+	fabric, err := core.NewFatTree(4, core.Options{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,36 +25,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	inner := fabric.Internal()
-	hosts := fabric.Hosts()
+	hosts := fabric.HostList()
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	flow := workload.StartCBR(src, dst, 20000, time.Millisecond, 128)
 	fabric.RunFor(500 * time.Millisecond)
 	fmt.Printf("flow %s → %s warmed up: %d probes delivered\n", src.Name(), dst.Name(), flow.RX.Len())
 
 	// Find the agg-core link actually carrying the flow.
-	base := make([]int64, len(inner.Links))
-	for i, l := range inner.Links {
-		base[i] = l.Delivered()
+	best, err := fabric.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fabric.RunFor(100 * time.Millisecond)
-	best, bestDelta := -1, int64(0)
-	for i, ls := range inner.Spec.Links {
-		a, b := inner.Spec.Nodes[ls.A.Node], inner.Spec.Nodes[ls.B.Node]
-		agg := a.Level == topo.Aggregation || b.Level == topo.Aggregation
-		core := a.Level == topo.Core || b.Level == topo.Core
-		if !(agg && core) {
-			continue
-		}
-		if d := inner.Links[i].Delivered() - base[i]; d > bestDelta {
-			bestDelta, best = d, i
-		}
-	}
-	link := inner.Links[best]
-	fmt.Printf("flow is riding %v — failing it now\n", link)
+	fmt.Printf("flow is riding %v — failing it now\n", fabric.Links[best])
 
 	failAt := fabric.Now()
-	inner.FailLink(best)
+	fabric.FailLink(best)
 	fabric.RunFor(time.Second)
 
 	conv, ok := flow.RX.ConvergenceAfter(failAt, time.Millisecond)
@@ -64,7 +49,7 @@ func main() {
 	fmt.Printf("✓ fabric reconverged in %v (LDM detection + fabric-manager redistribution + local ECMP)\n", conv)
 
 	restoreAt := fabric.Now()
-	inner.RestoreLink(best)
+	fabric.RestoreLink(best)
 	fabric.RunFor(time.Second)
 	conv, _ = flow.RX.ConvergenceAfter(restoreAt, time.Millisecond)
 	fmt.Printf("✓ link restored; disturbance on recovery: %v\n", conv)

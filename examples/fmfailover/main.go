@@ -15,13 +15,13 @@ import (
 	"net/netip"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/ether"
 	"portland/internal/workload"
 )
 
 func main() {
-	fabric, err := portland.NewFatTree(4, portland.Options{Seed: 7})
+	fabric, err := core.NewFatTree(4, core.Options{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,8 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	inner := fabric.Internal()
-	hosts := fabric.Hosts()
+	hosts := fabric.HostList()
 
 	// Warm flow: its path state is installed in the switches. The
 	// cold-probe pair also exchanges one datagram now, so the edge
@@ -41,14 +40,14 @@ func main() {
 	hosts[2].Endpoint().BindUDP(7100, func(netip.Addr, uint16, ether.Payload) {})
 	hosts[13].Endpoint().SendUDP(hosts[2].IP(), 7100, 7100, 64)
 	fabric.RunFor(500 * time.Millisecond)
-	pre := fabric.Manager().Snapshot()
+	pre := fabric.Manager.Snapshot()
 	fmt.Printf("warm flow delivered %d probes; manager holds %d bytes of soft state\n",
 		warm.RX.Len(), len(pre))
 
 	// Crash the manager. The warm flow keeps forwarding — installed
 	// state needs no manager — but a *cold* resolution goes dark.
 	fmt.Println("\n-- killing the fabric manager --")
-	inner.KillManager()
+	fabric.KillManager()
 	killAt := fabric.Now()
 	warmBefore := warm.RX.Len()
 
@@ -65,7 +64,7 @@ func main() {
 	// membership) and rebuilds the registry, fault matrix and trees.
 	fmt.Println("\n-- restarting the fabric manager --")
 	restartAt := fabric.Now()
-	m := inner.RestartManager()
+	m := fabric.RestartManager()
 	var syncedAt time.Duration
 	m.SetOnSyncDone(func(uint32) { syncedAt = fabric.Now() })
 	fabric.RunFor(300 * time.Millisecond)

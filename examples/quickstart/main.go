@@ -11,12 +11,12 @@ import (
 	"net/netip"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/ether"
 )
 
 func main() {
-	fabric, err := portland.NewFatTree(4, portland.Options{Seed: 42})
+	fabric, err := core.NewFatTree(4, core.Options{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,12 +25,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("✓ location discovery finished at t=%v (virtual)\n", fabric.Now())
-	if err := fabric.VerifyDiscovery(); err != nil {
+	if err := fabric.CheckDiscovery(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("✓ discovered levels/pods/positions match the blueprint")
 
-	hosts := fabric.Hosts()
+	hosts := fabric.HostList()
 	src, dst := hosts[0], hosts[len(hosts)-1] // opposite corners of the tree
 
 	got := 0
@@ -49,6 +49,6 @@ func main() {
 	fmt.Printf("  sender's ARP cache for %v: %v (a PMAC)\n", dst.IP(), mac)
 	fmt.Printf("  receiver's real MAC:       %v (never seen by the sender)\n", dst.MAC())
 
-	toMgr, fromMgr := fabric.ControlTraffic()
+	toMgr, fromMgr := fabric.ControlStats()
 	fmt.Printf("  control plane so far: %d B up, %d B down\n", toMgr.Bytes, fromMgr.Bytes)
 }

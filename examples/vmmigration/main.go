@@ -14,13 +14,14 @@ import (
 	"net/netip"
 	"time"
 
-	"portland"
+	"portland/internal/core"
 	"portland/internal/ether"
+	"portland/internal/host"
 	"portland/internal/tcplite"
 )
 
 func main() {
-	fabric, err := portland.NewFatTree(4, portland.Options{Seed: 11})
+	fabric, err := core.NewFatTree(4, core.Options{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	client := fabric.Host("host-p0-e0-h0")
-	oldHost := fabric.Host("host-p1-e0-h0")
-	newHost := fabric.Host("host-p3-e1-h1")
+	client := fabric.HostByName("host-p0-e0-h0")
+	oldHost := fabric.HostByName("host-p1-e0-h0")
+	newHost := fabric.HostByName("host-p3-e1-h1")
 
-	vm := portland.NewVM(ether.Addr{0x02, 0xde, 0xad, 0, 0, 1}, netip.MustParseAddr("10.99.0.1"))
+	vm := host.NewVM(ether.Addr{0x02, 0xde, 0xad, 0, 0, 1}, netip.MustParseAddr("10.99.0.1"))
 	oldHost.AttachVM(vm)
 	fabric.RunFor(100 * time.Millisecond)
 	vm.ListenTCP(80, nil)
@@ -64,6 +65,6 @@ func main() {
 		before>>20, after>>20, conn.State())
 	fmt.Printf("✓ client's neighbor cache updated transparently: %v → %v\n", beforeMAC, afterMAC)
 	fmt.Printf("  RTO events during migration: %d (TCP rode out the blackout)\n", conn.Stats.Timeouts)
-	fmt.Printf("  fabric manager recorded %d migration(s)\n", fabric.Manager().Stats.Migrations)
+	fmt.Printf("  fabric manager recorded %d migration(s)\n", fabric.Manager.Stats.Migrations)
 	_ = resumeAt
 }

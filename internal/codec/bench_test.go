@@ -6,8 +6,8 @@ import (
 	"portland/internal/ether"
 )
 
-// BenchmarkCodecVerifyFrame is the WireCheck hot path: every delivered
-// frame pays one of these when core.Options.WireCheck is set. The
+// BenchmarkCodecVerifyFrame is the wire-check hot path: every delivered
+// frame pays one of these under a verifying link Tap. The
 // marshal halves ride pooled buffers; remaining allocs/op come from
 // the decode side's typed payload structs.
 func BenchmarkCodecVerifyFrame(b *testing.B) {

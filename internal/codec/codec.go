@@ -2,9 +2,9 @@
 // decode any payload the fabric carries from raw bytes by EtherType,
 // and — the honesty check the simulator's typed fast path needs —
 // verify that a typed frame survives a marshal/decode round trip
-// byte-for-byte. core.Options.WireCheck runs VerifyFrame on every
-// delivered frame, so a whole experiment doubles as a codec fuzzer
-// with real traffic.
+// byte-for-byte. A link Tap that runs VerifyFrame on every delivered
+// frame (core's TestWireCheckAllTraffic installs one on each link)
+// turns a whole run into a codec fuzzer with real traffic.
 package codec
 
 import (
@@ -81,8 +81,8 @@ func DecodeFrame(b []byte) (*ether.Frame, error) {
 }
 
 // verifyBufs is the pair of scratch wire buffers one VerifyFrame call
-// needs. They are pooled — WireCheck runs on every delivered frame,
-// and with the parallel experiment runner on many engines at once —
+// needs. They are pooled — a wire-check tap runs it on every delivered
+// frame, and with the parallel experiment runner on many engines at once —
 // so the marshal side of the check is allocation-free at steady state.
 type verifyBufs struct{ a, b []byte }
 

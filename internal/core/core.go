@@ -2,8 +2,8 @@
 // instantiates the fabric manager, one pswitch.Switch per switch in a
 // topology blueprint, one host.Host per host, wires every cable as a
 // simulated link, and connects each switch to the fabric manager over
-// a control channel. This is the composition root the public API,
-// examples, tests and experiment harness all build on.
+// a control channel. This is the one composition root: examples,
+// commands, tests and the experiment harness all drive a Fabric.
 package core
 
 import (
@@ -13,7 +13,6 @@ import (
 	"net/netip"
 	"time"
 
-	"portland/internal/codec"
 	"portland/internal/ctrlmsg"
 	"portland/internal/ctrlnet"
 	"portland/internal/ether"
@@ -50,11 +49,6 @@ type Options struct {
 	Standby bool
 	// LDP tunes the location-discovery timers.
 	LDP ldp.Config
-	// WireCheck round-trips every delivered frame through the real
-	// wire codecs (marshal → decode → re-marshal must be identical),
-	// turning any run into a codec conformance test. Costly; meant
-	// for tests.
-	WireCheck bool
 	// Detect arms every switch's gray-failure detector (default: off,
 	// Interval 0 — byte-identical behavior to a build without one).
 	Detect graydetect.Config
@@ -275,14 +269,6 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 		// rest of the physical config comes from the fabric-wide base.
 		l := dom.Connect(f.engOf[ls.A.Node], f.engOf[ls.B.Node], an, ls.A.Port, bn, ls.B.Port,
 			opts.Link.WithRate(ls.Class.BitsPerSecond()))
-		if opts.WireCheck {
-			l := l
-			l.Tap = func(frame *ether.Frame) {
-				if err := codec.VerifyFrame(frame); err != nil {
-					panic(fmt.Sprintf("wire check on %v: %v", l, err))
-				}
-			}
-		}
 		f.Links = append(f.Links, l)
 	}
 	return f
@@ -417,6 +403,33 @@ func (f *Fabric) LinkBetween(a, b string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// BusiestLink advances the simulation by window and returns the
+// blueprint link between levels la and lb that delivered the most
+// frames during it, the lowest index on a tie — how a caller finds the
+// link a flow (or a multicast tree) is actually riding before failing
+// it. It errors if no such link carried a frame in the window.
+func (f *Fabric) BusiestLink(window time.Duration, la, lb topo.Level) (int, error) {
+	base := make([]int64, len(f.Links))
+	for i, l := range f.Links {
+		base[i] = l.Delivered()
+	}
+	f.RunFor(window)
+	best, bestDelta := -1, int64(0)
+	for i, ls := range f.Spec.Links {
+		al, bl := f.Spec.Nodes[ls.A.Node].Level, f.Spec.Nodes[ls.B.Node].Level
+		if !(al == la && bl == lb || al == lb && bl == la) {
+			continue
+		}
+		if d := f.Links[i].Delivered() - base[i]; d > bestDelta {
+			bestDelta, best = d, i
+		}
+	}
+	if best < 0 {
+		return 0, fmt.Errorf("no %v-%v link carried traffic in %v", la, lb, window)
+	}
+	return best, nil
 }
 
 // FailLink takes the i-th blueprint link down.

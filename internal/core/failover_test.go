@@ -5,46 +5,58 @@ import (
 	"time"
 
 	"portland/internal/tcplite"
+	"portland/internal/topo"
 	"portland/internal/workload"
 )
 
-// pathLinkOf returns a switch-switch link index currently carrying
-// frames between the flow's hosts, found by delta-sampling link
-// delivery counters over a window.
+// activeAggCoreLink returns the aggregation-core link carrying the
+// most frames over the next run of virtual time.
 func activeAggCoreLink(t *testing.T, f *Fabric, run time.Duration) int {
 	t.Helper()
-	type sample struct {
-		idx  int
-		base int64
+	link, err := f.BusiestLink(run, topo.Aggregation, topo.Core)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var candidates []sample
+	return link
+}
+
+// TestBusiestLink pins BusiestLink's contract on an idle fabric,
+// where every agg-core link carries the same LDM keepalives: a tie
+// resolves to the lowest link index, and a window in which no link of
+// the asked tier pair delivers a frame is an error.
+func TestBusiestLink(t *testing.T) {
+	f := buildK4(t)
+	var aggCore []int
 	for i, ls := range f.Spec.Links {
-		an := f.Spec.Nodes[ls.A.Node]
-		bn := f.Spec.Nodes[ls.B.Node]
-		if an.Level.String() == "host" || bn.Level.String() == "host" {
-			continue
-		}
-		candidates = append(candidates, sample{i, f.Links[i].Delivered()})
-	}
-	f.RunFor(run)
-	best, bestDelta := -1, int64(0)
-	for _, c := range candidates {
-		ls := f.Spec.Links[c.idx]
-		an := f.Spec.Nodes[ls.A.Node]
-		bn := f.Spec.Nodes[ls.B.Node]
-		isAggCore := (an.Level.String() == "agg" && bn.Level.String() == "core") ||
-			(an.Level.String() == "core" && bn.Level.String() == "agg")
-		if !isAggCore {
-			continue
-		}
-		if d := f.Links[c.idx].Delivered() - c.base; d > bestDelta {
-			bestDelta, best = d, c.idx
+		a, b := f.Spec.Nodes[ls.A.Node].Level, f.Spec.Nodes[ls.B.Node].Level
+		if a == topo.Aggregation && b == topo.Core || a == topo.Core && b == topo.Aggregation {
+			aggCore = append(aggCore, i)
 		}
 	}
-	if best < 0 {
-		t.Fatal("no aggregation-core link carried traffic")
+	base := make([]int64, len(aggCore))
+	for j, i := range aggCore {
+		base[j] = f.Links[i].Delivered()
 	}
-	return best
+	got, err := f.BusiestLink(100*time.Millisecond, topo.Core, topo.Aggregation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := f.Links[aggCore[0]].Delivered() - base[0]
+	for j, i := range aggCore {
+		if d := f.Links[i].Delivered() - base[j]; d != first || d == 0 {
+			t.Fatalf("%v delivered %d frames, %v delivered %d: not a tie", f.Links[i], d, f.Links[aggCore[0]], first)
+		}
+	}
+	if got != aggCore[0] {
+		t.Fatalf("tie resolved to link %d, want the lowest agg-core index %d", got, aggCore[0])
+	}
+
+	for _, i := range aggCore {
+		f.FailLink(i)
+	}
+	if got, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core); err == nil {
+		t.Fatalf("every agg-core link is down, yet BusiestLink returned link %d", got)
+	}
 }
 
 func TestLinkFailureConvergence(t *testing.T) {

@@ -67,31 +67,9 @@ func TestMulticastFailureRecovery(t *testing.T) {
 	})
 	f.RunFor(300 * time.Millisecond)
 
-	// Fail a link in the installed tree: find an agg-core link
-	// carrying group traffic by delta-sampling.
-	base := make([]int64, len(f.Links))
-	for i, l := range f.Links {
-		base[i] = l.Delivered()
-	}
-	f.RunFor(100 * time.Millisecond)
-	best, bestDelta := -1, int64(0)
-	for i, ls := range f.Spec.Links {
-		an, bn := f.Spec.Nodes[ls.A.Node], f.Spec.Nodes[ls.B.Node]
-		if an.Level.String() == "host" || bn.Level.String() == "host" {
-			continue
-		}
-		isAggCore := (an.Level.String() == "agg") != (bn.Level.String() == "agg") &&
-			(an.Level.String() == "core" || bn.Level.String() == "core")
-		if !isAggCore {
-			continue
-		}
-		if d := f.Links[i].Delivered() - base[i]; d > bestDelta {
-			bestDelta, best = d, i
-		}
-	}
-	if best < 0 {
-		t.Fatal("no agg-core link carried multicast")
-	}
+	// Fail a link in the installed tree: the agg-core link carrying
+	// the most group traffic.
+	best := activeAggCoreLink(t, f, 100*time.Millisecond)
 	failAt := f.Eng.Now()
 	f.FailLink(best)
 	f.RunFor(1 * time.Second)

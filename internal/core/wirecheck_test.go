@@ -1,10 +1,10 @@
 package core
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
+	"portland/internal/codec"
 	"portland/internal/ether"
 	"portland/internal/tcplite"
 )
@@ -14,9 +14,16 @@ import (
 // ARP (request/reply/gratuitous), UDP, TCP, multicast and group
 // management all must survive marshal→decode→re-marshal unchanged.
 func TestWireCheckAllTraffic(t *testing.T) {
-	f, err := NewFatTree(4, Options{Seed: 3, WireCheck: true})
+	f, err := NewFatTree(4, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, l := range f.Links {
+		l.Tap = func(frame *ether.Frame) {
+			if err := codec.VerifyFrame(frame); err != nil {
+				t.Fatalf("wire check on %v: %v", l, err)
+			}
+		}
 	}
 	f.Start()
 	if err := f.AwaitDiscovery(2 * time.Second); err != nil {
@@ -45,5 +52,4 @@ func TestWireCheckAllTraffic(t *testing.T) {
 	if conn.State() != tcplite.StateEstablished || rec == 0 {
 		t.Fatalf("scenario incomplete: tcp=%v mcast=%d", conn.State(), rec)
 	}
-	_ = netip.Addr{}
 }

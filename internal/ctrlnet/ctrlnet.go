@@ -267,10 +267,6 @@ func (t *TCPConn) ReadErr() error {
 	return t.readErr
 }
 
-// Err reports the read-loop error: on TCP a framing or decode failure
-// on a byte stream loses synchronization and terminates the session.
-func (t *TCPConn) Err() error { return t.ReadErr() }
-
 func (t *TCPConn) readLoop() {
 	defer close(t.done)
 	var hdr [frameOverhead]byte

@@ -384,7 +384,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 		return n
 	}
 	ldm0 := ldmsSent()
-	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
+	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return out, err
 	}

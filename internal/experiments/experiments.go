@@ -94,29 +94,3 @@ func fprintf(w io.Writer, format string, args ...any) {
 func hr(w io.Writer) {
 	fmt.Fprintln(w, "--------------------------------------------------------------")
 }
-
-// busiestLink advances the simulation by window and returns the
-// blueprint link between levels la and lb that delivered the most
-// frames during it — the experiments use it to find the link a flow
-// (or a multicast tree) is actually riding before failing it.
-func busiestLink(f *core.Fabric, window time.Duration, la, lb topo.Level) (int, error) {
-	base := make([]int64, len(f.Links))
-	for i, l := range f.Links {
-		base[i] = l.Delivered()
-	}
-	f.RunFor(window)
-	best, bestDelta := -1, int64(0)
-	for i, ls := range f.Spec.Links {
-		al, bl := f.Spec.Nodes[ls.A.Node].Level, f.Spec.Nodes[ls.B.Node].Level
-		if !(al == la && bl == lb || al == lb && bl == la) {
-			continue
-		}
-		if d := f.Links[i].Delivered() - base[i]; d > bestDelta {
-			bestDelta, best = d, i
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("no %v-%v link carried traffic in %v", la, lb, window)
-	}
-	return best, nil
-}

@@ -76,7 +76,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	f.RunFor(1 * time.Second)
 
 	// Fail the aggregation→core link the flow currently rides.
-	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
+	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return nil, err
 	}

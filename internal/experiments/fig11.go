@@ -64,11 +64,11 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 	})
 	f.RunFor(300 * time.Millisecond)
 
-	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
+	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		// Single-core tree may keep all traffic intra-pod on the
 		// agg-edge legs; fail the busiest of those instead.
-		link, err = busiestLink(f, 100*time.Millisecond, topo.Edge, topo.Aggregation)
+		link, err = f.BusiestLink(100*time.Millisecond, topo.Edge, topo.Aggregation)
 		if err != nil {
 			return out, err
 		}

@@ -100,7 +100,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	}
 	flows := probeFlows(f, cfg.ProbeEvery)
 
-	link, err := busiestLink(f, 100*time.Millisecond, topo.Aggregation, topo.Core)
+	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return FMFRow{}, err
 	}

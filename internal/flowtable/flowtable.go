@@ -145,9 +145,6 @@ func (t *Table) SetLimit(lim Limit) {
 	}
 }
 
-// Limit reports the table's configured bound (zero value = unbounded).
-func (t *Table) Limit() Limit { return t.lim }
-
 // bounded reports whether eviction bookkeeping is active.
 func (t *Table) bounded() bool { return t.lim.Capacity > 0 }
 

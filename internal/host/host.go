@@ -100,7 +100,7 @@ func (h *Host) Attach(_ int, l *sim.Link) { h.link = l }
 // Start implements sim.Node.
 func (h *Host) Start() {}
 
-// Engine returns the simulation engine.
+// Sim returns the simulation process the host runs on.
 func (h *Host) Sim() *sim.Proc { return h.eng }
 
 // Endpoint returns the host's primary network identity.
@@ -383,7 +383,8 @@ func (ep *Endpoint) LocalIP() netip.Addr { return ep.ip }
 // Host returns the current attachment (nil while migrating).
 func (ep *Endpoint) Host() *Host { return ep.host }
 
-// Engine implements tcplite.Endpoint.
+// Sim implements tcplite.Endpoint: the simulation process the
+// endpoint's timers run on, kept across detachment.
 func (ep *Endpoint) Sim() *sim.Proc { return ep.eng }
 
 // SendIP implements tcplite.Endpoint: wrap the packet in a frame and

@@ -435,14 +435,6 @@ func (r *Registry) Journal(name string, capacity int, now func() time.Duration) 
 	return j
 }
 
-// Journals returns the attached journals in attach order.
-func (r *Registry) Journals() []*Journal {
-	if r == nil {
-		return nil
-	}
-	return r.journals
-}
-
 // EventsCaptured sums the events currently held across all journals.
 func (r *Registry) EventsCaptured() int64 {
 	if r == nil {

@@ -189,9 +189,6 @@ func Accept(ep Endpoint, rip netip.Addr, lport, rport uint16, cfg Config) *Conn 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// Ports returns (local, remote) ports.
-func (c *Conn) Ports() (uint16, uint16) { return c.localPort, c.remotePort }
-
 // Delivered returns in-order bytes received.
 func (c *Conn) Delivered() int64 { return c.Stats.BytesDelivered }
 
