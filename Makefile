@@ -20,15 +20,18 @@ loc:
 # Documentation gate: every exported identifier in the observability
 # surface (obs, metrics, trace), the workload/topology/control-message
 # layers, the hardware-model packages, the fabric manager and the switch
-# with its PMAC table, and the fabric and host API that examples and
-# commands program against must carry a doc comment that opens with the
-# identifier's name (docslint also catches comments that survived a
-# rename).
+# with its PMAC table, the fabric and host API that examples and
+# commands program against, the control transports, the protocol and
+# baseline packages, the engine, and the experiment harness must carry
+# a doc comment that opens with the identifier's name (docslint also
+# catches comments that survived a rename).
 docs-lint:
 	$(GO) run ./cmd/docslint ./internal/obs ./internal/metrics ./internal/trace \
 		./internal/workload ./internal/topo ./internal/ctrlmsg ./internal/flowtable \
 		./internal/fabricmgr ./internal/pswitch ./internal/pmac \
-		./internal/core ./internal/host
+		./internal/core ./internal/host \
+		./internal/ctrlnet ./internal/ldp ./internal/tcplite ./internal/baseline \
+		./internal/sim ./internal/graydetect ./internal/runner ./internal/experiments
 
 # Report-schema gate alone (also runs as part of `make test`): the four
 # checked-in reports must round-trip byte-identically and a fresh

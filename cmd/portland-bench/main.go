@@ -11,7 +11,6 @@
 //	portland-bench -quick          # reduced trial counts (CI-sized)
 //	portland-bench -parallel 4     # worker-pool size (0 = GOMAXPROCS, 1 = serial)
 //	portland-bench -shards 8       # engine shards per fabric (same output)
-//	portland-bench -shards 8 -synccounters  # add sync.* engine counters to reports
 //	portland-bench -cpuprofile cpu.prof -memprofile mem.prof
 //	portland-bench -reports out/   # also write <id>-report.json per experiment
 package main
@@ -46,7 +45,6 @@ func run(args []string, stdout io.Writer) int {
 		quick      = fs.Bool("quick", false, "reduced trial counts")
 		parallel   = fs.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial; same output at every value)")
 		shards     = fs.Int("shards", 0, "engine shards per fabric (0/1 = serial); output is byte-identical at every value")
-		syncCtrs   = fs.Bool("synccounters", false, "report the engine domain's sync.* counters (epoch planner barriers/skips) per cell")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		reports    = fs.String("reports", "", "directory for per-experiment <id>-report.json files")
@@ -71,7 +69,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	runner.SetWorkers(*parallel)
-	settings := experiments.Settings{Quick: *quick, Shards: *shards, SyncCounters: *syncCtrs}
+	settings := experiments.Settings{Quick: *quick, Shards: *shards}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

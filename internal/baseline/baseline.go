@@ -24,19 +24,21 @@ import (
 	"portland/internal/sim"
 )
 
-// Config tunes the spanning-tree timers (defaults follow classic STP
-// scaled down: hello 100 ms, max age 6 hellos) and the hardware bound
-// on the learning table.
+// Spanning-tree timers: classic STP scaled down. Hello is the BPDU
+// period; information older than maxAge (6 hellos) is aged out.
+// forwardDelay is how long a port that just became unblocked stays in
+// the listening state (no data forwarded). Classic STP uses this to
+// prevent transient loops while roles settle; a fat tree's dense
+// meshing makes it mandatory — without it a single broadcast caught
+// in a transient cycle snowballs into a line-rate storm.
+const (
+	Hello        = 100 * time.Millisecond
+	maxAge       = 600 * time.Millisecond
+	forwardDelay = 300 * time.Millisecond
+)
+
+// Config sets the hardware bound on the learning table.
 type Config struct {
-	Hello  time.Duration
-	MaxAge time.Duration
-	// ForwardDelay is how long a port that just became unblocked
-	// stays in the listening state (no data forwarded). Classic STP
-	// uses this to prevent transient loops while roles settle; a
-	// fat tree's dense meshing makes it mandatory — without it a
-	// single broadcast caught in a transient cycle snowballs into a
-	// line-rate storm.
-	ForwardDelay time.Duration
 	// MACTableCap bounds the learned-address CAM; 0 = unbounded (the
 	// pre-hardware-model behavior). A full table evicts the least
 	// recently used address — deterministically, via an intrusive
@@ -45,28 +47,6 @@ type Config struct {
 	// L2 that PortLand's O(k) PMAC state avoids (see HARDWARE.md and
 	// the `-exp ft` sweep).
 	MACTableCap int
-}
-
-// DefaultConfig is the timer set the ablation benches use.
-var DefaultConfig = Config{
-	Hello:        100 * time.Millisecond,
-	MaxAge:       600 * time.Millisecond,
-	ForwardDelay: 300 * time.Millisecond,
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig
-	if c.Hello > 0 {
-		d.Hello = c.Hello
-	}
-	if c.MaxAge > 0 {
-		d.MaxAge = c.MaxAge
-	}
-	if c.ForwardDelay > 0 {
-		d.ForwardDelay = c.ForwardDelay
-	}
-	d.MACTableCap = c.MACTableCap
-	return d
 }
 
 // bpduWireLen is the wire size of a configuration BPDU.
@@ -197,14 +177,14 @@ func New(eng *sim.Proc, id uint32, name string, ports int, cfg Config) *Switch {
 		name:     name,
 		links:    make([]*sim.Link, ports),
 		ports:    make([]portInfo, ports),
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		macTable: make(map[ether.Addr]*camEntry),
 		root:     id,
 		rootPort: -1,
 	}
 	// Every port boots in the listening state.
 	for i := range s.ports {
-		s.ports[i].forwardAt = s.cfg.ForwardDelay
+		s.ports[i].forwardAt = forwardDelay
 	}
 	return s
 }
@@ -217,7 +197,7 @@ func (s *Switch) Attach(port int, l *sim.Link) { s.links[port] = l }
 
 // Start implements sim.Node.
 func (s *Switch) Start() {
-	s.eng.NewTicker(s.cfg.Hello, s.cfg.Hello, s.tick)
+	s.eng.NewTicker(Hello, Hello, s.tick)
 }
 
 // Fail crashes the switch.
@@ -246,22 +226,22 @@ func (s *Switch) tick() {
 	}
 	now := s.eng.Now()
 	// Expire port information that is silent OR whose message age has
-	// exceeded MaxAge (the stored age keeps growing in real time).
+	// exceeded maxAge (the stored age keeps growing in real time).
 	for i := range s.ports {
 		p := &s.ports[i]
-		if p.heard && (now-p.lastHeard > s.cfg.MaxAge || p.age+(now-p.lastHeard) > s.cfg.MaxAge) {
+		if p.heard && (now-p.lastHeard > maxAge || p.age+(now-p.lastHeard) > maxAge) {
 			p.heard = false
 		}
 	}
 	s.recompute()
 	// Send our offering on every port. The advertised age is our root
 	// information's age plus one hop increment. 802.1D keeps the
-	// increment well under MaxAge/diameter so legitimate info survives
+	// increment well under maxAge/diameter so legitimate info survives
 	// the deepest post-failure detour (7 hops in a fat tree); half a
-	// hello gives 12 hops of headroom under the 6-hello MaxAge.
+	// hello gives 12 hops of headroom under the 6-hello maxAge.
 	age := time.Duration(0)
 	if !s.IsRoot() {
-		age = s.rootAge + s.cfg.Hello/2
+		age = s.rootAge + Hello/2
 	}
 	tcms := uint32(0)
 	if now < s.tcUntil {
@@ -297,7 +277,7 @@ func (s *Switch) recompute() {
 	bestAge := time.Duration(0)
 	for i := range s.ports {
 		p := &s.ports[i]
-		if !p.heard || p.age+(now-p.lastHeard) > s.cfg.MaxAge {
+		if !p.heard || p.age+(now-p.lastHeard) > maxAge {
 			continue
 		}
 		if better(p.root, p.cost, p.sender, bestRoot, bestCost, bestSender) {
@@ -311,7 +291,7 @@ func (s *Switch) recompute() {
 	// Port roles: root port forwards; a port is designated (forwards)
 	// if our offering beats the best heard on it; otherwise blocked.
 	// A port leaving the blocked state re-enters listening for
-	// ForwardDelay before passing data.
+	// forwardDelay before passing data.
 	for i := range s.ports {
 		p := &s.ports[i]
 		was := p.blocked
@@ -327,16 +307,16 @@ func (s *Switch) recompute() {
 			changed = true
 		}
 		if was && !p.blocked {
-			p.forwardAt = s.eng.Now() + s.cfg.ForwardDelay
+			p.forwardAt = s.eng.Now() + forwardDelay
 		}
 	}
 	if changed {
 		// Topology change: flush learned addresses and advertise the
-		// TC flag for a MaxAge so the whole domain flushes too —
+		// TC flag for a maxAge so the whole domain flushes too —
 		// without this, one-way flows chase stale entries into dead
 		// subtrees forever.
 		s.flushCAM()
-		s.tcUntil = now + s.cfg.MaxAge
+		s.tcUntil = now + maxAge
 	}
 }
 
@@ -445,7 +425,7 @@ func (s *Switch) HandleFrame(port int, f *ether.Frame) {
 				// Adopt the decayed budget: one hello less than the
 				// advertiser's remaining, so every hop strictly
 				// shrinks it and the wave terminates.
-				rem := time.Duration(b.TCMs)*time.Millisecond - s.cfg.Hello
+				rem := time.Duration(b.TCMs)*time.Millisecond - Hello
 				if until := s.eng.Now() + rem; rem > 0 && until > s.tcUntil {
 					s.flushCAM()
 					s.tcUntil = until

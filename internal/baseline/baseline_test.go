@@ -17,7 +17,7 @@ func buildK4(t *testing.T) *Fabric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := BuildFabric(spec, 3, sim.LinkConfig{}, Config{})
+	f := BuildFabric(spec, 3, Config{})
 	f.Start()
 	if err := f.AwaitTree(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestMACTablePressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := BuildFabric(spec, 3, sim.LinkConfig{}, Config{MACTableCap: cap})
+		f := BuildFabric(spec, 3, Config{MACTableCap: cap})
 		f.Start()
 		if err := f.AwaitTree(5 * time.Second); err != nil {
 			t.Fatal(err)
@@ -286,7 +286,7 @@ func TestMACTablePressure(t *testing.T) {
 func TestMACTablePressureDeterministic(t *testing.T) {
 	run := func() []int64 {
 		spec, _ := topo.FatTree(4)
-		f := BuildFabric(spec, 3, sim.LinkConfig{}, Config{MACTableCap: 6})
+		f := BuildFabric(spec, 3, Config{MACTableCap: 6})
 		f.Start()
 		if err := f.AwaitTree(5 * time.Second); err != nil {
 			t.Fatal(err)

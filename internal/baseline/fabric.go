@@ -24,12 +24,9 @@ type Fabric struct {
 }
 
 // BuildFabric wires a baseline fabric from a blueprint.
-func BuildFabric(spec *topo.Spec, seed uint64, link sim.LinkConfig, cfg Config) *Fabric {
+func BuildFabric(spec *topo.Spec, seed uint64, cfg Config) *Fabric {
 	if seed == 0 {
 		seed = 1
-	}
-	if link.Rate == 0 {
-		link = sim.DefaultLinkConfig
 	}
 	f := &Fabric{
 		Eng:      sim.New(seed),
@@ -50,7 +47,7 @@ func BuildFabric(spec *topo.Spec, seed uint64, link sim.LinkConfig, cfg Config) 
 	}
 	for _, ls := range spec.Links {
 		an, bn := f.node(ls.A.Node), f.node(ls.B.Node)
-		f.Links = append(f.Links, sim.Connect(f.Eng, an, ls.A.Port, bn, ls.B.Port, link))
+		f.Links = append(f.Links, sim.Connect(f.Eng, an, ls.A.Port, bn, ls.B.Port, sim.DefaultLinkConfig))
 	}
 	return f
 }
@@ -85,12 +82,7 @@ func (f *Fabric) AwaitTree(limit time.Duration) error {
 			// Roles and listening periods settle a few hellos after
 			// root agreement; wait them out so callers start with a
 			// loop-free forwarding state.
-			var cfg Config
-			for _, id := range f.Spec.Switches() {
-				cfg = f.Switches[id].cfg
-				break
-			}
-			f.RunFor(cfg.ForwardDelay + 3*cfg.Hello)
+			f.RunFor(forwardDelay + 3*Hello)
 			return nil
 		}
 	}
@@ -133,21 +125,5 @@ func (f *Fabric) SwitchByName(name string) *Switch {
 	return nil
 }
 
-// LinkBetween finds the blueprint link joining two named nodes.
-func (f *Fabric) LinkBetween(a, b string) (int, bool) {
-	ai, aok := f.byName[a]
-	bi, bok := f.byName[b]
-	if !aok || !bok {
-		return 0, false
-	}
-	for i, ls := range f.Spec.Links {
-		if (ls.A.Node == ai && ls.B.Node == bi) || (ls.A.Node == bi && ls.B.Node == ai) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// FailLink / RestoreLink toggle a blueprint link.
-func (f *Fabric) FailLink(i int)    { f.Links[i].SetUp(false) }
-func (f *Fabric) RestoreLink(i int) { f.Links[i].SetUp(true) }
+// FailLink takes a blueprint link down.
+func (f *Fabric) FailLink(i int) { f.Links[i].SetUp(false) }

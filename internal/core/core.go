@@ -35,9 +35,6 @@ type Options struct {
 	// Link is the physical link configuration (default
 	// sim.DefaultLinkConfig: 1 GbE, 1 µs propagation).
 	Link sim.LinkConfig
-	// CtrlDelay is the one-way switch↔fabric-manager latency
-	// (default 20 µs, a rack-local control network).
-	CtrlDelay time.Duration
 	// CtrlLoss is the per-frame loss probability on the control
 	// network (default 0: lossless). Any positive value wraps every
 	// control channel in a Reliable go-back-N layer whose
@@ -61,13 +58,6 @@ type Options struct {
 	// serial run for the same seed (gated by TestShardIdentity and the
 	// sharded experiment goldens).
 	Shards int
-	// SyncCounters, when true, adds the engine domain's
-	// synchronization counters (planner epochs, per-shard
-	// barriers/skips, mailbox traffic) to ObsCounters under "sync.*"
-	// keys. Off by default so sharded replay reports stay
-	// byte-identical to the serial goldens — synchronization cost is
-	// an engine property, not a fabric behavior.
-	SyncCounters bool
 	// MgrShards partitions the fabric manager's IP→PMAC registry by
 	// address prefix across N manager replicas (see ctrlmsg.ShardOfIP).
 	// Shard 0 keeps the route authority — pod numbering, fault matrix,
@@ -125,9 +115,6 @@ func (o Options) withDefaults() Options {
 	if o.Link.Rate == 0 {
 		o.Link = sim.DefaultLinkConfig
 	}
-	if o.CtrlDelay <= 0 {
-		o.CtrlDelay = 20 * time.Microsecond
-	}
 	return o
 }
 
@@ -163,9 +150,6 @@ type Fabric struct {
 	// jFabric records fabric-level interventions (link/switch faults
 	// injected by the harness, manager kill/restart, takeover).
 	jFabric *obs.Journal
-
-	// OnTakeover, if set, observes each watchdog takeover (failover.go).
-	OnTakeover func(epoch uint32)
 
 	// ctrl is each switch's control channels, indexed by manager shard
 	// (failover.go).
@@ -288,15 +272,6 @@ func (f *Fabric) Rand() *rand.Rand { return f.Eng.Rand() }
 // drivers (fault injection, scenario brackets, measurement tickers)
 // may touch any node regardless of the shard layout.
 func (f *Fabric) Sched() sim.Sched { return f.Dom }
-
-// LossyLink returns the default link configuration with a per-frame
-// random loss probability — protocol-robustness tests build fabrics
-// from it.
-func LossyLink(rate float64) sim.LinkConfig {
-	cfg := sim.DefaultLinkConfig
-	cfg.LossRate = rate
-	return cfg
-}
 
 // SwitchID maps a blueprint node to its burned-in switch identifier.
 func SwitchID(id topo.NodeID) ctrlmsg.SwitchID { return ctrlmsg.SwitchID(id) + 1 }

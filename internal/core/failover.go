@@ -17,9 +17,11 @@ import (
 	"portland/internal/topo"
 )
 
-// Heartbeat cadence from each manager shard to its watchdog, and the
-// silence that triggers takeover.
+// The one-way switch↔fabric-manager latency (a rack-local control
+// network), the heartbeat cadence from each manager shard to its
+// watchdog, and the silence that triggers takeover.
 const (
+	ctrlDelay  = 20 * time.Microsecond
 	hbInterval = 20 * time.Millisecond
 	hbTimeout  = 80 * time.Millisecond
 )
@@ -45,7 +47,7 @@ func (f *Fabric) wrapCtrl(c *ctrlnet.SimConn) ctrlnet.Conn {
 	if f.Opts.CtrlLoss <= 0 {
 		return c
 	}
-	return ctrlnet.NewReliable(c.Sched(), c, ctrlnet.ReliableConfig{})
+	return ctrlnet.NewReliable(c.Sched(), c)
 }
 
 // setCtrlHandler binds the receive function at whichever layer is
@@ -65,7 +67,7 @@ func setCtrlHandler(c ctrlnet.Conn, h ctrlnet.Handler) {
 // cross-shard link.
 func (f *Fabric) ctrlPipe(swEng *sim.Engine) (raw1, raw2 *ctrlnet.SimConn) {
 	return ctrlnet.SimPipe(f.Dom, swEng, f.Eng, ctrlnet.PipeConfig{
-		Delay:    f.Opts.CtrlDelay,
+		Delay:    ctrlDelay,
 		LossRate: f.Opts.CtrlLoss,
 	})
 }
@@ -93,7 +95,7 @@ func (f *Fabric) wireWatchdog() {
 	f.hbPrimary = make([]*ctrlnet.SimConn, n)
 	for i := 0; i < n; i++ {
 		i := i
-		hbP, hbS := ctrlnet.SimPipe(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: f.Opts.CtrlDelay})
+		hbP, hbS := ctrlnet.SimPipe(f.Dom, f.Eng, f.Eng, ctrlnet.PipeConfig{Delay: ctrlDelay})
 		f.hbPrimary[i] = hbP
 		hbS.SetHandler(func(m ctrlmsg.Msg) {
 			if _, ok := m.(ctrlmsg.Heartbeat); ok {
@@ -114,17 +116,13 @@ func (f *Fabric) wireWatchdog() {
 	}
 }
 
-// takeover replaces a silent shard: a fresh manager boots on the dead
-// one's pipes and resyncs from the switches, exactly as
-// RestartManagerShard does; only the fabric journal's record differs.
+// takeover replaces a silent shard through restartShard, the path
+// RestartManager takes; only the fabric journal's record differs.
 func (f *Fabric) takeover(shard int) {
 	f.tookOver[shard] = true
 	f.epoch++
 	f.jFabric.Record(obs.Takeover, uint64(f.epoch), uint64(shard), 0, 0)
 	f.restartShard(shard)
-	if f.OnTakeover != nil {
-		f.OnTakeover(f.epoch)
-	}
 }
 
 // TookOver reports whether the watchdog has replaced any shard.
@@ -207,15 +205,10 @@ func (f *Fabric) RestartManager() *fabricmgr.Manager {
 	return f.Manager
 }
 
-// RestartManagerShard boots a fresh manager for one registry shard and
-// resyncs just that shard's slice of the fabric's soft state.
-func (f *Fabric) RestartManagerShard(shard int) *fabricmgr.Manager {
-	f.epoch++
-	f.jFabric.Record(obs.MgrRestarted, uint64(f.epoch), uint64(shard), 0, 0)
-	return f.restartShard(shard)
-}
-
-func (f *Fabric) restartShard(shard int) *fabricmgr.Manager {
+// restartShard boots a fresh manager for one registry shard on the dead
+// one's pipes and resyncs that shard's slice of the fabric's soft
+// state.
+func (f *Fabric) restartShard(shard int) {
 	f.mgrDown[shard] = false
 	m := fabricmgr.New()
 	m.SetShard(shard, len(f.Mgrs))
@@ -239,5 +232,4 @@ func (f *Fabric) restartShard(shard int) *fabricmgr.Manager {
 		f.hbPrimary[shard].SetUp(true)
 	}
 	m.BeginResync(f.epoch, conns)
-	return m
 }

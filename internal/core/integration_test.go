@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"portland/internal/ether"
+	"portland/internal/sim"
 	"portland/internal/workload"
 )
 
@@ -252,7 +253,7 @@ func TestFlowTableDynamics(t *testing.T) {
 func TestDiscoveryUnderLDPLoss(t *testing.T) {
 	f, err := NewFatTree(4, Options{
 		Seed: 21,
-		Link: LossyLink(0.10),
+		Link: lossyLink(0.10),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +280,9 @@ func TestDiscoveryUnderLDPLoss(t *testing.T) {
 	if got < 80 {
 		t.Fatalf("delivered %d/200 at 10%% per-link loss", got)
 	}
-	// No spurious fault storm: with MissFactor=5 the odds of five
-	// consecutive LDM losses are 1e-5 per port-interval, so a few
-	// false positives are tolerable but they must heal.
+	// No spurious fault storm: with a five-interval miss window the
+	// odds of five consecutive LDM losses are 1e-5 per port-interval,
+	// so a few false positives are tolerable but they must heal.
 	if !f.AllResolved() {
 		t.Fatal("resolution regressed")
 	}
@@ -569,4 +570,12 @@ func TestFrameConservation(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("sanity: the failed link should have dropped something")
 	}
+}
+
+// lossyLink returns the default link configuration with a per-frame
+// random loss probability.
+func lossyLink(rate float64) sim.LinkConfig {
+	cfg := sim.DefaultLinkConfig
+	cfg.LossRate = rate
+	return cfg
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"portland/internal/ether"
+	"portland/internal/obs"
 )
 
 // failOneAggCoreLink fails a known agg↔core link and returns its index.
@@ -188,9 +189,6 @@ func TestStandbyTakeover(t *testing.T) {
 	hosts := f.HostList()
 	pre := f.Manager.Snapshot()
 
-	var takeoverEpoch uint32
-	var takeoverAt time.Duration
-	f.OnTakeover = func(e uint32) { takeoverEpoch, takeoverAt = e, f.Eng.Now() }
 	primary := f.Manager
 	killAt := f.Eng.Now()
 	f.KillManager()
@@ -199,6 +197,16 @@ func TestStandbyTakeover(t *testing.T) {
 	if !f.TookOver() {
 		t.Fatal("the watchdog never took over")
 	}
+	var takeovers []obs.Event
+	for _, e := range f.FabricJournal().Events() {
+		if e.Kind == obs.Takeover {
+			takeovers = append(takeovers, e)
+		}
+	}
+	if len(takeovers) != 1 {
+		t.Fatalf("fabric journal holds %d takeover records, want 1", len(takeovers))
+	}
+	takeoverEpoch, takeoverAt := uint32(takeovers[0].A), takeovers[0].At
 	if f.Manager == primary || f.Manager != f.Mgrs[0] {
 		t.Fatal("takeover did not replace the manager")
 	}

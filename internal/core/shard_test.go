@@ -97,44 +97,6 @@ func TestShardIdentityCtrlLoss(t *testing.T) {
 	}
 }
 
-// TestSyncCountersOptIn pins the observability contract: sync.* keys
-// appear in ObsCounters only when Options.SyncCounters is set (the
-// golden-gated replay reports never set it, keeping their byte image),
-// and when set on a sharded fabric the planner's epoch/barrier/skip
-// counters are live.
-func TestSyncCountersOptIn(t *testing.T) {
-	build := func(sync bool) *Fabric {
-		f, err := NewFatTree(4, Options{Seed: 7, Shards: 3, SyncCounters: sync})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Start()
-		f.RunFor(50 * time.Millisecond)
-		return f
-	}
-	for k := range build(false).ObsCounters() {
-		if strings.HasPrefix(k, "sync.") {
-			t.Fatalf("default fabric leaks %q into ObsCounters", k)
-		}
-	}
-	c := build(true).ObsCounters()
-	if c["sync.epochs"] <= 0 {
-		t.Errorf("sync.epochs = %d, want > 0", c["sync.epochs"])
-	}
-	if c["sync.barriers"] <= 0 {
-		t.Errorf("sync.barriers = %d, want > 0", c["sync.barriers"])
-	}
-	if c["sync.skips"] <= 0 {
-		t.Errorf("sync.skips = %d, want > 0 (quiescent shards should be skipped during boot)", c["sync.skips"])
-	}
-	if c["sync.mail_recv"] <= 0 {
-		t.Errorf("sync.mail_recv = %d, want > 0", c["sync.mail_recv"])
-	}
-	if _, ok := c["sync.s2.barriers"]; !ok {
-		t.Error("per-shard sync.s2.barriers key missing")
-	}
-}
-
 // TestShardIdentityK48Boot pins the determinism contract at the
 // paper's deployment scale: a k=48 boot through verified discovery —
 // 2880 switches, 27,648 hosts — must leave byte-identical journals and

@@ -58,9 +58,6 @@ type PipeConfig struct {
 	// LossRate drops each frame independently with this probability
 	// (deterministic given the engine seed).
 	LossRate float64
-	// CorruptRate flips a byte of the encoded frame with this
-	// probability; the receiver counts and discards it.
-	CorruptRate float64
 }
 
 // SimConn is one end of an in-simulator pipe. The end carries its own
@@ -127,17 +124,9 @@ func (c *SimConn) Send(m ctrlmsg.Msg) error {
 	b := ctrlmsg.Encode(m)
 	c.stats.Msgs++
 	c.stats.Bytes += int64(len(b) + frameOverhead)
-	rng := c.proc.Rand()
-	if c.cfg.LossRate > 0 && rng.Float64() < c.cfg.LossRate {
+	if c.cfg.LossRate > 0 && c.proc.Rand().Float64() < c.cfg.LossRate {
 		c.stats.Drops++
 		return nil
-	}
-	if c.cfg.CorruptRate > 0 && rng.Float64() < c.cfg.CorruptRate {
-		// Smash the kind byte: detectably corrupt (no valid kind has
-		// the high bit set), so every corruption event is observable
-		// at the receiver rather than silently decoding to garbage.
-		b = append([]byte(nil), b...)
-		b[0] ^= 0x80
 	}
 	// Keyed by this end's stream; routes through the domain mailbox
 	// when the peer lives on another shard.

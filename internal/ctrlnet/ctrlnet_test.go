@@ -235,35 +235,46 @@ func TestTCPConnOverLoopback(t *testing.T) {
 
 // TestSimPipeCorruptFrameCountedNotFatal is the hardening guarantee:
 // a control frame that fails to decode costs one message, never the
-// process. The corrupted frame is counted in the receiver's stats and
-// surfaced via Err(), and later frames still flow.
+// process. Each hostile frame is fed straight to the receiving end;
+// it is counted in the receiver's stats and surfaced via Err(), and a
+// valid frame sent afterwards still flows.
 func TestSimPipeCorruptFrameCountedNotFatal(t *testing.T) {
-	dom, a, b := simPipe(7, 1, PipeConfig{Delay: time.Microsecond, CorruptRate: 1})
-	eng := dom.Engine(0)
-	var got []ctrlmsg.Msg
-	b.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m) })
-	if err := a.Send(ctrlmsg.Hello{Switch: 1}); err != nil {
-		t.Fatal(err)
+	highBit := ctrlmsg.Encode(ctrlmsg.Hello{Switch: 1})
+	highBit[0] ^= 0x80 // no valid kind has the high bit set
+	reg := ctrlmsg.Encode(ctrlmsg.PMACRegister{Switch: 4, IP: netip.MustParseAddr("10.0.0.2")})
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"empty", nil},
+		{"kind-high-bit", highBit},
+		{"truncated-body", reg[:len(reg)-3]},
+		{"trailing-bytes", append(ctrlmsg.Encode(ctrlmsg.Hello{Switch: 1}), 0xff)},
+		{"nested-seqdata", ctrlmsg.Encode(ctrlmsg.SeqData{Seq: 1, Payload: ctrlmsg.SeqData{Seq: 2, Payload: ctrlmsg.Hello{Switch: 1}}})},
 	}
-	eng.Run()
-	if len(got) != 0 {
-		t.Fatalf("corrupted frame was delivered: %v", got)
-	}
-	bs := b.Stats()
-	if bs.Corrupt != 1 || bs.Drops != 1 {
-		t.Fatalf("receiver stats %+v, want Corrupt=1 Drops=1", bs)
-	}
-	if b.Err() == nil {
-		t.Fatal("decode failure not surfaced via Err()")
-	}
-	// The channel survives: turn corruption off and send again.
-	a.cfg.CorruptRate = 0
-	if err := a.Send(ctrlmsg.PodAssign{Pod: 2}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if len(got) != 1 || got[0] != (ctrlmsg.PodAssign{Pod: 2}) {
-		t.Fatalf("channel dead after corrupt frame: %v", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dom, a, b := simPipe(7, 1, PipeConfig{Delay: time.Microsecond})
+			var got []ctrlmsg.Msg
+			b.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m) })
+			b.deliverRaw(tc.frame)
+			if len(got) != 0 {
+				t.Fatalf("hostile frame was delivered: %v", got)
+			}
+			if bs := b.Stats(); bs.Corrupt != 1 || bs.Drops != 1 {
+				t.Fatalf("receiver stats %+v, want Corrupt=1 Drops=1", bs)
+			}
+			if b.Err() == nil {
+				t.Fatal("decode failure not surfaced via Err()")
+			}
+			if err := a.Send(ctrlmsg.PodAssign{Pod: 2}); err != nil {
+				t.Fatal(err)
+			}
+			dom.Engine(0).Run()
+			if len(got) != 1 || got[0] != (ctrlmsg.PodAssign{Pod: 2}) {
+				t.Fatalf("channel dead after hostile frame: %v", got)
+			}
+		})
 	}
 }
 
@@ -338,8 +349,8 @@ func TestSimPipeSetUp(t *testing.T) {
 func TestReliableOverLossyPipe(t *testing.T) {
 	eachLayout(t, func(t *testing.T, shards int) {
 		d, a, b := simPipe(11, shards, PipeConfig{Delay: 50 * time.Microsecond, LossRate: 0.3})
-		ra := NewReliable(a.Sched(), a, ReliableConfig{})
-		rb := NewReliable(b.Sched(), b, ReliableConfig{})
+		ra := NewReliable(a.Sched(), a)
+		rb := NewReliable(b.Sched(), b)
 		var got []uint64
 		rb.SetHandler(func(m ctrlmsg.Msg) { got = append(got, m.(ctrlmsg.ARPQuery).QueryID) })
 		ra.SetHandler(func(ctrlmsg.Msg) {})
@@ -372,8 +383,8 @@ func TestReliableOverLossyPipe(t *testing.T) {
 func TestReliableQuiescent(t *testing.T) {
 	dom, a, b := simPipe(1, 1, PipeConfig{Delay: time.Microsecond})
 	eng := dom.Engine(0)
-	ra := NewReliable(a.Sched(), a, ReliableConfig{})
-	rb := NewReliable(b.Sched(), b, ReliableConfig{})
+	ra := NewReliable(a.Sched(), a)
+	rb := NewReliable(b.Sched(), b)
 	rb.SetHandler(func(ctrlmsg.Msg) {})
 	_ = ra.Send(ctrlmsg.Hello{Switch: 1})
 	eng.Run()
@@ -406,4 +417,45 @@ func TestTCPConnRejectsOversizedFrame(t *testing.T) {
 	}
 	ca.Close()
 	b.Close()
+}
+
+// TestTCPConnHostilePeer: a peer that sends a frame whose body does
+// not decode, or that closes mid-header or mid-body, ends the read
+// loop (Done closes) with ReadErr set, and never panics the reader.
+func TestTCPConnHostilePeer(t *testing.T) {
+	hello := ctrlmsg.Encode(ctrlmsg.Hello{Switch: 9})
+	frame := func(body []byte, n uint32) []byte {
+		return append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}, body...)
+	}
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"truncated-frame", frame(hello[:len(hello)-2], uint32(len(hello)-2))},
+		{"close-mid-header", []byte{0x00, 0x00}},
+		{"close-mid-body", frame(hello[:2], uint32(len(hello)))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ca, cb := net.Pipe()
+			var got []ctrlmsg.Msg
+			b := NewTCPConn(cb, func(m ctrlmsg.Msg) { got = append(got, m) })
+			go func() {
+				_, _ = ca.Write(tc.bytes)
+				ca.Close()
+			}()
+			select {
+			case <-b.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("read loop did not exit")
+			}
+			if b.ReadErr() == nil {
+				t.Fatal("hostile peer not surfaced via ReadErr()")
+			}
+			if len(got) != 0 {
+				t.Fatalf("hostile frame was delivered: %v", got)
+			}
+			b.Close()
+		})
+	}
 }

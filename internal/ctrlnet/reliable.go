@@ -7,19 +7,11 @@ import (
 	"portland/internal/sim"
 )
 
-// ReliableConfig tunes the retransmission machinery of a Reliable
-// channel end. Zero values are replaced by the defaults below.
-type ReliableConfig struct {
-	// RTO is the initial retransmission timeout.
-	RTO time.Duration
-	// MaxRTO caps the exponential backoff.
-	MaxRTO time.Duration
-	// Jitter is the fractional random spread applied to each timeout
-	// (0.2 → ±20%), desynchronizing retransmits across many switches
-	// that lost frames to the same congested control link.
-	Jitter float64
-}
-
+// Retransmission timing of a Reliable end: the initial timeout, the
+// cap on its exponential backoff, and the fractional random spread
+// applied to each timeout (0.2 → ±20%), which desynchronizes
+// retransmits across many switches that lost frames to the same
+// congested control link.
 const (
 	defaultRTO    = 20 * time.Millisecond
 	defaultMaxRTO = 500 * time.Millisecond
@@ -41,7 +33,6 @@ const (
 type Reliable struct {
 	eng     sim.Sched
 	under   Conn
-	cfg     ReliableConfig
 	handler Handler
 
 	sendNext uint64 // next sequence number to assign
@@ -63,17 +54,8 @@ type Reliable struct {
 // NewReliable wraps under. Call Attach on the wrapped end(s) after
 // both are constructed, then route the underlying conn's inbound
 // messages into Receive (Attach does this for SimConn ends).
-func NewReliable(eng sim.Sched, under Conn, cfg ReliableConfig) *Reliable {
-	if cfg.RTO <= 0 {
-		cfg.RTO = defaultRTO
-	}
-	if cfg.MaxRTO <= 0 {
-		cfg.MaxRTO = defaultMaxRTO
-	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = defaultJitter
-	}
-	r := &Reliable{eng: eng, under: under, cfg: cfg}
+func NewReliable(eng sim.Sched, under Conn) *Reliable {
+	r := &Reliable{eng: eng, under: under}
 	r.timer = eng.NewTimer(r.onTimeout)
 	if sc, ok := under.(*SimConn); ok {
 		sc.SetHandler(r.Receive)
@@ -160,11 +142,11 @@ func (r *Reliable) armTimer() {
 	if shift > 16 {
 		shift = 16
 	}
-	rto := r.cfg.RTO << shift
-	if rto > r.cfg.MaxRTO {
-		rto = r.cfg.MaxRTO
+	rto := defaultRTO << shift
+	if rto > defaultMaxRTO {
+		rto = defaultMaxRTO
 	}
-	spread := 1 + r.cfg.Jitter*(2*r.eng.Rand().Float64()-1)
+	spread := 1 + defaultJitter*(2*r.eng.Rand().Float64()-1)
 	r.timer.Reset(time.Duration(float64(rto) * spread))
 }
 

@@ -320,8 +320,7 @@ func runA3Baseline(k, resolutions int) (a3Half, error) {
 	out.dataFrames = (float64(bDelivered1-bDelivered0) - bBgPerSec*bWindow.Seconds()) / float64(bn)
 	// Hosts also hear periodic BPDUs on their access links; subtract
 	// that background (one BPDU per host per hello).
-	hello := baseline.DefaultConfig.Hello
-	bpduPerHost := bWindow.Seconds() / hello.Seconds()
+	bpduPerHost := bWindow.Seconds() / baseline.Hello.Seconds()
 	out.hostsHearing = float64(hostsIn1-hostsIn0)/float64(bn) - bpduPerHost*float64(len(bf.HostList()))/float64(bn)
 	return out, nil
 }

@@ -11,22 +11,20 @@ import (
 
 // Settings are the run-wide knobs a caller (portland-bench's flags)
 // hands to every experiment. None changes a result: Quick only picks
-// the smaller declared configuration, sharding moves only wall clock,
-// and the sync.* counters describe the engine, not the fabric.
+// the smaller declared configuration and sharding moves only wall
+// clock.
 type Settings struct {
 	// Quick selects the reduced, CI-sized sweep.
 	Quick bool
 	// Shards is the engine-shard count of every fabric built (0/1 =
 	// serial); printed output is byte-identical at every value.
 	Shards int
-	// SyncCounters adds the engine domain's sync.* counters to reports.
-	SyncCounters bool
 }
 
 // rig is the paper-testbed rig under these settings.
 func (s Settings) rig() Rig {
 	r := DefaultRig()
-	r.Shards, r.SyncCounters = s.Shards, s.SyncCounters
+	r.Shards = s.Shards
 	return r
 }
 

@@ -22,7 +22,6 @@ import (
 	"portland/internal/baseline"
 	"portland/internal/core"
 	"portland/internal/obs"
-	"portland/internal/sim"
 	"portland/internal/topo"
 )
 
@@ -61,7 +60,7 @@ func buildBaseline(k int, seed uint64, cfg baseline.Config) (*baseline.Fabric, e
 	if err != nil {
 		return nil, err
 	}
-	bf := baseline.BuildFabric(spec, seed, sim.LinkConfig{}, cfg)
+	bf := baseline.BuildFabric(spec, seed, cfg)
 	bf.Start()
 	if err := bf.AwaitTree(20 * time.Second); err != nil {
 		return nil, err

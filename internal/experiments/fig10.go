@@ -11,20 +11,20 @@ import (
 
 // Fig10Config parameterizes the TCP-convergence experiment (paper
 // Fig. 10: a TCP flow's sequence trace across a failure; recovery is
-// hidden under the 200 ms minimum RTO).
+// hidden under tcplite's 200 ms minimum RTO).
 type Fig10Config struct {
-	Rig    Rig
-	MinRTO time.Duration
-	// Window is the TCP window. The default matches a 2009-era Linux
-	// receive window (64 KiB): small enough that the flow does not
-	// self-congest the 128-frame switch queues, so the trace shows
-	// the failure, not drop-tail sawtooth.
-	Window int
+	Rig Rig
 }
 
-// DefaultFig10 uses the paper's 200 ms minimum RTO.
+// fig10Window is the flow's TCP window: a 2009-era Linux receive
+// window (64 KiB), small enough that the flow does not self-congest
+// the 128-frame switch queues, so the trace shows the failure, not
+// drop-tail sawtooth.
+const fig10Window = 64 << 10
+
+// DefaultFig10 runs on the paper-testbed rig.
 func DefaultFig10() Fig10Config {
-	return Fig10Config{Rig: DefaultRig(), MinRTO: 200 * time.Millisecond, Window: 64 << 10}
+	return Fig10Config{Rig: DefaultRig()}
 }
 
 // SeqPoint is one point of the sequence-number trace.
@@ -61,13 +61,11 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	var deliver metrics.ByteSeries
 	// The delivery trace lives on the server-side connection.
 	dst.Endpoint().ListenTCPWith(80, tcplite.Config{
-		MinRTO:       cfg.MinRTO,
-		Window:       cfg.Window,
+		Window:       fig10Window,
 		TraceDeliver: func(at time.Duration, total int64) { deliver.Add(at, total) },
 	}, nil)
 	conn := src.Endpoint().DialTCP(dst.IP(), 40000, 80, tcplite.Config{
-		MinRTO: cfg.MinRTO,
-		Window: cfg.Window,
+		Window: fig10Window,
 		TraceSend: func(at time.Duration, seq uint32, _ int, retx bool) {
 			res.SendTrace = append(res.SendTrace, SeqPoint{T: at, Seq: int64(seq), Retransmit: retx})
 		},
@@ -94,7 +92,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 
 	res.Report = replayReport("f10", f, obsCell(f, 0, 0, cfg.Rig.Seed).cell, map[string]string{
 		"k":           itoa(cfg.Rig.K),
-		"min_rto":     cfg.MinRTO.String(),
+		"min_rto":     tcplite.MinRTO.String(),
 		"failed_link": linkName(f, link),
 	}, views{faultAt: res.FailAt, arp: true})
 	return res, nil
@@ -102,7 +100,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 
 // Print emits the sequence trace (decimated) and the headline gap.
 func (r *Fig10Result) Print(w io.Writer) {
-	fprintf(w, "Figure 10 — TCP convergence across a link failure (min RTO %v)\n", r.Cfg.MinRTO)
+	fprintf(w, "Figure 10 — TCP convergence across a link failure (min RTO %v)\n", tcplite.MinRTO)
 	hr(w)
 	fprintf(w, "failure injected at t=%v\n", r.FailAt)
 	fprintf(w, "delivery gap at receiver: %s (paper: ~RTOmin plus reconvergence)\n", metrics.FmtMs(r.Gap))

@@ -19,7 +19,6 @@ type Fig12Config struct {
 	Rig    Rig
 	Pause  time.Duration // stop-and-copy blackout
 	Bucket time.Duration // throughput bucket width
-	MinRTO time.Duration
 }
 
 // DefaultFig12 models a sub-second stop-and-copy pause.
@@ -28,7 +27,6 @@ func DefaultFig12() Fig12Config {
 		Rig:    DefaultRig(),
 		Pause:  300 * time.Millisecond,
 		Bucket: 100 * time.Millisecond,
-		MinRTO: 200 * time.Millisecond,
 	}
 }
 
@@ -61,10 +59,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	vm.ListenTCP(80, nil)
 
 	var deliver metrics.ByteSeries
-	conn := client.Endpoint().DialTCP(vm.LocalIP(), 41000, 80, tcplite.Config{
-		MinRTO:       cfg.MinRTO,
-		TraceDeliver: nil, // receiver side traces below
-	})
+	conn := client.Endpoint().DialTCP(vm.LocalIP(), 41000, 80, tcplite.Config{}) // receiver side traces below
 	// The server (VM side) records delivery; hook once it accepts.
 	f.RunFor(50 * time.Millisecond)
 	conn.Queue(1 << 30)

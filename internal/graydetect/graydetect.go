@@ -101,9 +101,6 @@ func New(cfg Config) *Detector {
 	return &Detector{cfg: cfg, ports: make(map[int]*portState)}
 }
 
-// Config returns the detector's configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Quarantined reports whether the detector currently holds port.
 func (d *Detector) Quarantined(port int) bool {
 	st := d.ports[port]

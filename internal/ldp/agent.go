@@ -9,35 +9,26 @@ import (
 	"portland/internal/sim"
 )
 
-// Config tunes the protocol's timers. The defaults follow the paper:
-// 10 ms LDM interval; a port silent for SilenceFactor intervals at
-// boot is a host port; a switch neighbor silent for MissFactor
-// intervals is declared down.
+// Config tunes the protocol's timers. Only the LDM interval is a
+// setting (default 10 ms, the paper's); the silence and miss windows
+// are fixed multiples of it.
 type Config struct {
-	Interval      time.Duration
-	SilenceFactor int
-	MissFactor    int
+	Interval time.Duration
 }
 
-// DefaultConfig is the paper's timer set.
-var DefaultConfig = Config{
-	Interval:      10 * time.Millisecond,
-	SilenceFactor: 4,
-	MissFactor:    5,
-}
+// A port silent for silenceFactor intervals at boot is a host port; a
+// switch neighbor silent for missFactor intervals is declared down.
+const (
+	defaultInterval = 10 * time.Millisecond
+	silenceFactor   = 4
+	missFactor      = 5
+)
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig
-	if c.Interval > 0 {
-		d.Interval = c.Interval
+	if c.Interval <= 0 {
+		c.Interval = defaultInterval
 	}
-	if c.SilenceFactor > 0 {
-		d.SilenceFactor = c.SilenceFactor
-	}
-	if c.MissFactor > 0 {
-		d.MissFactor = c.MissFactor
-	}
-	return d
+	return c
 }
 
 // Env is the switch-side surface the agent drives.
@@ -163,7 +154,7 @@ func (a *Agent) SetJournal(j *obs.Journal) { a.jou = j }
 // Start begins announcing and arms the boot-silence classifier.
 func (a *Agent) Start() {
 	a.ticker = a.eng.NewTicker(a.cfg.Interval, a.cfg.Interval, a.tick)
-	a.eng.Schedule(time.Duration(a.cfg.SilenceFactor)*a.cfg.Interval, a.classifyBySilence)
+	a.eng.Schedule(silenceFactor*a.cfg.Interval, a.classifyBySilence)
 }
 
 // Stop halts announcements (used when failing an entire switch).
@@ -185,9 +176,6 @@ func (a *Agent) Pod() uint16 { return a.pod }
 // Pos returns the discovered position (PosUnknown early on).
 func (a *Agent) Pos() uint8 { return a.pos }
 
-// Resolved reports whether LocationResolved has fired.
-func (a *Agent) Resolved() bool { return a.resolvedSent }
-
 // IsHostPort reports whether port faces a host.
 func (a *Agent) IsHostPort(port int) bool { return a.ports[port].host }
 
@@ -200,21 +188,8 @@ func (a *Agent) Neighbor(port int) (Neighbor, bool) {
 	return p.neighbor, true
 }
 
-// LiveDownNeighbors returns port→neighbor for live lower-level
-// neighbors (aggregation: edges; core: aggregations).
-func (a *Agent) LiveDownNeighbors() map[int]Neighbor {
-	if a.downLevel() == ctrlmsg.LevelUnknown {
-		return nil
-	}
-	m := make(map[int]Neighbor)
-	a.ForEachLiveDown(func(port int, n Neighbor) {
-		m[port] = n
-	})
-	return m
-}
-
 // Version returns the route-input version counter: it changes whenever
-// anything that ForEachLiveUp / LiveDownNeighbors derive from changes.
+// anything that ForEachLiveUp / ForEachLiveDown derive from changes.
 // Callers cache candidate sets against it.
 func (a *Agent) Version() uint64 { return a.version }
 
@@ -327,7 +302,7 @@ func (a *Agent) tick() {
 		a.env.SendLDP(i, ldm)
 	}
 	// Liveness sweep.
-	deadline := a.eng.Now() - time.Duration(a.cfg.MissFactor)*a.cfg.Interval
+	deadline := a.eng.Now() - missFactor*a.cfg.Interval
 	for i := range a.ports {
 		p := &a.ports[i]
 		if !p.seen || p.host || !p.neighbor.Alive {
@@ -383,9 +358,6 @@ func (a *Agent) Quarantine(port int) bool {
 func (a *Agent) Unquarantine(port int) {
 	a.ports[port].quarantined = false
 }
-
-// Quarantined reports whether port is held down by the detector.
-func (a *Agent) Quarantined(port int) bool { return a.ports[port].quarantined }
 
 // HandleLDP processes an inbound LDP packet.
 func (a *Agent) HandleLDP(port int, pkt *Packet) {
@@ -491,7 +463,7 @@ func (a *Agent) allPortsSeen() bool {
 	return true
 }
 
-// classifyBySilence runs once, SilenceFactor intervals after boot:
+// classifyBySilence runs once, silenceFactor intervals after boot:
 // ports that have never carried an LDM are host ports. A switch with
 // both kinds is an edge switch; one with none silent that has heard
 // only aggregation neighbors is core (handled in inferLevel on the
@@ -505,7 +477,7 @@ func (a *Agent) classifyBySilence() {
 	}
 	if !anySeen {
 		// Totally isolated switch; re-check later.
-		a.eng.Schedule(time.Duration(a.cfg.SilenceFactor)*a.cfg.Interval, a.classifyBySilence)
+		a.eng.Schedule(silenceFactor*a.cfg.Interval, a.classifyBySilence)
 		return
 	}
 	for i := range a.ports {

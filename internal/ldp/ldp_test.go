@@ -260,7 +260,7 @@ func TestAggregationGrantsFirstComeFirstServed(t *testing.T) {
 func TestMissedLDMFaultDetection(t *testing.T) {
 	eng := sim.New(1)
 	env := &fakeEnv{id: 10, ports: 2}
-	cfg := Config{Interval: 10 * time.Millisecond, MissFactor: 5}
+	cfg := Config{Interval: 10 * time.Millisecond}
 	a := New(eng.NewProc(), env, cfg)
 	a.Start()
 	// Feed LDMs on port 0 every interval via a ticker, then stop.
@@ -284,7 +284,7 @@ func TestMissedLDMFaultDetection(t *testing.T) {
 	if down.port != 0 || down.peer.ID != 44 {
 		t.Fatalf("down event %+v", down)
 	}
-	// Detection latency ≈ MissFactor × interval (+1 tick of sweep
+	// Detection latency ≈ missFactor × interval (+1 tick of sweep
 	// granularity).
 	detect := eng.Now() // not exact; bound via statuses? use range check below
 	_ = detect

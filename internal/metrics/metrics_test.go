@@ -198,3 +198,12 @@ func TestMsHelpers(t *testing.T) {
 		t.Fatal("FmtMs")
 	}
 }
+
+func TestLinkDropsString(t *testing.T) {
+	var d LinkDrops
+	d.Add(LinkDrops{Queue: 1, Loss: 2})
+	d.Add(LinkDrops{Gray: 3, Down: 4})
+	if got, want := d.String(), "drops=10 (queue=1 loss=2 gray=3 down=4)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}

@@ -186,9 +186,6 @@ func New(eng *sim.Proc, id ctrlmsg.SwitchID, name string, ports int, cfg ldp.Con
 // agentEnv adapts Switch to ldp.Env without exporting the callbacks.
 type agentEnv Switch
 
-// ID returns the switch identifier.
-func (s *Switch) ID() ctrlmsg.SwitchID { return s.id }
-
 // Name implements sim.Node.
 func (s *Switch) Name() string { return s.name }
 

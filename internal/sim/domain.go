@@ -217,20 +217,11 @@ func (d *Domain) SetWorkers(n int) {
 // fewer still.
 func (d *Domain) EffectiveWorkers() int { return d.workers }
 
-// Lookahead returns the global conservative lookahead (minimum
-// registered cross-shard delay over all pairs), or 0 if no cross-shard
-// coupling is wired.
-func (d *Domain) Lookahead() time.Duration { return d.look }
-
-// PairLookahead returns the planner's effective bound for events sent
-// from shard src to shard dst: the minimum registered delay for that
-// directed pair, falling back to the global lookahead when the pair
-// has no registered coupling (0 if the domain has no couplings at
-// all, meaning "unbounded").
-func (d *Domain) PairLookahead(src, dst int) time.Duration {
-	return d.pairLook(src, dst)
-}
-
+// pairLook returns the planner's effective bound for events sent from
+// shard src to shard dst: the minimum registered delay for that
+// directed pair, falling back to the global lookahead (d.look, the
+// minimum over all pairs) when the pair has no registered coupling (0
+// if the domain has no couplings at all, meaning "unbounded").
 func (d *Domain) pairLook(src, dst int) time.Duration {
 	if v := d.lookM[src*len(d.engines)+dst]; v > 0 {
 		return v

@@ -234,8 +234,8 @@ func TestDomainExclusiveDeadline(t *testing.T) {
 // run their local work in one epoch without ever synchronizing.
 func TestDomainUncoupledShards(t *testing.T) {
 	d := NewDomain(4, 3)
-	if d.Lookahead() != 0 {
-		t.Fatalf("lookahead = %v before any RegisterLatency", d.Lookahead())
+	if d.look != 0 {
+		t.Fatalf("lookahead = %v before any RegisterLatency", d.look)
 	}
 	counts := make([]int, 3)
 	for i := 0; i < 3; i++ {
@@ -257,14 +257,14 @@ func TestDomainUncoupledShards(t *testing.T) {
 func TestRegisterLatencyRules(t *testing.T) {
 	d := NewDomain(1, 2)
 	d.RegisterLatency(d.Engine(0), d.Engine(0), 0) // same engine: ignored
-	if d.Lookahead() != 0 {
-		t.Fatalf("same-engine coupling changed lookahead to %v", d.Lookahead())
+	if d.look != 0 {
+		t.Fatalf("same-engine coupling changed lookahead to %v", d.look)
 	}
 	d.RegisterLatency(d.Engine(0), d.Engine(1), 4*time.Millisecond)
 	d.RegisterLatency(d.Engine(0), d.Engine(1), 2*time.Millisecond)
 	d.RegisterLatency(d.Engine(0), d.Engine(1), 3*time.Millisecond)
-	if d.Lookahead() != 2*time.Millisecond {
-		t.Fatalf("lookahead = %v, want the minimum registered delay 2ms", d.Lookahead())
+	if d.look != 2*time.Millisecond {
+		t.Fatalf("lookahead = %v, want the minimum registered delay 2ms", d.look)
 	}
 	defer func() {
 		if recover() == nil {
@@ -612,20 +612,20 @@ func TestWorkerCap(t *testing.T) {
 func TestPairLookahead(t *testing.T) {
 	d := NewDomain(2, 3)
 	d.RegisterLatencyDir(d.Engine(0), d.Engine(1), 2*time.Millisecond)
-	if got := d.PairLookahead(0, 1); got != 2*time.Millisecond {
+	if got := d.pairLook(0, 1); got != 2*time.Millisecond {
 		t.Fatalf("look[0→1] = %v, want 2ms", got)
 	}
-	if got := d.PairLookahead(1, 0); got != 2*time.Millisecond {
+	if got := d.pairLook(1, 0); got != 2*time.Millisecond {
 		t.Fatalf("unregistered look[1→0] = %v, want the 2ms global fallback", got)
 	}
 	d.RegisterLatencyDir(d.Engine(1), d.Engine(0), 5*time.Millisecond)
-	if got := d.PairLookahead(1, 0); got != 5*time.Millisecond {
+	if got := d.pairLook(1, 0); got != 5*time.Millisecond {
 		t.Fatalf("look[1→0] = %v, want the registered 5ms over the fallback", got)
 	}
-	if got := d.Lookahead(); got != 2*time.Millisecond {
+	if got := d.look; got != 2*time.Millisecond {
 		t.Fatalf("global lookahead = %v, want 2ms", got)
 	}
-	if got := d.PairLookahead(0, 2); got != 2*time.Millisecond {
+	if got := d.pairLook(0, 2); got != 2*time.Millisecond {
 		t.Fatalf("uncoupled pair look[0→2] = %v, want the global fallback", got)
 	}
 }

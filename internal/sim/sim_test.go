@@ -429,8 +429,8 @@ func TestLinkWiring(t *testing.T) {
 	if l.Config() != DefaultLinkConfig {
 		t.Fatalf("zero config became %+v", l.Config())
 	}
-	if d.PairLookahead(0, 1) != DefaultLinkConfig.Delay || d.PairLookahead(1, 0) != DefaultLinkConfig.Delay {
-		t.Fatalf("cross-shard link registered lookahead %v/%v", d.PairLookahead(0, 1), d.PairLookahead(1, 0))
+	if d.pairLook(0, 1) != DefaultLinkConfig.Delay || d.pairLook(1, 0) != DefaultLinkConfig.Delay {
+		t.Fatalf("cross-shard link registered lookahead %v/%v", d.pairLook(0, 1), d.pairLook(1, 0))
 	}
 	if l.String() != "a[0]<->b[0]" {
 		t.Fatalf("String() = %q", l.String())

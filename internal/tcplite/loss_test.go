@@ -75,7 +75,7 @@ func TestMinRTOHonored(t *testing.T) {
 	eng := sim.New(1)
 	a, b := newPair(eng, 10*time.Microsecond)
 	b.conn = Accept(b, a.ip, 80, 1234, Config{})
-	a.conn = Dial(a, b.ip, 1234, 80, Config{MinRTO: 200 * time.Millisecond})
+	a.conn = Dial(a, b.ip, 1234, 80, Config{})
 	a.conn.Queue(1 << 20)
 	eng.RunUntil(2 * time.Second)
 	// With ~20µs RTTs the computed RTO would be microseconds; the
@@ -109,13 +109,13 @@ func TestRandomLossEventuallyDeliversAll(t *testing.T) {
 		a.conn.Queue(total)
 		// Run in virtual-time chunks until the transfer completes,
 		// failing only if a chunk makes no progress at all. A chunk of
-		// 2×MaxRTO guarantees at least one retransmission opportunity
+		// 2×maxRTO guarantees at least one retransmission opportunity
 		// even at the deepest backoff, so the property has no tuned
 		// wall-of-virtual-time deadline to flake against: any seed that
 		// can recover does, and a genuinely stuck connection (no new
 		// bytes and no timer fire across a full backoff interval) fails
 		// deterministically.
-		chunk := 2 * a.conn.cfg.MaxRTO
+		chunk := 2 * maxRTO
 		for b.conn.Delivered() < total {
 			before := b.conn.Delivered()
 			timeouts := a.conn.Stats.Timeouts
@@ -183,7 +183,7 @@ func TestCwndGrowth(t *testing.T) {
 	eng := sim.New(1)
 	a, b := newPair(eng, 500*time.Microsecond)
 	b.conn = Accept(b, a.ip, 80, 1234, Config{})
-	a.conn = Dial(a, b.ip, 1234, 80, Config{InitCwnd: 2 * 1460})
+	a.conn = Dial(a, b.ip, 1234, 80, Config{})
 	start := a.conn.Cwnd()
 	a.conn.Queue(4 << 20)
 	eng.RunUntil(time.Second)

@@ -34,14 +34,21 @@ type Endpoint interface {
 	SendIP(dst netip.Addr, proto uint8, payload ether.Payload)
 }
 
+// Segment size and retransmission timer bounds. MinRTO is the
+// paper's 200 ms minimum, the floor under which Fig. 10's recovery
+// hides; a fresh connection starts at initialRTO with a congestion
+// window of initCwnd.
+const (
+	mss        = 1460
+	MinRTO     = 200 * time.Millisecond
+	maxRTO     = 60 * time.Second
+	initialRTO = time.Second
+	initCwnd   = 2 * mss
+)
+
 // Config tunes a connection. Zero values take defaults.
 type Config struct {
-	MSS        int           // segment payload bytes (default 1460)
-	MinRTO     time.Duration // default 200ms, the paper's setting
-	MaxRTO     time.Duration // default 60s
-	InitialRTO time.Duration // default 1s
-	Window     int           // receive window bytes (default 1 MiB)
-	InitCwnd   int           // initial congestion window (default 2*MSS)
+	Window int // receive window bytes (default 1 MiB)
 
 	// TraceSend, if set, observes every data transmission
 	// (including retransmissions) with the starting sequence offset.
@@ -52,23 +59,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 60 * time.Second
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = time.Second
-	}
 	if c.Window <= 0 {
 		c.Window = 1 << 20
-	}
-	if c.InitCwnd <= 0 {
-		c.InitCwnd = 2 * c.MSS
 	}
 	return c
 }
@@ -159,9 +151,9 @@ func newConn(ep Endpoint, cfg Config, lport, rport uint16, rip netip.Addr) *Conn
 		remotePort: rport,
 		remoteIP:   rip,
 	}
-	c.cwnd = c.cfg.InitCwnd
+	c.cwnd = initCwnd
 	c.ssthresh = c.cfg.Window
-	c.rto = c.cfg.InitialRTO
+	c.rto = initialRTO
 	c.timer = ep.Sim().NewTimer(c.onTimeout)
 	return c
 }
@@ -234,14 +226,14 @@ func (c *Conn) push() {
 	}
 	wnd := min(c.cwnd, c.cfg.Window)
 	for int(c.sndNxt-c.sndUna) < wnd && c.sndNxt <= c.streamLen {
-		n := min(c.cfg.MSS, int(c.streamLen-c.sndNxt+1))
+		n := min(mss, int(c.streamLen-c.sndNxt+1))
 		room := wnd - int(c.sndNxt-c.sndUna)
 		if n > room {
 			// Sender-side silly-window avoidance: never chop a
 			// full-sized chunk down to fit a sliver of window —
 			// wait for more acknowledgements instead. Sub-MSS
 			// transmissions are allowed only for the stream's tail.
-			if room < c.cfg.MSS {
+			if room < mss {
 				break
 			}
 			n = room
@@ -289,13 +281,13 @@ func (c *Conn) onTimeout() {
 	case StateSynSent:
 		c.Stats.Timeouts++
 		c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN, Seq: 0})
-		c.rto = min(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, maxRTO)
 		c.timer.Reset(c.rto)
 		return
 	case StateSynReceived:
 		c.Stats.Timeouts++
 		c.sendSeg(ippkt.TCPSegment{Flags: ippkt.FlagSYN | ippkt.FlagACK, Seq: 0, Ack: c.rcvNxt})
-		c.rto = min(c.rto*2, c.cfg.MaxRTO)
+		c.rto = min(c.rto*2, maxRTO)
 		c.timer.Reset(c.rto)
 		return
 	}
@@ -303,15 +295,15 @@ func (c *Conn) onTimeout() {
 		return
 	}
 	c.Stats.Timeouts++
-	c.ssthresh = max(c.Outstanding()/2, 2*c.cfg.MSS)
-	c.cwnd = c.cfg.MSS
+	c.ssthresh = max(c.Outstanding()/2, 2*mss)
+	c.cwnd = mss
 	c.dupAcks = 0
 	c.rtValid = false
 	c.inRecovery = true
 	c.recover = c.sndNxt
-	n := min(c.cfg.MSS, int(c.sndNxt-c.sndUna))
+	n := min(mss, int(c.sndNxt-c.sndUna))
 	c.transmit(c.sndUna, n, true)
-	c.rto = min(c.rto*2, c.cfg.MaxRTO)
+	c.rto = min(c.rto*2, maxRTO)
 	c.timer.Reset(c.rto)
 }
 
@@ -422,22 +414,22 @@ func (c *Conn) handleEstablished(s *ippkt.TCPSegment) {
 				// ACK-clocked outflow. Without deflation the sender
 				// emits at twice the bottleneck rate and congests
 				// itself into a permanent recovery regime.
-				n := min(c.cfg.MSS, int(c.sndNxt-c.sndUna))
+				n := min(mss, int(c.sndNxt-c.sndUna))
 				if n > 0 {
 					c.transmit(c.sndUna, n, true)
 				}
-				c.cwnd = max(c.cwnd-acked+c.cfg.MSS, c.cfg.MSS)
+				c.cwnd = max(c.cwnd-acked+mss, mss)
 			} else {
 				// Full acknowledgement: leave recovery at ssthresh.
 				c.inRecovery = false
-				c.cwnd = max(c.ssthresh, c.cfg.MSS)
+				c.cwnd = max(c.ssthresh, mss)
 			}
 		} else {
 			// Congestion window growth.
 			if c.cwnd < c.ssthresh {
-				c.cwnd += min(acked, c.cfg.MSS) // slow start
+				c.cwnd += min(acked, mss) // slow start
 			} else {
-				c.cwnd += max(c.cfg.MSS*c.cfg.MSS/c.cwnd, 1) // CA
+				c.cwnd += max(mss*mss/c.cwnd, 1) // CA
 			}
 		}
 		c.armTimer()
@@ -447,11 +439,11 @@ func (c *Conn) handleEstablished(s *ippkt.TCPSegment) {
 		if c.dupAcks == 3 && !c.inRecovery {
 			// Fast retransmit + NewReno recovery.
 			c.Stats.FastRetrans++
-			c.ssthresh = max(c.Outstanding()/2, 2*c.cfg.MSS)
+			c.ssthresh = max(c.Outstanding()/2, 2*mss)
 			c.cwnd = c.ssthresh
 			c.inRecovery = true
 			c.recover = c.sndNxt
-			n := min(c.cfg.MSS, int(c.sndNxt-c.sndUna))
+			n := min(mss, int(c.sndNxt-c.sndUna))
 			c.transmit(c.sndUna, n, true)
 			c.armTimer()
 		}
@@ -476,14 +468,14 @@ func (c *Conn) updateRTT(sample time.Duration) {
 // baseRTO is the un-backed-off timeout from the current estimators.
 func (c *Conn) baseRTO() time.Duration {
 	if c.srtt == 0 {
-		return c.cfg.InitialRTO
+		return initialRTO
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
+	if rto < MinRTO {
+		rto = MinRTO
 	}
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }

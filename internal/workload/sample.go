@@ -221,9 +221,6 @@ func NewPlacement(spec *topo.Spec) Placement {
 	return pl
 }
 
-// Hosts returns the number of hosts in the placement.
-func (p Placement) Hosts() int { return len(p.PodOf) }
-
 func sortByPodRack(order, podOf, rackOf []int) {
 	// Insertion sort keyed by (pod, rack, host index): the input is
 	// already sorted for every blueprint this repo builds, and n is
