@@ -15,6 +15,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"portland/internal/ctrlmsg"
@@ -29,7 +30,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mgr := fabricmgr.New()
+	d := &daemon{mgr: fabricmgr.New()}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
@@ -40,7 +41,7 @@ func main() {
 	if *statsIvl > 0 {
 		go func() {
 			for range time.Tick(*statsIvl) {
-				log.Printf("stats: hosts=%d %+v", mgr.NumHosts(), mgr.Stats)
+				log.Print(d.statsLine())
 			}
 		}()
 	}
@@ -51,21 +52,38 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
-		go serve(mgr, conn)
+		go d.serve(conn)
 	}
+}
+
+// daemon serves one fabric manager to every switch connection. The
+// manager is not safe for concurrent use, so mu serializes each
+// session's Handle and the stats line's read of the counters.
+type daemon struct {
+	mu  sync.Mutex
+	mgr *fabricmgr.Manager
+}
+
+// statsLine renders the manager's registry size and counters.
+func (d *daemon) statsLine() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return fmt.Sprintf("stats: hosts=%d %+v", d.mgr.NumHosts(), d.mgr.Stats)
 }
 
 // serve binds one switch connection to a manager session and pumps it
 // until the peer disconnects.
-func serve(mgr *fabricmgr.Manager, conn net.Conn) {
+func (d *daemon) serve(conn net.Conn) {
 	log.Printf("switch connected from %s", conn.RemoteAddr())
 	ready := make(chan struct{})
 	var sess *fabricmgr.Session
 	tc := ctrlnet.NewTCPConn(conn, func(m ctrlmsg.Msg) {
 		<-ready
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		sess.Handle(m)
 	})
-	sess = mgr.NewSession(tc)
+	sess = d.mgr.NewSession(tc)
 	close(ready)
 	<-tc.Done() // read loop exits on disconnect or protocol error
 	if err := tc.ReadErr(); err != nil {

@@ -35,7 +35,9 @@ func main() {
 				return
 			}
 			// One session per switch connection, handler closed over
-			// the session it feeds.
+			// the session it feeds. Only one switch connects here, so
+			// its read goroutine is the manager's only caller; a server
+			// of many switches serializes Handle (cmd/fabricmgrd).
 			ready := make(chan struct{})
 			var sess *fabricmgr.Session
 			tc := ctrlnet.NewTCPConn(conn, func(m ctrlmsg.Msg) {

@@ -195,7 +195,7 @@ func (s *Switch) Name() string { return s.name }
 // Attach implements sim.Node.
 func (s *Switch) Attach(port int, l *sim.Link) { s.links[port] = l }
 
-// Start implements sim.Node.
+// Start begins the switch's spanning-tree hellos.
 func (s *Switch) Start() {
 	s.eng.NewTicker(Hello, Hello, s.tick)
 }

@@ -71,41 +71,31 @@ type Options struct {
 	// and journal costs under ARP storms. Zero keeps the immediate
 	// per-query punt path.
 	PuntBatch time.Duration
-	// Speeds assigns per-tier link rate classes (host↔edge, edge↔agg,
-	// agg↔core) over the base Options.Link: annotated links keep the
-	// base delay/queue/loss but serialize at the class's line rate.
-	// The zero profile leaves every link on Options.Link, byte-identical
-	// to a build without the hardware model. See HARDWARE.md.
-	Speeds topo.SpeedProfile
-	// Hardware bounds each switch tier's ASIC tables (ECMP groups,
-	// member slots, flow entries) by pswitch.Generation. Zero
-	// generations keep tables unbounded. See HARDWARE.md.
-	Hardware HardwareProfile
+	// Hardware is the switch ASIC generation (see HARDWARE.md). The
+	// zero Generation means no hardware model: links run at
+	// Options.Link's rate and tables stay unbounded. Any other value
+	// bounds every switch's tables by the generation's limits (zero
+	// limits stay unbounded) and runs each link at its tier's rate:
+	// 40G host–edge, 100G edge–aggregation, 200G aggregation–core.
+	Hardware pswitch.Generation
 }
 
-// HardwareProfile assigns a switch Generation per tree tier. The zero
-// value imposes no limits anywhere.
-type HardwareProfile struct {
-	// Edge, Aggregation, Core bound the respective switch tiers.
-	Edge, Aggregation, Core pswitch.Generation
-}
-
-// Uniform builds a profile that applies one generation to every tier.
-func Uniform(g pswitch.Generation) HardwareProfile {
-	return HardwareProfile{Edge: g, Aggregation: g, Core: g}
-}
-
-// forLevel returns the generation bound for a blueprint level.
-func (h HardwareProfile) forLevel(l topo.Level) pswitch.Generation {
-	switch l {
-	case topo.Edge:
-		return h.Edge
-	case topo.Aggregation:
-		return h.Aggregation
-	case topo.Core:
-		return h.Core
+// tierRate is the line rate, in bits per second, of a link between
+// blueprint levels a and b under the hardware model; 0 for a pairing
+// outside the three tree tiers.
+func tierRate(a, b topo.Level) int64 {
+	if a > b {
+		a, b = b, a
 	}
-	return pswitch.Generation{}
+	switch {
+	case a == topo.Host && b == topo.Edge:
+		return 40e9
+	case a == topo.Edge && b == topo.Aggregation:
+		return 100e9
+	case a == topo.Aggregation && b == topo.Core:
+		return 200e9
+	}
+	return 0
 }
 
 func (o Options) withDefaults() Options {
@@ -233,9 +223,7 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 			f.Hosts[n.ID] = host.New(eng.NewProc(), n.Name, mac, ip)
 		default:
 			sw := pswitch.New(eng.NewProc(), SwitchID(n.ID), n.Name, n.Ports, opts.LDP)
-			if g := opts.Hardware.forLevel(n.Level); !g.Unlimited() {
-				sw.SetGeneration(g)
-			}
+			sw.SetGeneration(opts.Hardware)
 			sw.SetDetector(opts.Detect)
 			sw.SetPuntBatch(opts.PuntBatch)
 			sw.SetJournal(f.Obs.Journal(n.Name, 256, eng.Now))
@@ -243,16 +231,16 @@ func Build(spec *topo.Spec, opts Options) *Fabric {
 			f.wireControl(n.ID, sw)
 		}
 	}
-	if !opts.Speeds.Uniform() {
-		spec.SetSpeeds(opts.Speeds)
-	}
+	hw := opts.Hardware != (pswitch.Generation{})
 	for _, ls := range spec.Links {
 		an, bn := f.node(ls.A.Node), f.node(ls.B.Node)
-		// A link annotated with a rate class (by Options.Speeds or by the
-		// blueprint itself) serializes at that class's line rate; the
-		// rest of the physical config comes from the fabric-wide base.
-		l := dom.Connect(f.engOf[ls.A.Node], f.engOf[ls.B.Node], an, ls.A.Port, bn, ls.B.Port,
-			opts.Link.WithRate(ls.Class.BitsPerSecond()))
+		// Under a hardware model a link serializes at its tier's rate;
+		// the rest of the physical config comes from Options.Link.
+		cfg := opts.Link
+		if r := tierRate(spec.Nodes[ls.A.Node].Level, spec.Nodes[ls.B.Node].Level); hw && r > 0 {
+			cfg.Rate = r
+		}
+		l := dom.Connect(f.engOf[ls.A.Node], f.engOf[ls.B.Node], an, ls.A.Port, bn, ls.B.Port, cfg)
 		f.Links = append(f.Links, l)
 	}
 	return f
@@ -289,13 +277,10 @@ func (f *Fabric) node(id topo.NodeID) sim.Node {
 	return f.Hosts[id]
 }
 
-// Start launches every node's protocol machinery.
+// Start launches every switch's protocol machinery (hosts have none).
 func (f *Fabric) Start() {
 	for _, id := range f.Spec.Switches() {
 		f.Switches[id].Start()
-	}
-	for _, id := range f.Spec.Hosts() {
-		f.Hosts[id].Start()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"portland/internal/flowtable"
 	"portland/internal/pswitch"
-	"portland/internal/topo"
 	"portland/internal/workload"
 )
 
@@ -31,8 +30,7 @@ func BenchmarkFabricTablePressure(b *testing.B) {
 	}
 	f, err := NewFatTree(4, Options{
 		Seed:     1,
-		Speeds:   topo.DataCenterSpeeds,
-		Hardware: Uniform(gen),
+		Hardware: gen,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"portland/internal/flowtable"
 	"portland/internal/pswitch"
+	"portland/internal/sim"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -30,8 +32,7 @@ func evictionTrace(t *testing.T, shards int, policy flowtable.Policy) string {
 	f, err := NewFatTree(4, Options{
 		Seed:     7,
 		Shards:   shards,
-		Speeds:   topo.DataCenterSpeeds,
-		Hardware: Uniform(gen),
+		Hardware: gen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,5 +83,35 @@ func TestEvictionShardIdentity(t *testing.T) {
 					policy, shards, firstDiff(serial, got))
 			}
 		}
+	}
+}
+
+// TestBuildLeavesBlueprintUntouched: a hardware model changes the
+// fabric Build wires, never the blueprint it wires from. One spec built
+// first under a named Generation and then under the zero Options must
+// give the second fabric Options.Link's rate on every link, and stay
+// equal to a fresh blueprint throughout.
+func TestBuildLeavesBlueprintUntouched(t *testing.T) {
+	spec, err := topo.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := topo.FatTree(4)
+	hw := Build(spec, Options{Hardware: pswitch.Gen40})
+	if got := hw.Links[0].Config().Rate; got != 40e9 {
+		t.Fatalf("hardware fabric's host link runs at %d b/s, want 40G", got)
+	}
+	if !reflect.DeepEqual(spec, fresh) {
+		t.Fatal("Build under a Generation modified its blueprint")
+	}
+	plain := Build(spec, Options{})
+	for i, l := range plain.Links {
+		if got := l.Config().Rate; got != sim.DefaultLinkConfig.Rate {
+			t.Fatalf("link %d of the plain rebuild runs at %d b/s, want Options.Link's %d",
+				i, got, sim.DefaultLinkConfig.Rate)
+		}
+	}
+	if !reflect.DeepEqual(spec, fresh) {
+		t.Fatal("Build modified its blueprint")
 	}
 }

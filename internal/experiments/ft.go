@@ -37,9 +37,11 @@ type FTConfig struct {
 	// Ks are the fat-tree degrees to sweep (the host-count axis:
 	// k³/4 hosts per degree).
 	Ks []int
-	// Gens are the hardware envelopes to sweep. Include an unbounded
-	// generation for contrast; scale a real one down (Generation.Scale)
-	// to recreate production demand/capacity ratios at testbed size.
+	// Gens are the hardware envelopes to sweep. Include a named
+	// generation with zero limits for contrast: its tables stay
+	// unbounded while its links run at the same tier rates as the
+	// others'. Scale a real one down (Generation.Scale) to recreate
+	// production demand/capacity ratios at testbed size.
 	Gens []pswitch.Generation
 	// PeersPerHost is the ARP-storm fan-out both fabrics warm up with.
 	PeersPerHost int
@@ -155,8 +157,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	rig := cfg.Rig
 	rig.K = k
 	rig.Seed = cfg.Rig.Seed + uint64((point+1)*1000+trial)
-	rig.Speeds = topo.DataCenterSpeeds
-	rig.Hardware = core.Uniform(gen)
+	rig.Hardware = gen
 	f, err := rig.build()
 	if err != nil {
 		return out, nil, err

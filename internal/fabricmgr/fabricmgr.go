@@ -14,7 +14,6 @@ package fabricmgr
 import (
 	"net/netip"
 	"sort"
-	"sync"
 
 	"portland/internal/ctrlmsg"
 	"portland/internal/ctrlnet"
@@ -95,11 +94,11 @@ type group struct {
 	installed map[ctrlmsg.SwitchID][]uint8
 }
 
-// Manager is the fabric manager. Safe for concurrent sessions (the
-// TCP transport calls from multiple goroutines).
+// Manager is the fabric manager. It is not safe for concurrent use:
+// its caller serializes every call. The simulator drives each manager
+// from one goroutine at a time; cmd/fabricmgrd holds one mutex around
+// every Session.Handle.
 type Manager struct {
-	mu sync.Mutex
-
 	conns map[ctrlmsg.SwitchID]ctrlnet.Conn
 
 	ips map[netip.Addr]hostRecord
@@ -198,9 +197,7 @@ func New() *Manager {
 // the route authority (faults, exclusions, pods, DHCP, multicast) in
 // the fabric's wiring.
 func (m *Manager) SetShard(id, n int) {
-	m.mu.Lock()
 	m.shardID, m.shardN = id, n
-	m.mu.Unlock()
 }
 
 // ownsIP reports whether this manager's shard owns ip.
@@ -211,9 +208,7 @@ func (m *Manager) ownsIP(ip netip.Addr) bool {
 // SetJournal directs the manager's control-plane events into j. Safe
 // to leave unset, and safe to call before any session exists.
 func (m *Manager) SetJournal(j *obs.Journal) {
-	m.mu.Lock()
 	m.jou = j
-	m.mu.Unlock()
 }
 
 // Session binds one switch's control connection to the manager.
@@ -235,8 +230,6 @@ func (m *Manager) NewSession(conn ctrlnet.Conn) *Session {
 // Handle processes one message from this session's switch.
 func (s *Session) Handle(msg ctrlmsg.Msg) {
 	m := s.mgr
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if h, ok := msg.(ctrlmsg.Hello); ok {
 		s.id = h.Switch
 		s.have = true
@@ -552,22 +545,16 @@ func (m *Manager) handleDHCP(v ctrlmsg.DHCPQuery) {
 
 // Leases returns the number of DHCP leases handed out.
 func (m *Manager) Leases() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.leases)
 }
 
 // NumHosts returns the registry size.
 func (m *Manager) NumHosts() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.ips)
 }
 
 // Lookup resolves an IP from the registry (for tests and tools).
 func (m *Manager) Lookup(ip netip.Addr) (ether.Addr, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	rec, ok := m.ips[ip]
 	return rec.pmac, ok
 }

@@ -45,11 +45,8 @@ func (m *Manager) noteLease(mac ether.Addr, ip netip.Addr) {
 }
 
 // SetOnSyncDone installs the callback fired when the last outstanding
-// StateSyncRequest of an epoch is answered. The callback runs with
-// the manager lock held — record the instant, don't call back in.
+// StateSyncRequest of an epoch is answered.
 func (m *Manager) SetOnSyncDone(fn func(epoch uint32)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.onSyncDone = fn
 }
 
@@ -64,13 +61,9 @@ func (m *Manager) SetOnSyncDone(fn func(epoch uint32)) {
 // leaves the count short, so on a lossy fabric run it over Reliable
 // channels.
 func (m *Manager) BeginResync(epoch uint32, conns []ctrlnet.Conn) {
-	m.mu.Lock()
 	m.syncEpoch = epoch
 	m.syncWaiting = len(conns)
 	m.jou.Record(obs.MgrResyncBegin, uint64(epoch), uint64(len(conns)), 0, 0)
-	m.mu.Unlock()
-	// Send outside the lock: SimConn delivery is synchronous with the
-	// event loop and replies re-enter Handle.
 	for _, c := range conns {
 		_ = c.Send(ctrlmsg.StateSyncRequest{Epoch: epoch})
 	}
@@ -79,8 +72,6 @@ func (m *Manager) BeginResync(epoch uint32, conns []ctrlnet.Conn) {
 // SyncPending reports how many switches have not yet answered the
 // current resync epoch.
 func (m *Manager) SyncPending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.syncWaiting
 }
 
@@ -112,8 +103,6 @@ func (m *Manager) handleSyncDone(v ctrlmsg.SyncDone) {
 // exclusion sets, multicast state, leases and allocator positions —
 // the recovery test's definition of "fully rebuilt".
 func (m *Manager) Snapshot() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "alloc nextPod=%d nextLease=%d\n", m.nextPod, m.nextLease)
 

@@ -97,9 +97,6 @@ func (h *Host) Name() string { return h.name }
 // Attach implements sim.Node.
 func (h *Host) Attach(_ int, l *sim.Link) { h.link = l }
 
-// Start implements sim.Node.
-func (h *Host) Start() {}
-
 // Sim returns the simulation process the host runs on.
 func (h *Host) Sim() *sim.Proc { return h.eng }
 

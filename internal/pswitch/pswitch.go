@@ -236,7 +236,7 @@ func (s *Switch) flushFlows() {
 	}
 }
 
-// Start implements sim.Node: announce to the fabric manager and begin
+// Start announces the switch to the fabric manager and begins
 // location discovery.
 func (s *Switch) Start() {
 	s.sendCtrlAll(ctrlmsg.Hello{Switch: s.id})

@@ -148,7 +148,6 @@ type sink struct {
 
 func (s *sink) Name() string                      { return "sink" }
 func (s *sink) Attach(int, *sim.Link)             {}
-func (s *sink) Start()                            {}
 func (s *sink) HandleFrame(_ int, f *ether.Frame) { s.n++; s.eng.FramePool().Put(f) }
 
 // hitRig wires resolvedCore's ports to a sink over real links and

@@ -1,6 +1,8 @@
 package pswitch
 
 import (
+	"strconv"
+
 	"portland/internal/flowtable"
 	"portland/internal/ldp"
 	"portland/internal/obs"
@@ -9,10 +11,9 @@ import (
 // Generation describes one switch ASIC generation's hardware resource
 // envelope: how many ECMP groups and total ECMP member slots the
 // multipath table holds, and how many exact-match flow entries fit.
-// The zero value means unbounded tables (the pre-hardware-model
-// behavior, and the default every fabric builds with). HARDWARE.md
-// documents the model; the shipped generations follow the 40/100/200G
-// ASIC tiers FabricEval uses (4K/16K/32K ECMP member entries).
+// The zero value is no hardware model (unbounded tables, the default
+// every fabric builds with); zero limits are unbounded. HARDWARE.md
+// documents the model.
 type Generation struct {
 	// Name tags the generation in reports and tabulated output.
 	Name string
@@ -28,18 +29,12 @@ type Generation struct {
 	FlowPolicy flowtable.Policy
 }
 
-// The shipped generation tiers. Group/member limits follow the
-// FabricEval 40/100/200G envelopes; flow-entry counts follow the
-// OpenFlow-era exact-match tables the paper's testbed ran (NetFPGA
+// Gen40 is a 40G-era ASIC, the tightest of the FabricEval envelopes
+// (HARDWARE.md tabulates the 100G and 200G ones for reference). Its
+// group/member limits follow FabricEval; its flow-entry count follows
+// the OpenFlow-era exact-match tables the paper's testbed ran (NetFPGA
 // and early Broadcom silicon held 2K-32K exact-match entries).
-var (
-	// Gen40 is a 40G-era ASIC: the tightest shipped envelope.
-	Gen40 = Generation{Name: "gen40", ECMPGroups: 256, ECMPMembers: 4096, FlowEntries: 2048, FlowPolicy: flowtable.EvictLRU}
-	// Gen100 is a 100G-era ASIC.
-	Gen100 = Generation{Name: "gen100", ECMPGroups: 1024, ECMPMembers: 16384, FlowEntries: 8192, FlowPolicy: flowtable.EvictLRU}
-	// Gen200 is a 200G-era ASIC: the roomiest shipped envelope.
-	Gen200 = Generation{Name: "gen200", ECMPGroups: 4096, ECMPMembers: 32768, FlowEntries: 32768, FlowPolicy: flowtable.EvictLRU}
-)
+var Gen40 = Generation{Name: "gen40", ECMPGroups: 256, ECMPMembers: 4096, FlowEntries: 2048, FlowPolicy: flowtable.EvictLRU}
 
 // Unlimited reports whether the generation imposes no table bounds.
 func (g Generation) Unlimited() bool {
@@ -65,37 +60,18 @@ func (g Generation) Scale(div int) Generation {
 		}
 		return v
 	}
-	g.Name = g.Name + "/" + itoaSmall(div)
+	g.Name = g.Name + "/" + strconv.Itoa(div)
 	g.ECMPGroups = d(g.ECMPGroups)
 	g.ECMPMembers = d(g.ECMPMembers)
 	g.FlowEntries = d(g.FlowEntries)
 	return g
 }
 
-// itoaSmall formats a non-negative int without strconv (matching the
-// repo's no-fmt-on-hot-paths habit; this runs at config time only).
-func itoaSmall(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // ResourceStats is a point-in-time view of a switch's hardware-table
 // occupancy, for reports and the `-exp ft` sweep.
 type ResourceStats struct {
 	GroupsLive  int // installed ECMP groups (excluding the reserved fallback)
-	GroupCap    int // generation's group limit (0 = unbounded)
 	MembersUsed int // member slots charged across installed groups
-	MemberCap   int // generation's member-slot limit (0 = unbounded)
-	FlowCap     int // flow-table capacity (0 = unbounded)
 	Degrades    int64
 }
 
@@ -127,10 +103,7 @@ func (s *Switch) applyGen() {
 func (s *Switch) ResourceStats() ResourceStats {
 	return ResourceStats{
 		GroupsLive:  s.resGroups,
-		GroupCap:    s.gen.ECMPGroups,
 		MembersUsed: s.resMembers,
-		MemberCap:   s.gen.ECMPMembers,
-		FlowCap:     s.gen.FlowEntries,
 		Degrades:    s.Stats.EcmpDegrades,
 	}
 }

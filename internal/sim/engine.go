@@ -45,10 +45,9 @@ func (ev *event) fire() {
 
 // eventHeap is a binary min-heap ordered by (at, seq), stored by value
 // with index-based swaps: push and pop allocate nothing beyond
-// amortized slice growth. It serves two roles: the wheel's "due" stage
-// (events whose tick has been reached, ordered exactly) and the
-// reference implementation the differential-ordering tests shadow the
-// wheel against.
+// amortized slice growth. It is the wheel's "due" stage (events whose
+// tick has been reached, ordered exactly) and, in wheel_test.go, the
+// reference order the wheel is checked against.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -181,12 +180,6 @@ type Engine struct {
 	overflow    []event
 	overflowMin uint64
 
-	// shadow, when non-nil, mirrors every insert into a plain binary
-	// heap and cross-checks every pop against it. Test-only: the
-	// differential-ordering tests use it to prove the wheel pops the
-	// exact (at, seq) sequence the retired heap scheduler produced.
-	shadow *eventHeap
-
 	// pool is the engine-local frame free-list; everything wired to
 	// this engine shares it, and nothing outside this engine ever
 	// touches it (the determinism-under-parallelism contract).
@@ -239,9 +232,6 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) {
 
 // enqueue files an event into the stage its tick belongs to.
 func (e *Engine) enqueue(ev event) {
-	if e.shadow != nil {
-		e.shadow.push(ev)
-	}
 	e.queued++
 	if t := uint64(ev.at) >> tickShift; t > e.base {
 		e.wheelPush(ev, t)
@@ -447,9 +437,6 @@ func (e *Engine) step(limit time.Duration) bool {
 	}
 	ev := e.due.pop()
 	e.queued--
-	if e.shadow != nil {
-		e.checkShadow(ev)
-	}
 	e.now = ev.at
 	ev.fire()
 	return true
@@ -457,15 +444,6 @@ func (e *Engine) step(limit time.Duration) bool {
 
 // forever is the limit no event is stamped beyond.
 const forever = time.Duration(math.MaxInt64)
-
-// checkShadow asserts the wheel's pop matches the reference heap's.
-func (e *Engine) checkShadow(ev event) {
-	ref := e.shadow.pop()
-	if ref.at != ev.at || ref.seq != ev.seq {
-		panic(fmt.Sprintf("sim: wheel popped (at=%v seq=%d), reference heap says (at=%v seq=%d)",
-			ev.at, ev.seq, ref.at, ref.seq))
-	}
-}
 
 // FramePool returns the engine-local frame free-list shared by every
 // node and link wired to this engine (see ether.FramePool for the

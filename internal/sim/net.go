@@ -12,12 +12,10 @@ type Node interface {
 	// Name returns a stable human-readable identifier for traces.
 	Name() string
 	// Attach informs the node that port carries the given link.
-	// Called once per port during wiring, before Start.
+	// Called once per port during wiring.
 	Attach(port int, l *Link)
 	// HandleFrame delivers a frame that arrived on port.
 	HandleFrame(port int, f *ether.Frame)
-	// Start schedules the node's initial protocol events.
-	Start()
 }
 
 // LinkConfig sets the physical properties of a link. The zero value is
@@ -41,17 +39,6 @@ var DefaultLinkConfig = LinkConfig{
 	Rate:        1e9,
 	Delay:       1 * time.Microsecond,
 	QueueFrames: 128,
-}
-
-// WithRate returns a copy of the config at a different line rate,
-// keeping delay/queue/loss. Topology builders use it to apply per-link
-// rate classes (topo.RateClass) over one fabric-wide base config; a
-// zero rate returns the config unchanged.
-func (c LinkConfig) WithRate(bps int64) LinkConfig {
-	if bps > 0 {
-		c.Rate = bps
-	}
-	return c
 }
 
 // SerializationDelay returns the time the link's transmitter occupies

@@ -171,7 +171,6 @@ type node struct {
 
 func (n *node) Name() string      { return n.name }
 func (n *node) Attach(int, *Link) {}
-func (n *node) Start()            {}
 func (n *node) HandleFrame(_ int, f *ether.Frame) {
 	n.got = append(n.got, f)
 	n.at = append(n.at, n.eng.Now())

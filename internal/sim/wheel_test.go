@@ -6,18 +6,55 @@ import (
 	"time"
 )
 
-// enableShadow arms the engine's reference-heap cross-check: every
-// insert is mirrored into a plain (at, seq) binary heap — the retired
-// scheduler — and every pop panics unless both agree. Differential
-// testing of the wheel against its predecessor, at zero cost to
-// non-test builds.
-func enableShadow(e *Engine) { e.shadow = &eventHeap{} }
+// heapSched is a Sched over an Engine that mirrors every event it
+// schedules into a plain (at, seq) binary heap — the scheduler the
+// wheel replaced — and fails the test unless each event fires exactly
+// when that heap would pop it. The differential tests route every
+// schedule, timer and ticker through it, so the engine's own per-event
+// path carries no test hook.
+type heapSched struct {
+	t   testing.TB
+	e   *Engine
+	ref eventHeap
+}
+
+func newHeapSched(t testing.TB, seed uint64) *heapSched {
+	return &heapSched{t: t, e: New(seed)}
+}
+
+func (s *heapSched) Now() time.Duration { return s.e.Now() }
+func (s *heapSched) Rand() *rand.Rand   { return s.e.Rand() }
+
+func (s *heapSched) Schedule(d time.Duration, fn func()) {
+	s.ScheduleAt(s.e.Now()+max(d, 0), fn)
+}
+
+func (s *heapSched) ScheduleAt(at time.Duration, fn func()) {
+	at = max(at, s.e.Now())
+	var seq uint64
+	s.e.ScheduleAt(at, func() {
+		ref := s.ref.pop()
+		if ref.at != s.e.Now() || ref.seq != seq {
+			s.t.Fatalf("wheel fired (at=%v seq=%d), reference heap says (at=%v seq=%d)",
+				s.e.Now(), seq, ref.at, ref.seq)
+		}
+		fn()
+	})
+	seq = s.e.seq
+	s.ref.push(event{at: at, seq: seq})
+}
+
+func (s *heapSched) NewTimer(fn func()) *Timer { return newTimer(s, fn) }
+
+func (s *heapSched) NewTicker(interval, jitter time.Duration, fn func()) *Ticker {
+	return newTicker(s, interval, jitter, fn)
+}
 
 // TestWheelMatchesHeapOrder drives randomized Schedule/Reset/Stop
-// workloads through a shadowed engine: mixed-magnitude delays (same
-// instant through beyond the wheel horizon), timer churn, and
-// interleaved partial drains. Any divergence from the reference heap's
-// (at, seq) pop order panics inside checkShadow.
+// workloads through a heapSched: mixed-magnitude delays (same instant
+// through beyond the wheel horizon), timer churn, and interleaved
+// partial drains. Any divergence from the reference heap's (at, seq)
+// pop order fails the test.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	// Delay magnitudes chosen to land in every stage: due (0), level 0
 	// (µs), levels 1–4 (ms, 100ms, 10s, 20min) and overflow (30 days).
@@ -27,13 +64,13 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 		30 * 24 * time.Hour,
 	}
 	for seed := uint64(1); seed <= 50; seed++ {
-		e := New(seed)
-		enableShadow(e)
+		s := newHeapSched(t, seed)
+		e := s.e
 		rng := rand.New(rand.NewPCG(seed, seed*0xabcd))
 		fired := 0
 		timers := make([]*Timer, 8)
 		for i := range timers {
-			timers[i] = e.NewTimer(func() { fired++ })
+			timers[i] = s.NewTimer(func() { fired++ })
 		}
 		for op := 0; op < 400; op++ {
 			switch rng.IntN(10) {
@@ -42,7 +79,7 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 				if d > 0 {
 					d = time.Duration(rng.Int64N(int64(d)))
 				}
-				e.Schedule(d, func() { fired++ })
+				s.Schedule(d, func() { fired++ })
 			case 4, 5: // timer churn: re-arm over several scales
 				tm := timers[rng.IntN(len(timers))]
 				tm.Reset(time.Duration(rng.Int64N(int64(time.Second))))
@@ -51,17 +88,17 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 			case 7: // partial drain to a random deadline
 				e.RunUntil(e.Now() + time.Duration(rng.Int64N(int64(time.Minute))))
 			case 8: // stop mid-run via a scheduled event
-				e.Schedule(time.Duration(rng.Int64N(int64(time.Millisecond))), e.Stop)
+				s.Schedule(time.Duration(rng.Int64N(int64(time.Millisecond))), e.Stop)
 				e.RunUntil(e.Now() + 10*time.Millisecond)
 			case 9:
-				if e.Pending() != len(*e.shadow) {
-					t.Fatalf("seed %d: Pending()=%d, reference heap holds %d", seed, e.Pending(), len(*e.shadow))
+				if e.Pending() != len(s.ref) {
+					t.Fatalf("seed %d: Pending()=%d, reference heap holds %d", seed, e.Pending(), len(s.ref))
 				}
 			}
 		}
 		e.Run() // drain fully; every pop is cross-checked
-		if e.Pending() != 0 || len(*e.shadow) != 0 {
-			t.Fatalf("seed %d: %d pending, %d in reference after full drain", seed, e.Pending(), len(*e.shadow))
+		if e.Pending() != 0 || len(s.ref) != 0 {
+			t.Fatalf("seed %d: %d pending, %d in reference after full drain", seed, e.Pending(), len(s.ref))
 		}
 		if fired == 0 {
 			t.Fatalf("seed %d: no callback ever fired", seed)
@@ -75,22 +112,22 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 // replaying a representative schedule mix recorded from a k=4 boot:
 // dense same-tick bursts from LDM fan-out plus sparse sweep timers.
 func TestWheelShadowProtocolMix(t *testing.T) {
-	e := New(42)
-	enableShadow(e)
+	s := newHeapSched(t, 42)
+	e := s.e
 	fired := 0
 	// 48 "switches" announcing every 10ms with per-port fan-out delays
 	// in the sub-tick range, plus a 50ms liveness sweep each — the
 	// schedule shape a fabric generates, without the fabric.
 	for sw := 0; sw < 48; sw++ {
 		jitter := time.Duration(e.Rand().Int64N(int64(10 * time.Millisecond)))
-		e.NewTicker(10*time.Millisecond, jitter, func() {
+		s.NewTicker(10*time.Millisecond, jitter, func() {
 			for port := 0; port < 4; port++ {
-				e.Schedule(time.Duration(port)*200*time.Nanosecond, func() { fired++ })
+				s.Schedule(time.Duration(port)*200*time.Nanosecond, func() { fired++ })
 			}
 		})
-		e.NewTicker(50*time.Millisecond, jitter, func() { fired++ })
+		s.NewTicker(50*time.Millisecond, jitter, func() { fired++ })
 	}
-	e.ScheduleAt(300*time.Millisecond, e.Stop)
+	s.ScheduleAt(300*time.Millisecond, e.Stop)
 	for e.Now() < 300*time.Millisecond {
 		e.RunUntil(e.Now() + 7*time.Millisecond)
 	}
@@ -108,8 +145,8 @@ func FuzzWheelOrdering(f *testing.F) {
 	f.Add([]byte{200, 200, 200, 100, 50, 25, 12, 6})   // descending
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 128}) // horizon hops
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e := New(7)
-		enableShadow(e)
+		s := newHeapSched(t, 7)
+		e := s.e
 		fired := 0
 		for i, b := range data {
 			switch {
@@ -117,11 +154,11 @@ func FuzzWheelOrdering(f *testing.F) {
 				// Exponential spread: byte value picks ~2^(b/8) µs, so
 				// the corpus reaches every wheel level cheaply.
 				d := time.Duration(1<<(b/8)) * time.Microsecond
-				e.Schedule(d+time.Duration(i), func() { fired++ })
+				s.Schedule(d+time.Duration(i), func() { fired++ })
 			case b < 240:
 				e.RunUntil(e.Now() + time.Duration(b-223)*time.Millisecond)
 			default:
-				e.Schedule(0, func() { fired++ })
+				s.Schedule(0, func() { fired++ })
 			}
 		}
 		e.Run()
@@ -246,8 +283,7 @@ func TestPendingAcrossBucketLevels(t *testing.T) {
 // TestWheelFarFutureOrder exercises the slow advance path directly:
 // events only in coarse levels and overflow, popped across idle gaps.
 func TestWheelFarFutureOrder(t *testing.T) {
-	e := New(1)
-	enableShadow(e)
+	s := newHeapSched(t, 1)
 	var got []time.Duration
 	delays := []time.Duration{
 		30 * 24 * time.Hour, // overflow
@@ -259,9 +295,9 @@ func TestWheelFarFutureOrder(t *testing.T) {
 	}
 	for _, d := range delays {
 		d := d
-		e.Schedule(d, func() { got = append(got, d) })
+		s.Schedule(d, func() { got = append(got, d) })
 	}
-	e.Run()
+	s.e.Run()
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("fired out of order: %v", got)
@@ -281,17 +317,16 @@ func TestWheelFarFutureOrder(t *testing.T) {
 // event reaches the due heap alone and fires before an earlier (at,
 // seq) event still parked in level 0.
 func TestWheelCoTickCascadeOrder(t *testing.T) {
-	e := New(1)
-	enableShadow(e)
+	s := newHeapSched(t, 1)
 	var order []string
 	// tick 512, filed at level 1 (delta 512 from base 0).
-	e.ScheduleAt(525007*time.Nanosecond, func() { order = append(order, "coarse") })
+	s.ScheduleAt(525007*time.Nanosecond, func() { order = append(order, "coarse") })
 	// Fires at tick 510; schedules the same tick 512 with delta 2, so
 	// the new event lands in level 0 — earlier at, later seq.
-	e.ScheduleAt(522894*time.Nanosecond, func() {
-		e.ScheduleAt(524362*time.Nanosecond, func() { order = append(order, "fine") })
+	s.ScheduleAt(522894*time.Nanosecond, func() {
+		s.ScheduleAt(524362*time.Nanosecond, func() { order = append(order, "fine") })
 	})
-	e.Run()
+	s.e.Run()
 	if len(order) != 2 || order[0] != "fine" {
 		t.Fatalf("pop order %v, want the earlier-at fine event first", order)
 	}

@@ -68,97 +68,9 @@ type PortRef struct {
 	Port int
 }
 
-// RateClass labels a link's physical speed tier. Real data center
-// fabrics mix port speeds by tier (hosts on the slowest links, spine
-// links fastest); the class annotates the blueprint so the simulator
-// can vary serialization delay per link (see HARDWARE.md).
-type RateClass uint8
-
-// Link speed tiers. RateDefault (the zero value) inherits the
-// fabric-wide link configuration, keeping un-annotated specs exactly
-// as fast as before the hardware model existed.
-const (
-	RateDefault RateClass = iota
-	Rate40G
-	Rate100G
-	Rate200G
-)
-
-// String names the rate class for reports.
-func (r RateClass) String() string {
-	switch r {
-	case RateDefault:
-		return "default"
-	case Rate40G:
-		return "40G"
-	case Rate100G:
-		return "100G"
-	case Rate200G:
-		return "200G"
-	}
-	return "rate?"
-}
-
-// BitsPerSecond returns the class's line rate; 0 for RateDefault
-// (meaning "use the fabric-wide default").
-func (r RateClass) BitsPerSecond() int64 {
-	switch r {
-	case Rate40G:
-		return 40e9
-	case Rate100G:
-		return 100e9
-	case Rate200G:
-		return 200e9
-	}
-	return 0
-}
-
 // LinkSpec is one cable in the blueprint.
 type LinkSpec struct {
 	A, B PortRef
-	// Class is the link's speed tier; RateDefault inherits the
-	// fabric-wide link configuration.
-	Class RateClass
-}
-
-// SpeedProfile assigns rate classes by tree tier. The zero value
-// leaves every link on the fabric-wide default.
-type SpeedProfile struct {
-	// HostEdge is the class for host↔edge links.
-	HostEdge RateClass
-	// EdgeAgg is the class for edge↔aggregation links.
-	EdgeAgg RateClass
-	// AggCore is the class for aggregation↔core links.
-	AggCore RateClass
-}
-
-// Uniform reports whether the profile leaves all links on the default.
-func (p SpeedProfile) Uniform() bool { return p == SpeedProfile{} }
-
-// DataCenterSpeeds is the conventional tiering: hosts on 40G, pod
-// fabric on 100G, spine on 200G.
-var DataCenterSpeeds = SpeedProfile{HostEdge: Rate40G, EdgeAgg: Rate100G, AggCore: Rate200G}
-
-// SetSpeeds annotates every link with the profile's class for its
-// tier, classifying by the endpoints' ground-truth levels. Links whose
-// tier has no class in the profile keep RateDefault.
-func (s *Spec) SetSpeeds(p SpeedProfile) {
-	level := func(r PortRef) Level { return s.Nodes[r.Node].Level }
-	for i := range s.Links {
-		a, b := level(s.Links[i].A), level(s.Links[i].B)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		switch {
-		case lo == Host && hi == Edge:
-			s.Links[i].Class = p.HostEdge
-		case lo == Edge && hi == Aggregation:
-			s.Links[i].Class = p.EdgeAgg
-		case lo == Aggregation && hi == Core:
-			s.Links[i].Class = p.AggCore
-		}
-	}
 }
 
 // Spec is a complete topology blueprint.

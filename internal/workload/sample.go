@@ -18,7 +18,7 @@ import (
 // locality-class draw of the same flow are independent.
 const (
 	streamSize uint64 = iota
-	streamSize2
+	_                 // retired; kept so later streams keep their draws
 	streamBurst
 	streamSpread
 	streamSrc
@@ -48,12 +48,6 @@ func u01(seed, index, stream uint64) float64 {
 	return float64(drawHash(seed, index, stream)>>11) / (1 << 53)
 }
 
-// SizeSampler draws a flow's size in packets as a pure function of
-// (seed, flow index).
-type SizeSampler interface {
-	Packets(seed, index uint64) int
-}
-
 // Pareto is a bounded Pareto (power-law) flow-size distribution in
 // packets — the heavy-tailed shape measured in data-center traces:
 // most flows are mice near Min, a small fraction are elephants near
@@ -77,28 +71,6 @@ func (p Pareto) Packets(seed, index uint64) int {
 	}
 	if n > p.Max {
 		n = p.Max
-	}
-	return n
-}
-
-// LogNormal is a log-normal flow-size distribution in packets: Mu and
-// Sigma parameterize ln(size). Sizes clamp to [1, Max].
-type LogNormal struct {
-	Mu, Sigma float64
-	Max       int
-}
-
-// Packets draws via Box–Muller on two hashed uniforms.
-func (l LogNormal) Packets(seed, index uint64) int {
-	u1 := u01(seed, index, streamSize)
-	u2 := u01(seed, index, streamSize2)
-	z := math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
-	n := int(math.Exp(l.Mu + l.Sigma*z))
-	if n < 1 {
-		n = 1
-	}
-	if n > l.Max {
-		n = l.Max
 	}
 	return n
 }
@@ -322,7 +294,9 @@ type TraceConfig struct {
 	Flows int
 
 	Arrivals Arrivals
-	Size     SizeSampler
+	// Size draws each flow's packet count; the zero value sends
+	// one-packet flows.
+	Size     Pareto
 	Locality LocalityMix
 
 	// PacketGap spaces a flow's packets; PayloadBytes sizes each UDP
@@ -343,7 +317,7 @@ func (c TraceConfig) Flow(p Placement, i int) FlowSpec {
 	idx := uint64(i)
 	src, dst := c.Locality.Pair(p, c.Seed, idx)
 	pkts := 1
-	if c.Size != nil {
+	if c.Size.Max > 0 {
 		pkts = c.Size.Packets(c.Seed, idx)
 	}
 	ports := c.DstPorts

@@ -108,11 +108,10 @@ func TestSamplerGoldenDigest(t *testing.T) {
 	}
 }
 
-// Size samplers respect their bounds and actually produce a heavy
-// tail / spread rather than a constant.
+// The size sampler respects its bounds and actually produces a heavy
+// tail rather than a constant.
 func TestSizeSamplerBounds(t *testing.T) {
 	p := Pareto{Alpha: 1.2, Min: 1, Max: 64}
-	l := LogNormal{Mu: 1.5, Sigma: 1.0, Max: 256}
 	seenBig, seenSmall := false, false
 	for i := uint64(0); i < 20000; i++ {
 		n := p.Packets(7, i)
@@ -124,10 +123,6 @@ func TestSizeSamplerBounds(t *testing.T) {
 		}
 		if n > p.Max/2 {
 			seenBig = true
-		}
-		m := l.Packets(7, i)
-		if m < 1 || m > l.Max {
-			t.Fatalf("lognormal draw %d out of [1,%d]", m, l.Max)
 		}
 	}
 	if !seenSmall || !seenBig {
