@@ -41,11 +41,11 @@ docs-lint:
 
 # Report-schema gate alone (also runs as part of `make test`): the four
 # checked-in reports must round-trip byte-identically and a fresh
-# replay must reproduce each, serial or sharded — byte-identity to the
-# serial report IS the sharded engine's contract. Regenerate with:
+# catalog replay must reproduce each, serial or sharded — byte-identity
+# to the serial report IS the sharded engine's contract. Regenerate with:
 #   go test ./internal/experiments -run Golden -update
 report-golden:
-	$(GO) test ./internal/experiments -run 'Fig9ReportGolden|SCReportGolden|MgrReportGolden|FTReportGolden'
+	$(GO) test ./internal/experiments -run '^TestReportGolden$$'
 
 build:
 	$(GO) build ./...

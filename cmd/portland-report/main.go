@@ -1,24 +1,27 @@
-// Command portland-report replays one cell of the Figure 9 convergence
-// sweep and renders its observability report: the failure→reconvergence
-// timeline the control plane journaled, per-flow convergence, the ARP
-// latency histogram and the unified counters. Because a sweep cell is a
-// pure function of (config, coordinate), the replay is bit-identical to
-// the cell inside the original sweep — the report describes exactly
-// what portland-bench measured.
+// Command portland-report replays one sweep cell of a catalog entry,
+// addressed by the (point, trial) the sweep report's cells record, and
+// renders its observability report: the journaled failure→reconvergence
+// timeline, per-flow convergence, ARP latency and the unified counters.
+// A sweep cell is a pure function of (config, coordinate), so the
+// replay is bit-identical to the cell portland-bench measured.
 //
 // Usage:
 //
-//	portland-report                      # replay the default cell (1 fault, trial 0)
-//	portland-report -faults 4 -trial 2   # pick the sweep coordinate
-//	portland-report -mode switches       # crash whole switches instead of links
-//	portland-report -o report.json       # also write the versioned JSON report
-//	portland-report -prom                # Prometheus text dump instead of the timeline
-//	portland-report -decode report.json  # render an existing report file
+//	portland-report                          # replay the default cell (f9: 1 fault, trial 0)
+//	portland-report -point 4 -trial 2        # pick the sweep coordinate
+//	portland-report -exp f9s                 # crash whole switches instead of links
+//	portland-report -exp ft -quick -point 1  # a cell of the -quick sweep
+//	portland-report -o report.json           # also write the versioned JSON report
+//	portland-report -prom                    # Prometheus text dump instead of the timeline
+//	portland-report -decode report.json      # render an existing report file
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -28,97 +31,98 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("portland-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		decode = flag.String("decode", "", "render an existing report file instead of replaying")
-		k      = flag.Int("k", 4, "fat-tree degree")
-		faults = flag.Int("faults", 1, "simultaneous failures (Fig. 9 x-axis)")
-		trial  = flag.Int("trial", 0, "trial index within the fault count")
-		mode   = flag.String("mode", "links", "what to fail: links or switches")
-		out    = flag.String("o", "", "write the versioned JSON report to this file")
-		prom   = flag.Bool("prom", false, "emit the Prometheus text dump instead of the timeline")
+		decode = fs.String("decode", "", "render an existing report file instead of replaying")
+		exp    = fs.String("exp", "f9", "catalog ID of the entry whose sweep cell to replay")
+		point  = fs.Int("point", 1, "the cell's sweep point, as the sweep report's cells record it")
+		trial  = fs.Int("trial", 0, "the cell's trial index within its point")
+		quick  = fs.Bool("quick", false, "replay a cell of the -quick sweep")
+		out    = fs.String("o", "", "write the versioned JSON report to this file")
+		prom   = fs.Bool("prom", false, "emit the Prometheus text dump instead of the timeline")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var rep *obs.Report
 	if *decode != "" {
-		f, err := os.Open(*decode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+		b, err := os.ReadFile(*decode)
+		if err == nil {
+			rep, err = obs.Decode(bytes.NewReader(b))
 		}
-		rep, err = obs.Decode(f)
-		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	} else {
-		cfg := experiments.DefaultFig9()
-		cfg.Rig.K = *k
-		switch *mode {
-		case "links":
-			cfg.Mode = experiments.FailLinks
-		case "switches":
-			cfg.Mode = experiments.FailSwitches
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -mode %q (want links or switches)\n", *mode)
+		sel, err := experiments.Select(*exp)
+		if err == nil && len(sel) != 1 {
+			err = fmt.Errorf("-exp %q names %d experiments; replay takes one", *exp, len(sel))
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "portland-report: %v\n", err)
 			return 2
 		}
-		var err error
-		rep, err = experiments.ReplayFig9(cfg, *faults, *trial)
+		rep, err = sel[0].Replay(experiments.Settings{Quick: *quick}, *point, *trial)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintf(stderr, "portland-report: %v\n", err)
+			if errors.Is(err, experiments.ErrNoCell) {
+				return 2
+			}
 			return 1
 		}
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
+		b, err := rep.EncodeBytes()
+		if err == nil {
+			err = os.WriteFile(*out, b, 0o644)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if err := rep.Encode(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		f.Close()
 	}
 	if *prom {
-		if err := rep.WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := rep.WritePrometheus(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		return 0
 	}
-	render(rep)
+	render(stdout, rep)
 	return 0
 }
 
 // render prints the human-readable view of a report: identity, the
 // convergence summary, the journaled timeline, and the derived views.
-func render(r *obs.Report) {
-	fmt.Printf("report: experiment=%s schema=%d seed=%d\n", r.Experiment, r.Schema, r.Seed)
+func render(w io.Writer, r *obs.Report) {
+	printf := func(format string, a ...any) { fmt.Fprintf(w, format, a...) }
+	printf("report: experiment=%s schema=%d seed=%d\n", r.Experiment, r.Schema, r.Seed)
 	keys := make([]string, 0, len(r.Params))
 	for k := range r.Params {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %s=%s\n", k, r.Params[k])
+		printf("  %s=%s\n", k, r.Params[k])
 	}
 
 	if c := r.Convergence; c != nil {
-		fmt.Printf("\nconvergence (fault at t=%v", time.Duration(c.FaultAtNs))
+		printf("\nconvergence (fault at t=%v", time.Duration(c.FaultAtNs))
 		if c.RestoreAtNs != 0 {
-			fmt.Printf(", restored at t=%v", time.Duration(c.RestoreAtNs))
+			printf(", restored at t=%v", time.Duration(c.RestoreAtNs))
 		}
-		fmt.Printf(")\n")
+		printf(")\n")
 		affected, dead := 0, 0
 		for _, f := range c.Flows {
 			if f.Affected {
@@ -128,58 +132,58 @@ func render(r *obs.Report) {
 				dead++
 			}
 		}
-		fmt.Printf("  flows: %d total, %d affected, %d never recovered\n", len(c.Flows), affected, dead)
-		fmt.Printf("  failure  convergence ms: n=%d median=%.1f mean=%.1f max=%.1f\n",
+		printf("  flows: %d total, %d affected, %d never recovered\n", len(c.Flows), affected, dead)
+		printf("  failure  convergence ms: n=%d median=%.1f mean=%.1f max=%.1f\n",
 			c.Failure.N, c.Failure.Median, c.Failure.Mean, c.Failure.Max)
 		if c.Recovery.N > 0 {
-			fmt.Printf("  recovery convergence ms: n=%d median=%.1f mean=%.1f max=%.1f\n",
+			printf("  recovery convergence ms: n=%d median=%.1f mean=%.1f max=%.1f\n",
 				c.Recovery.N, c.Recovery.Median, c.Recovery.Mean, c.Recovery.Max)
 		}
 		for _, f := range c.Flows {
 			if f.Affected {
-				fmt.Printf("    %-40s %8.1f ms\n", f.Flow, f.ConvergedMs)
+				printf("    %-40s %8.1f ms\n", f.Flow, f.ConvergedMs)
 			}
 		}
 	}
 
 	if len(r.Timeline) > 0 {
-		fmt.Printf("\ntimeline (%d events; t relative to fault)\n", len(r.Timeline))
+		printf("\ntimeline (%d events; t relative to fault)\n", len(r.Timeline))
 		base := int64(0)
 		if r.Convergence != nil {
 			base = r.Convergence.FaultAtNs
 		}
 		for _, e := range r.Timeline {
-			fmt.Printf("  %+10.3fms  %-12s %-15s %s\n",
+			printf("  %+10.3fms  %-12s %-15s %s\n",
 				float64(e.AtNs-base)/1e6, e.Source, e.Kind, e.Text)
 		}
 	}
 
 	if h := r.ARPLatency; h != nil && h.N > 0 {
-		fmt.Printf("\nARP resolution latency (n=%d, max=%v)\n", h.N, time.Duration(h.MaxNs))
+		printf("\nARP resolution latency (n=%d, max=%v)\n", h.N, time.Duration(h.MaxNs))
 		for i, n := range h.Counts {
 			if n == 0 {
 				continue
 			}
 			if i < len(h.BoundsUs) {
-				fmt.Printf("  <= %8dus  %d\n", h.BoundsUs[i], n)
+				printf("  <= %8dus  %d\n", h.BoundsUs[i], n)
 			} else {
-				fmt.Printf("   > %8dus  %d\n", h.BoundsUs[len(h.BoundsUs)-1], n)
+				printf("   > %8dus  %d\n", h.BoundsUs[len(h.BoundsUs)-1], n)
 			}
 		}
 	}
 
 	if len(r.RegistryChurn) > 0 {
-		fmt.Printf("\nregistry churn (%d active buckets)\n", len(r.RegistryChurn))
+		printf("\nregistry churn (%d active buckets)\n", len(r.RegistryChurn))
 		for _, p := range r.RegistryChurn {
-			fmt.Printf("  t=%8.0fms  +%d reg, +%d migrate (%.1f/s)\n",
+			printf("  t=%8.0fms  +%d reg, +%d migrate (%.1f/s)\n",
 				p.AtMs, p.Registrations, p.Migrations, p.PerSec)
 		}
 	}
 
 	if len(r.Counters) > 0 {
-		fmt.Printf("\ncounters: %d (use -prom for the full dump)\n", len(r.Counters))
+		printf("\ncounters: %d (use -prom for the full dump)\n", len(r.Counters))
 	}
 	if len(r.Cells) > 0 {
-		fmt.Printf("cells: %d\n", len(r.Cells))
+		printf("cells: %d\n", len(r.Cells))
 	}
 }

@@ -373,7 +373,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 		return out, err
 	}
 	hosts := f.HostList()
-	flow := workload.StartCBR(hosts[0], hosts[len(hosts)-1], 22000, time.Millisecond, 64)
+	flow := workload.StartCBR(hosts[0], hosts[len(hosts)-1], 22000, probeEvery, 64)
 	f.RunFor(500 * time.Millisecond)
 
 	ldmsSent := func() (n int64) {
@@ -392,7 +392,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 	f.RunFor(2 * time.Second)
 	out.ldmRate = float64(ldmsSent()-ldm0) / 2.1 / float64(len(f.Spec.Switches()))
 
-	out.conv.addFlows([]*workload.CBR{flow}, failAt, time.Millisecond)
+	out.conv.addFlows([]*workload.CBR{flow}, failAt)
 	flow.Stop()
 	out.snap = obsCell(f, 0, trial, rig.Seed)
 	return out, nil

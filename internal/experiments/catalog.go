@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
+	"portland/internal/core"
 	"portland/internal/obs"
 )
 
@@ -29,14 +31,20 @@ func (s Settings) rig() Rig {
 }
 
 // Experiment is one catalog entry: what portland-bench lists, selects
-// and runs.
+// and runs, and what portland-report replays a cell of.
 type Experiment struct {
 	ID, Desc string
 	// WallClock marks a driver whose printed output includes a host-time
 	// measurement, so two runs never print the same bytes.
 	WallClock bool
 	run       func(Settings) (Result, error)
+	// replay is nil for an entry whose cells keep no journaled fabric.
+	replay func(s Settings, point, trial int) (*obs.Report, error)
 }
+
+// ErrNoCell is wrapped by every Replay error that names no replayable
+// cell: an entry without cell replay, or a coordinate outside its sweep.
+var ErrNoCell = errors.New("no such replayable cell")
 
 // Run executes the experiment at its full or -quick configuration and
 // returns the printable result plus its report (nil for f12–f14).
@@ -46,6 +54,48 @@ func (e Experiment) Run(s Settings) (Result, *obs.Report, error) {
 		return nil, nil, err
 	}
 	return res, res.report(), nil
+}
+
+// Replay re-runs the cell of the sweep Run(s) runs that the sweep
+// report records as (point, trial) and returns the cell's full report.
+// A cell is a pure function of (config, coordinate), so the replay's
+// Cells[0] equals the sweep's cell.
+func (e Experiment) Replay(s Settings, point, trial int) (*obs.Report, error) {
+	if e.replay == nil {
+		var ids []string
+		for _, c := range Catalog {
+			if c.replay != nil {
+				ids = append(ids, c.ID)
+			}
+		}
+		return nil, fmt.Errorf("%w: %s has no cell replay (entries with one: %s)", ErrNoCell, e.ID, strings.Join(ids, ", "))
+	}
+	return e.replay(s, point, trial)
+}
+
+// cells declares an entry whose sweep cells each keep a journaled
+// fabric, so any one replays. config is the one place the entry's
+// configuration is built from Settings; sweep and replay both use it.
+// grid bounds the sweep: points first..first+points-1, trials 0..trials-1.
+func cells[C any, R Result, T interface {
+	report(C, *core.Fabric) (*obs.Report, error)
+}](id, desc string, config func(Settings) C, run func(C) (R, error),
+	grid func(C) (first, points, trials int), cell func(C, int, int) (T, *core.Fabric, error)) Experiment {
+	return Experiment{ID: id, Desc: desc,
+		run: func(s Settings) (Result, error) { return run(config(s)) },
+		replay: func(s Settings, point, trial int) (*obs.Report, error) {
+			cfg := config(s)
+			if first, points, trials := grid(cfg); point < first || point >= first+points || trial < 0 || trial >= trials {
+				return nil, fmt.Errorf("%w: (point %d, trial %d) is outside the sweep's points %d..%d and trials 0..%d",
+					ErrNoCell, point, trial, first, first+points-1, trials-1)
+			}
+			tr, f, err := cell(cfg, point, trial)
+			if err != nil {
+				return nil, err
+			}
+			return tr.report(cfg, f)
+		},
+	}
 }
 
 // pick returns full, or quick under -quick.
@@ -64,24 +114,19 @@ var Catalog = []Experiment{
 		cfg.Ks = pick(s, cfg.Ks, []int{4, 8})
 		return runTable1(s.rig(), cfg)
 	}},
-	{ID: "f9", Desc: "Figure 9: UDP convergence vs number of link failures", run: func(s Settings) (Result, error) {
+	cells("f9", "Figure 9: UDP convergence vs number of link failures", func(s Settings) Fig9Config {
 		cfg := DefaultFig9()
 		cfg.Rig = s.rig()
-		if s.Quick {
-			cfg.MaxFaults, cfg.Trials = 6, 3
-		}
-		return RunFig9(cfg)
-	}},
-	{ID: "f9s", Desc: "Figure 9 variant: whole-switch (agg/core) crashes", run: func(s Settings) (Result, error) {
+		cfg.MaxFaults, cfg.Trials = pick(s, cfg.MaxFaults, 6), pick(s, cfg.Trials, 3)
+		return cfg
+	}, RunFig9, Fig9Config.grid, fig9Cell),
+	cells("f9s", "Figure 9 variant: whole-switch (agg/core) crashes", func(s Settings) Fig9Config {
 		cfg := DefaultFig9()
 		cfg.Rig = s.rig()
 		cfg.Mode = FailSwitches
-		cfg.MaxFaults, cfg.Trials = 6, 5
-		if s.Quick {
-			cfg.MaxFaults, cfg.Trials = 3, 2
-		}
-		return RunFig9(cfg)
-	}},
+		cfg.MaxFaults, cfg.Trials = pick(s, 6, 3), pick(s, 5, 2)
+		return cfg
+	}, RunFig9, Fig9Config.grid, fig9Cell),
 	{ID: "f10", Desc: "Figure 10: TCP convergence across a failure", run: func(s Settings) (Result, error) {
 		cfg := DefaultFig10()
 		cfg.Rig = s.rig()
@@ -114,28 +159,24 @@ var Catalog = []Experiment{
 		cfg.Outages = pick(s, cfg.Outages, []time.Duration{100 * time.Millisecond, 400 * time.Millisecond})
 		return RunFMF(cfg)
 	}},
-	{ID: "sc", Desc: "Scenario engine: time-to-detect/reroute per fault family", run: func(s Settings) (Result, error) {
+	cells("sc", "Scenario engine: time-to-detect/reroute per fault family", func(s Settings) SCConfig {
 		cfg := DefaultSC()
 		cfg.Rig = s.rig()
 		cfg.Trials = pick(s, cfg.Trials, 1)
-		return RunSC(cfg)
-	}},
-	{ID: "mgr", Desc: "Manager scaling: prefix-sharded registry + batched ARP punts", run: func(s Settings) (Result, error) {
+		return cfg
+	}, RunSC, SCConfig.grid, scCell),
+	cells("mgr", "Manager scaling: prefix-sharded registry + batched ARP punts", func(s Settings) MgrConfig {
 		cfg := DefaultMgr()
 		cfg.Rig = s.rig()
-		if s.Quick {
-			cfg.Trials, cfg.Flows = 1, 300
-		}
-		return RunMgr(cfg)
-	}},
-	{ID: "ft", Desc: "Table pressure: hardware envelopes vs fabric scale", run: func(s Settings) (Result, error) {
+		cfg.Trials, cfg.Flows = pick(s, cfg.Trials, 1), pick(s, cfg.Flows, 300)
+		return cfg
+	}, RunMgr, MgrConfig.grid, mgrCell),
+	cells("ft", "Table pressure: hardware envelopes vs fabric scale", func(s Settings) FTConfig {
 		cfg := DefaultFT()
 		cfg.Rig = s.rig()
-		if s.Quick {
-			cfg.Ks, cfg.Flows = []int{4, 6}, 200
-		}
-		return RunFT(cfg)
-	}},
+		cfg.Ks, cfg.Flows = pick(s, cfg.Ks, []int{4, 6}), pick(s, cfg.Flows, 200)
+		return cfg
+	}, RunFT, FTConfig.grid, ftCell),
 	{ID: "a1", Desc: "Ablation A1: ECMP vs spanning-tree cross-section goodput", run: func(s Settings) (Result, error) {
 		return runA1(s.rig(), DefaultA1())
 	}},

@@ -3,16 +3,18 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"portland/internal/obs"
 	"portland/internal/runner"
 )
 
 // render runs one catalog entry and returns everything it hands back:
-// the printed rows followed by the encoded report.
-func render(t *testing.T, e Experiment, s Settings, workers int) []byte {
+// the printed rows followed by the encoded report, and the report.
+func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.Report) {
 	t.Helper()
 	runner.SetWorkers(workers)
 	res, rep, err := e.Run(s)
@@ -26,14 +28,16 @@ func render(t *testing.T, e Experiment, s Settings, workers int) []byte {
 			t.Fatalf("%s: encoding its report: %v", e.ID, err)
 		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), rep
 }
 
 // TestCatalogIdentity is the determinism contract, held against every
 // catalog entry by name at its -quick configuration: the printed rows
 // and the report are the same bytes on one engine and on three engine
 // shards, and on one sweep worker and on eight. Nothing in the output
-// may depend on how the work was laid out.
+// may depend on how the work was laid out. For an entry with cell
+// replay, replaying the sweep report's first and last cells must give
+// back exactly those cells, under the sweep's experiment label.
 func TestCatalogIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
@@ -44,14 +48,26 @@ func TestCatalogIdentity(t *testing.T) {
 			if e.WallClock {
 				t.Skip("prints a wall-clock rate")
 			}
-			want := render(t, e, Settings{Quick: true}, 1)
+			want, rep := render(t, e, Settings{Quick: true}, 1)
 			if len(want) == 0 {
 				t.Fatal("printed nothing")
 			}
-			if got := render(t, e, Settings{Quick: true, Shards: 3}, 1); !bytes.Equal(got, want) {
+			if e.replay != nil {
+				for _, c := range []obs.CellReport{rep.Cells[0], rep.Cells[len(rep.Cells)-1]} {
+					got, err := e.Replay(Settings{Quick: true}, c.Point, c.Trial)
+					if err != nil {
+						t.Fatalf("replaying cell (%d, %d): %v", c.Point, c.Trial, err)
+					}
+					if got.Experiment != rep.Experiment || !reflect.DeepEqual(got.Cells, []obs.CellReport{c}) {
+						t.Errorf("replayed cell (%d, %d) = %s %+v, sweep cell = %s %+v",
+							c.Point, c.Trial, got.Experiment, got.Cells, rep.Experiment, c)
+					}
+				}
+			}
+			if got, _ := render(t, e, Settings{Quick: true, Shards: 3}, 1); !bytes.Equal(got, want) {
 				t.Errorf("output on 3 engine shards differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", want, got)
 			}
-			if got := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
+			if got, _ := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
 				t.Errorf("output on 8 sweep workers differs from one:\n--- one ---\n%s\n--- eight ---\n%s", want, got)
 			}
 		})

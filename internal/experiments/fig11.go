@@ -14,14 +14,13 @@ import (
 // receive interruption; the paper reports ~110 ms, dominated by
 // detection plus fabric-manager recomputation/installation).
 type Fig11Config struct {
-	Rig       Rig
-	Trials    int
-	SendEvery time.Duration
+	Rig    Rig
+	Trials int
 }
 
 // DefaultFig11 mirrors the paper's setup.
 func DefaultFig11() Fig11Config {
-	return Fig11Config{Rig: DefaultRig(), Trials: 10, SendEvery: time.Millisecond}
+	return Fig11Config{Rig: DefaultRig(), Trials: 10}
 }
 
 // Fig11Result summarizes per-receiver convergence across trials.
@@ -59,7 +58,7 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 	}
 	sender.Endpoint().JoinGroup(group, true, nil)
 	f.RunFor(50 * time.Millisecond)
-	f.Sched().NewTicker(cfg.SendEvery, 0, func() {
+	f.Sched().NewTicker(probeEvery, 0, func() {
 		sender.Endpoint().SendGroup(group, 5000, 5000, 256)
 	})
 	f.RunFor(300 * time.Millisecond)
@@ -78,7 +77,7 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 	f.RunFor(1 * time.Second)
 
 	for i, rec := range recs {
-		out.rx.add(receivers[i], rec, failAt, cfg.SendEvery)
+		out.rx.add(receivers[i], rec, failAt)
 	}
 	out.snap = obsCell(f, 0, trial, rig.Seed)
 	return out, nil
@@ -91,7 +90,7 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 	err := sweep(&res.Reported, "f11", cfg.Rig.Seed, map[string]string{
 		"k":          itoa(cfg.Rig.K),
 		"trials":     itoa(cfg.Trials),
-		"send_every": cfg.SendEvery.String(),
+		"send_every": probeEvery.String(),
 	}, cfg.Trials, 1, func(trial, _ int) (fig11Trial, error) {
 		return runFig11Cell(cfg, trial)
 	}, func(_ int, tr []fig11Trial) {

@@ -23,15 +23,21 @@ const (
 	FailSwitches
 )
 
+// fig9Modes names each mode once: the catalog ID its sweep reports
+// under, its replay reports' mode param, and what its table fails.
+var fig9Modes = [...]struct{ id, param, what string }{
+	FailLinks:    {"f9", "links", "link"},
+	FailSwitches: {"f9s", "switches", "switch (aggregation/core)"},
+}
+
 // Fig9Config parameterizes the UDP-convergence experiment (paper
 // Fig. 9: "Convergence time with increasing faults").
 type Fig9Config struct {
 	Rig             Rig
 	Mode            Fig9Mode
-	MaxFaults       int           // x-axis: 1..MaxFaults simultaneous failures
-	Trials          int           // repetitions per fault count
-	ProbeEvery      time.Duration // UDP probe interval (paper-style CBR)
-	MeasureRecovery bool          // also measure convergence after restoration
+	MaxFaults       int  // x-axis: 1..MaxFaults simultaneous failures
+	Trials          int  // repetitions per fault count
+	MeasureRecovery bool // also measure convergence after restoration
 }
 
 // DefaultFig9 matches the paper's sweep: up to 16 random failures.
@@ -40,7 +46,6 @@ func DefaultFig9() Fig9Config {
 		Rig:             DefaultRig(),
 		MaxFaults:       16,
 		Trials:          5,
-		ProbeEvery:      1 * time.Millisecond,
 		MeasureRecovery: true,
 	}
 }
@@ -84,7 +89,7 @@ func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 	if err != nil {
 		return out, nil, err
 	}
-	flows := probeFlows(f, cfg.ProbeEvery)
+	flows := probeFlows(f)
 
 	var crashed []topo.NodeID
 	if cfg.Mode == FailSwitches {
@@ -103,12 +108,12 @@ func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 	}
 	faults.Schedule{Events: []faults.Event{ev}}.Apply(f)
 	f.RunFor(1 * time.Second)
-	out.fail.addFlows(flows, out.failAt, cfg.ProbeEvery)
+	out.fail.addFlows(flows, out.failAt)
 
 	if cfg.MeasureRecovery {
 		out.restoreAt = out.failAt + ev.Duration // armed by the schedule
 		f.RunFor(1 * time.Second)
-		out.rec.addFlows(flows, out.restoreAt, cfg.ProbeEvery)
+		out.rec.addFlows(flows, out.restoreAt)
 	}
 	for _, fl := range flows {
 		fl.Stop()
@@ -117,14 +122,13 @@ func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 	return out, f, nil
 }
 
-// ReplayFig9 re-runs one (fault-count, trial) cell of a Figure 9 sweep
-// and returns its observability report: the failure→reconvergence
+// grid bounds the sweep: fault counts 1..MaxFaults, Trials each.
+func (cfg Fig9Config) grid() (int, int, int) { return 1, cfg.MaxFaults, cfg.Trials }
+
+// report is the cell's replay report: the failure→reconvergence
 // timeline, per-flow convergence, ARP latency, churn and counters.
-func ReplayFig9(cfg Fig9Config, n, trial int) (*obs.Report, error) {
-	tr, f, err := fig9Cell(cfg, n, trial)
-	if err != nil {
-		return nil, err
-	}
+func (tr fig9Trial) report(cfg Fig9Config, f *core.Fabric) (*obs.Report, error) {
+	n, trial := tr.cell.Point, tr.cell.Trial
 	if !tr.feasible {
 		return nil, fmt.Errorf("no failure set of size %d preserves routability at k=%d (trial %d)", n, cfg.Rig.K, trial)
 	}
@@ -132,16 +136,13 @@ func ReplayFig9(cfg Fig9Config, n, trial int) (*obs.Report, error) {
 		"k":           itoa(cfg.Rig.K),
 		"faults":      itoa(n),
 		"trial":       itoa(trial),
-		"probe_every": cfg.ProbeEvery.String(),
-		"mode":        "links",
-	}
-	if cfg.Mode == FailSwitches {
-		params["mode"] = "switches"
+		"probe_every": probeEvery.String(),
+		"mode":        fig9Modes[cfg.Mode].param,
 	}
 	for i, li := range tr.links {
 		params["link"+itoa(i)] = linkName(f, li)
 	}
-	return replayReport("f9", f, tr.cell, params, views{faultAt: tr.failAt, arp: true, conv: &obs.Convergence{
+	return replayReport(fig9Modes[cfg.Mode].id, f, tr.cell, params, views{faultAt: tr.failAt, arp: true, conv: &obs.Convergence{
 		FaultAtNs:   int64(tr.failAt),
 		RestoreAtNs: int64(tr.restoreAt),
 		Failure:     metrics.Summarize(tr.fail.ms),
@@ -155,15 +156,11 @@ func ReplayFig9(cfg Fig9Config, n, trial int) (*obs.Report, error) {
 // paper), convergence = interruption seen by affected receivers.
 func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 	res := &Fig9Result{Cfg: cfg}
-	id := "f9"
-	if cfg.Mode == FailSwitches {
-		id = "f9s"
-	}
-	err := sweep(&res.Reported, id, cfg.Rig.Seed, map[string]string{
+	err := sweep(&res.Reported, fig9Modes[cfg.Mode].id, cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"max_faults":  itoa(cfg.MaxFaults),
 		"trials":      itoa(cfg.Trials),
-		"probe_every": cfg.ProbeEvery.String(),
+		"probe_every": probeEvery.String(),
 	}, cfg.MaxFaults, cfg.Trials, func(point, trial int) (fig9Trial, error) {
 		tr, _, err := fig9Cell(cfg, point+1, trial)
 		return tr, err
@@ -191,12 +188,8 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 
 // Print emits the series as the paper's figure would tabulate it.
 func (r *Fig9Result) Print(w io.Writer) {
-	what := "link"
-	if r.Cfg.Mode == FailSwitches {
-		what = "switch (aggregation/core)"
-	}
-	fprintf(w, "Figure 9 — UDP convergence time vs number of random %s failures\n", what)
-	fprintf(w, "(k=%d fat tree, %d trials/point, probe interval %v)\n", r.Cfg.Rig.K, r.Cfg.Trials, r.Cfg.ProbeEvery)
+	fprintf(w, "Figure 9 — UDP convergence time vs number of random %s failures\n", fig9Modes[r.Cfg.Mode].what)
+	fprintf(w, "(k=%d fat tree, %d trials/point, probe interval %v)\n", r.Cfg.Rig.K, r.Cfg.Trials, probeEvery)
 	hr(w)
 	fprintf(w, "%8s  %28s  %28s  %9s %5s\n", "faults", "failure convergence (ms)", "recovery convergence (ms)", "affected", "dead")
 	fprintf(w, "%8s  %8s %9s %9s  %8s %9s %9s\n", "", "median", "mean", "max", "median", "mean", "max")

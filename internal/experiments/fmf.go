@@ -17,20 +17,18 @@ import (
 // fabric; an outage costs availability of *new* resolutions, never
 // installed forwarding state).
 type FMFConfig struct {
-	Rig        Rig
-	Outages    []time.Duration // manager dead time per cell
-	CtrlLoss   []float64       // control-channel loss rate per series
-	ProbeEvery time.Duration   // CBR probe interval
+	Rig      Rig
+	Outages  []time.Duration // manager dead time per cell
+	CtrlLoss []float64       // control-channel loss rate per series
 }
 
 // DefaultFMF sweeps outages from one heartbeat to many against a
 // lossless and a 10%-loss control plane.
 func DefaultFMF() FMFConfig {
 	return FMFConfig{
-		Rig:        DefaultRig(),
-		Outages:    []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond},
-		CtrlLoss:   []float64{0, 0.1},
-		ProbeEvery: 1 * time.Millisecond,
+		Rig:      DefaultRig(),
+		Outages:  []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond},
+		CtrlLoss: []float64{0, 0.1},
 	}
 }
 
@@ -76,7 +74,7 @@ func RunFMF(cfg FMFConfig) (*FMFResult, error) {
 	res := &FMFResult{Cfg: cfg}
 	err := sweep(&res.Reported, "fmf", cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
-		"probe_every": cfg.ProbeEvery.String(),
+		"probe_every": probeEvery.String(),
 	}, len(cfg.CtrlLoss), len(cfg.Outages), func(li, oi int) (FMFRow, error) {
 		// The flat cell number (first cell = 1) is the seed offset.
 		return runFMFCell(cfg, cfg.CtrlLoss[li], cfg.Outages[oi], li*len(cfg.Outages)+oi+1)
@@ -98,7 +96,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	if err != nil {
 		return FMFRow{}, err
 	}
-	flows := probeFlows(f, cfg.ProbeEvery)
+	flows := probeFlows(f)
 
 	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
@@ -130,7 +128,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 	hosts := f.HostList()
 	cold, target := hosts[2], hosts[len(hosts)-3]
 	cold.FlushARP(target.IP())
-	coldFlow := workload.StartCBR(cold, target, 7300, cfg.ProbeEvery, 64)
+	coldFlow := workload.StartCBR(cold, target, 7300, probeEvery, 64)
 
 	f.RunFor(outage + 2*time.Second)
 
@@ -147,7 +145,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 		row.ResyncRound = -1
 	}
 	for _, fl := range flows {
-		steady, ok := fl.RX.SteadyAfter(linkFailAt, 2*cfg.ProbeEvery)
+		steady, ok := fl.RX.SteadyAfter(linkFailAt, 2*probeEvery)
 		if !ok {
 			row.Dead++
 			continue
@@ -167,7 +165,7 @@ func runFMFCell(cfg FMFConfig, loss float64, outage time.Duration, cell int) (FM
 func (r *FMFResult) Print(w io.Writer) {
 	fprintf(w, "Manager failover — ARP blackout and convergence vs outage and control loss\n")
 	fprintf(w, "(k=%d fat tree, probe interval %v; blackout measured from the kill instant)\n",
-		r.Cfg.Rig.K, r.Cfg.ProbeEvery)
+		r.Cfg.Rig.K, probeEvery)
 	hr(w)
 	fprintf(w, "%8s %6s  %13s %12s %13s %5s %10s\n",
 		"outage", "loss", "ARP blackout", "resync", "flow conv", "dead", "ctrl drops")

@@ -263,61 +263,52 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	return out, f, nil
 }
 
-// ReplayFT re-runs one (k, generation-name, trial) cell of the
-// pressure sweep and returns its full observability report —
-// byte-identical on every invocation at the same config, which the
-// checked-in golden pins. Its timeline pins only the degradation
-// events, not the (large) ARP and discovery timeline.
-func ReplayFT(cfg FTConfig, k int, gen string, trial int) (*obs.Report, error) {
-	for p := 0; p < len(cfg.Ks)*len(cfg.Gens); p++ {
-		pk, pg := cfg.ftPoint(p)
-		if pk != k || pg.Name != gen {
-			continue
+// grid bounds the sweep: one point per (k, generation), Trials each.
+func (cfg FTConfig) grid() (int, int, int) { return 0, len(cfg.Ks) * len(cfg.Gens), cfg.Trials }
+
+// report is the cell's replay report: the pressure figures as params,
+// and a timeline of only the degradation events, not the (large) ARP
+// and discovery timeline.
+func (out ftTrial) report(cfg FTConfig, f *core.Fabric) (*obs.Report, error) {
+	k, gen := cfg.ftPoint(out.cell.Point)
+	rep := replayReport("ft", f, out.cell, map[string]string{
+		"k":                 itoa(k),
+		"gen":               gen.Name,
+		"hosts":             itoa(out.hosts),
+		"peers_per_host":    itoa(cfg.PeersPerHost),
+		"flows":             itoa(cfg.Flows),
+		"window":            cfg.Window.String(),
+		"trial":             itoa(out.cell.Trial),
+		"flow_cap":          itoa(gen.FlowEntries),
+		"flow_hits":         fmt.Sprintf("%d", out.hits),
+		"flow_misses":       fmt.Sprintf("%d", out.misses),
+		"flow_installs":     fmt.Sprintf("%d", out.installs),
+		"flow_evictions":    fmt.Sprintf("%d", out.evictions),
+		"flow_occ_max":      fmt.Sprintf("%.3f", out.occMax),
+		"ecmp_degrades":     fmt.Sprintf("%d", out.degrades),
+		"ecmp_groups_live":  fmt.Sprintf("%d", out.groupsLive),
+		"ecmp_members_used": fmt.Sprintf("%d", out.membersUsed),
+		"imb_max":           fmt.Sprintf("%d", out.imbMax),
+		"imb_ratio":         fmt.Sprintf("%.3f", out.imb),
+		"pl_state_max":      itoa(out.plMax),
+		"pl_state_mean":     fmt.Sprintf("%.1f", out.plMean),
+		"pl_state_active":   itoa(out.plActive),
+		"bl_cam_cap":        itoa(gen.FlowEntries),
+		"bl_cam_max":        itoa(out.blMax),
+		"bl_cam_mean":       fmt.Sprintf("%.1f", out.blMean),
+		"bl_evictions":      fmt.Sprintf("%d", out.blEvict),
+		"bl_flood_copies":   fmt.Sprintf("%d", out.blFlood),
+	}, views{})
+	var degrades []obs.SourcedEvent
+	for _, e := range f.Obs.Merge() {
+		if e.Kind == obs.EcmpDegrade {
+			degrades = append(degrades, e)
 		}
-		out, f, err := ftCell(cfg, p, trial)
-		if err != nil {
-			return nil, err
-		}
-		rep := replayReport("ft", f, out.cell, map[string]string{
-			"k":                 itoa(k),
-			"gen":               gen,
-			"hosts":             itoa(out.hosts),
-			"peers_per_host":    itoa(cfg.PeersPerHost),
-			"flows":             itoa(cfg.Flows),
-			"window":            cfg.Window.String(),
-			"trial":             itoa(trial),
-			"flow_cap":          itoa(pg.FlowEntries),
-			"flow_hits":         fmt.Sprintf("%d", out.hits),
-			"flow_misses":       fmt.Sprintf("%d", out.misses),
-			"flow_installs":     fmt.Sprintf("%d", out.installs),
-			"flow_evictions":    fmt.Sprintf("%d", out.evictions),
-			"flow_occ_max":      fmt.Sprintf("%.3f", out.occMax),
-			"ecmp_degrades":     fmt.Sprintf("%d", out.degrades),
-			"ecmp_groups_live":  fmt.Sprintf("%d", out.groupsLive),
-			"ecmp_members_used": fmt.Sprintf("%d", out.membersUsed),
-			"imb_max":           fmt.Sprintf("%d", out.imbMax),
-			"imb_ratio":         fmt.Sprintf("%.3f", out.imb),
-			"pl_state_max":      itoa(out.plMax),
-			"pl_state_mean":     fmt.Sprintf("%.1f", out.plMean),
-			"pl_state_active":   itoa(out.plActive),
-			"bl_cam_cap":        itoa(pg.FlowEntries),
-			"bl_cam_max":        itoa(out.blMax),
-			"bl_cam_mean":       fmt.Sprintf("%.1f", out.blMean),
-			"bl_evictions":      fmt.Sprintf("%d", out.blEvict),
-			"bl_flood_copies":   fmt.Sprintf("%d", out.blFlood),
-		}, views{})
-		var degrades []obs.SourcedEvent
-		for _, e := range f.Obs.Merge() {
-			if e.Kind == obs.EcmpDegrade {
-				degrades = append(degrades, e)
-			}
-		}
-		if len(degrades) > 0 {
-			rep.Timeline = obs.Timeline(degrades, 0, degrades[len(degrades)-1].At)
-		}
-		return rep, nil
 	}
-	return nil, fmt.Errorf("no sweep point k=%d gen=%q", k, gen)
+	if len(degrades) > 0 {
+		rep.Timeline = obs.Timeline(degrades, 0, degrades[len(degrades)-1].At)
+	}
+	return rep, nil
 }
 
 // RunFT runs the forwarding-table pressure sweep: every (degree,

@@ -216,41 +216,33 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 	return out, f, nil
 }
 
-// ReplayMgr re-runs one (shards, batch, trial) cell of the manager
-// sweep and returns its full observability report — byte-identical on
-// every invocation at the same config, which the checked-in golden
-// pins.
-func ReplayMgr(cfg MgrConfig, shards int, batch time.Duration, trial int) (*obs.Report, error) {
-	for p := 0; p < len(cfg.Shards)*len(cfg.Batch); p++ {
-		if s, b := cfg.mgrPoint(p); s != shards || b != batch {
-			continue
-		}
-		out, f, err := mgrCell(cfg, p, trial)
-		if err != nil {
-			return nil, err
-		}
-		return replayReport("mgr", f, out.cell, map[string]string{
-			"k":                itoa(cfg.Rig.K),
-			"shards":           itoa(shards),
-			"batch":            mgrBatchLabel(batch),
-			"flows":            itoa(cfg.Flows),
-			"window":           cfg.Window.String(),
-			"trial":            itoa(trial),
-			"arp_queries":      fmt.Sprintf("%d", out.queries),
-			"arp_batches":      fmt.Sprintf("%d", out.batches),
-			"batched_queries":  fmt.Sprintf("%d", out.batched),
-			"punt_msgs":        fmt.Sprintf("%d", out.puntMsgs),
-			"arps_per_sec_sim": fmt.Sprintf("%.0f", out.arpsPerSec),
-			"reg_min":          fmt.Sprintf("%d", out.regMin),
-			"reg_max":          fmt.Sprintf("%d", out.regMax),
-			"detect_ms":        fmt.Sprintf("%.3f", out.detectMs),
-			"fanout_ms":        fmt.Sprintf("%.3f", out.fanoutMs),
-			"conv_ms":          fmt.Sprintf("%.3f", out.convMs),
-			"excl_pushed":      itoa(out.excl),
-			"fault_link":       out.faultLink,
-		}, views{faultAt: out.failAt}), nil
-	}
-	return nil, fmt.Errorf("no sweep point shards=%d batch=%v", shards, batch)
+// grid bounds the sweep: one point per (shards, batch), Trials each.
+func (cfg MgrConfig) grid() (int, int, int) { return 0, len(cfg.Shards) * len(cfg.Batch), cfg.Trials }
+
+// report is the cell's replay report: the punt and fan-out figures as
+// params, and the timeline from the link failure on.
+func (out mgrTrial) report(cfg MgrConfig, f *core.Fabric) (*obs.Report, error) {
+	shards, batch := cfg.mgrPoint(out.cell.Point)
+	return replayReport("mgr", f, out.cell, map[string]string{
+		"k":                itoa(cfg.Rig.K),
+		"shards":           itoa(shards),
+		"batch":            mgrBatchLabel(batch),
+		"flows":            itoa(cfg.Flows),
+		"window":           cfg.Window.String(),
+		"trial":            itoa(out.cell.Trial),
+		"arp_queries":      fmt.Sprintf("%d", out.queries),
+		"arp_batches":      fmt.Sprintf("%d", out.batches),
+		"batched_queries":  fmt.Sprintf("%d", out.batched),
+		"punt_msgs":        fmt.Sprintf("%d", out.puntMsgs),
+		"arps_per_sec_sim": fmt.Sprintf("%.0f", out.arpsPerSec),
+		"reg_min":          fmt.Sprintf("%d", out.regMin),
+		"reg_max":          fmt.Sprintf("%d", out.regMax),
+		"detect_ms":        fmt.Sprintf("%.3f", out.detectMs),
+		"fanout_ms":        fmt.Sprintf("%.3f", out.fanoutMs),
+		"conv_ms":          fmt.Sprintf("%.3f", out.convMs),
+		"excl_pushed":      itoa(out.excl),
+		"fault_link":       out.faultLink,
+	}, views{faultAt: out.failAt}), nil
 }
 
 // RunMgr runs the manager-scaling sweep: every (shard count,

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"maps"
 	"strconv"
 	"time"
 
@@ -38,14 +37,7 @@ func obsCell(f *core.Fabric, point, trial int, seed uint64) snap {
 
 // newReport starts a report for one experiment run.
 func newReport(experiment string, seed uint64, params map[string]string) *obs.Report {
-	rep := &obs.Report{
-		Schema:     obs.SchemaVersion,
-		Experiment: experiment,
-		Seed:       seed,
-		Params:     map[string]string{},
-	}
-	maps.Copy(rep.Params, params)
-	return rep
+	return &obs.Report{Schema: obs.SchemaVersion, Experiment: experiment, Seed: seed, Params: params}
 }
 
 // sweep is the one fan-out every driver uses. It runs a points×trials
@@ -80,11 +72,15 @@ func sweep[T interface{ snapshot() obs.CellReport }](
 	return nil
 }
 
+// probeEvery is the interval of every probe stream a driver classifies
+// (paper-style CBR, and Fig. 11's multicast sender).
+const probeEvery = time.Millisecond
+
 // probeFlows starts one CBR probe per host along a random permutation
 // and runs the ARP warm-up to steady state.
-func probeFlows(f *core.Fabric, every time.Duration) []*workload.CBR {
+func probeFlows(f *core.Fabric) []*workload.CBR {
 	hosts := f.HostList()
-	flows := workload.PairCBRs(hosts, workload.Permutation(f.Rand(), len(hosts)), every, 64)
+	flows := workload.PairCBRs(hosts, workload.Permutation(f.Rand(), len(hosts)), probeEvery, 64)
 	f.RunFor(500 * time.Millisecond)
 	return flows
 }
@@ -101,9 +97,9 @@ type probeStats struct {
 	flows    []obs.FlowConvergence
 }
 
-func (p *probeStats) add(name string, rx *metrics.Recorder, at, every time.Duration) {
-	conv, recovered := rx.ConvergenceAfter(at, every)
-	affected := recovered && conv > 2*every
+func (p *probeStats) add(name string, rx *metrics.Recorder, at time.Duration) {
+	conv, recovered := rx.ConvergenceAfter(at, probeEvery)
+	affected := recovered && conv > 2*probeEvery
 	switch {
 	case !recovered:
 		p.dead++
@@ -121,9 +117,9 @@ func (p *probeStats) add(name string, rx *metrics.Recorder, at, every time.Durat
 
 // addFlows classifies each probe flow's receive stream after the
 // disturbance at `at`.
-func (p *probeStats) addFlows(flows []*workload.CBR, at, every time.Duration) {
+func (p *probeStats) addFlows(flows []*workload.CBR, at time.Duration) {
 	for _, fl := range flows {
-		p.add(fl.Src.Name()+"->"+fl.Dst.Name(), &fl.RX, at, every)
+		p.add(fl.Src.Name()+"->"+fl.Dst.Name(), &fl.RX, at)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"slices"
 	"time"
 
 	"portland/internal/core"
@@ -26,9 +25,8 @@ type SCConfig struct {
 	Detect graydetect.Config
 	// GrayRate is the per-direction drop probability of the gray
 	// scenarios.
-	GrayRate   float64
-	Trials     int
-	ProbeEvery time.Duration
+	GrayRate float64
+	Trials   int
 }
 
 // DefaultSC is the default scenario sweep: 50% gray loss, the
@@ -43,11 +41,10 @@ func DefaultSC() SCConfig {
 	det.Probes = true
 	det.Clean = 5
 	return SCConfig{
-		Rig:        DefaultRig(),
-		Detect:     det,
-		GrayRate:   0.5,
-		Trials:     3,
-		ProbeEvery: 1 * time.Millisecond,
+		Rig:      DefaultRig(),
+		Detect:   det,
+		GrayRate: 0.5,
+		Trials:   3,
 	}
 }
 
@@ -242,7 +239,7 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	if err != nil {
 		return out, nil, err
 	}
-	flows := probeFlows(f, cfg.ProbeEvery)
+	flows := probeFlows(f)
 
 	sc, ok := family.gen(f.Rand(), f, cfg)
 	if !ok {
@@ -257,7 +254,7 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	if d, found := detectLatency(family, f.Obs.Merge()); found {
 		out.detMs, out.detected = metrics.Ms(d), true
 	}
-	out.reroute.addFlows(flows, out.onset, cfg.ProbeEvery)
+	out.reroute.addFlows(flows, out.onset)
 	for _, fl := range flows {
 		fl.Stop()
 	}
@@ -265,24 +262,19 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	return out, f, nil
 }
 
-// ReplaySC re-runs one (family, trial) cell of the scenario sweep and
-// returns its full observability report — byte-identical on every
-// invocation at the same config, which the checked-in golden pins.
-func ReplaySC(cfg SCConfig, family string, trial int) (*obs.Report, error) {
-	fam := slices.IndexFunc(scFamilies, func(f scFamily) bool { return f.id == family })
-	if fam < 0 {
-		return nil, fmt.Errorf("unknown scenario family %q", family)
-	}
-	tr, f, err := scCell(cfg, fam, trial)
-	if err != nil {
-		return nil, err
-	}
+// grid bounds the sweep: one point per scenario family, Trials each.
+func (cfg SCConfig) grid() (int, int, int) { return 0, len(scFamilies), cfg.Trials }
+
+// report is the cell's replay report: the scenario's fault timeline,
+// per-flow reroute convergence, ARP latency, churn and counters.
+func (tr scTrial) report(cfg SCConfig, f *core.Fabric) (*obs.Report, error) {
+	fam, trial := tr.cell.Point, tr.cell.Trial
 	params := map[string]string{
 		"k":           itoa(cfg.Rig.K),
-		"family":      family,
+		"family":      scFamilies[fam].id,
 		"scenario":    tr.scenario,
 		"trial":       itoa(trial),
-		"probe_every": cfg.ProbeEvery.String(),
+		"probe_every": probeEvery.String(),
 		"detector":    "off",
 		"detect_ms":   "never",
 	}
@@ -314,7 +306,7 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 		"k":           itoa(cfg.Rig.K),
 		"trials":      itoa(cfg.Trials),
 		"gray_rate":   fmt.Sprintf("%.2f", cfg.GrayRate),
-		"probe_every": cfg.ProbeEvery.String(),
+		"probe_every": probeEvery.String(),
 		"det_window":  cfg.Detect.Interval.String(),
 		"det_trip":    itoa(cfg.Detect.Trip),
 		"det_clean":   itoa(cfg.Detect.Clean),
@@ -349,7 +341,7 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 func (r *SCResult) Print(w io.Writer) {
 	fprintf(w, "Scenario engine — time-to-detect / time-to-reroute per fault family\n")
 	fprintf(w, "(k=%d fat tree, %d trials/family, probe interval %v; detector: %v windows, trip %d, probes %v)\n",
-		r.Cfg.Rig.K, r.Cfg.Trials, r.Cfg.ProbeEvery,
+		r.Cfg.Rig.K, r.Cfg.Trials, probeEvery,
 		r.Cfg.Detect.Interval, r.Cfg.Detect.Trip, r.Cfg.Detect.Probes)
 	hr(w)
 	fprintf(w, "%-10s %9s  %26s  %26s  %8s %5s\n", "family", "detected", "detect latency (ms)", "reroute (ms)", "affected", "dead")

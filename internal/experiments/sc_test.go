@@ -1,9 +1,31 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"testing"
+
+	"portland/internal/obs"
 )
+
+// replaySC replays trial 0 of the named scenario family under cfg, a
+// configuration no catalog Settings produce.
+func replaySC(t *testing.T, cfg SCConfig, family string) *obs.Report {
+	t.Helper()
+	fam := slices.IndexFunc(scFamilies, func(f scFamily) bool { return f.id == family })
+	if fam < 0 {
+		t.Fatalf("no scenario family %q", family)
+	}
+	tr, f, err := scCell(cfg, fam, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tr.report(cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // TestPodPowerPositionSwapHeals replays the pod-power cell at rig seeds
 // 1..48, one trial each — the benchmark sweep's shape — and requires
@@ -20,10 +42,7 @@ func TestPodPowerPositionSwapHeals(t *testing.T) {
 		cfg := DefaultSC()
 		cfg.Rig.Seed = seed
 		cfg.Trials = 1
-		rep, err := ReplaySC(cfg, "pod-power", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := replaySC(t, cfg, "pod-power")
 		for _, fl := range rep.Convergence.Flows {
 			if !fl.Recovered {
 				t.Errorf("seed %d (%s): flow %s never recovered",
@@ -42,10 +61,7 @@ func TestSCDetectorProfiles(t *testing.T) {
 	cfg := DefaultSC()
 	det := func(family, window, trip, clean string) float64 {
 		t.Helper()
-		rep, err := ReplaySC(cfg, family, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := replaySC(t, cfg, family)
 		for key, want := range map[string]string{
 			"det_window": window, "det_trip": trip, "det_clean": clean,
 		} {

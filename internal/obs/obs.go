@@ -243,18 +243,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindFromString maps a wire name back to its Kind (KindUnknown when
-// the name is not recognized — forward compatibility for readers of
-// newer reports).
-func KindFromString(s string) Kind {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k)
-		}
-	}
-	return KindUnknown
-}
-
 // Event is one journal record: a virtual timestamp, a kind, and four
 // kind-specific arguments. It is a fixed-size value — recording one
 // into a journal's preallocated ring allocates nothing.

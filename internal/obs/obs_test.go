@@ -82,18 +82,19 @@ func TestMergeOrdering(t *testing.T) {
 	}
 }
 
+// TestKindStringRoundTrip: every kind has its own wire name, so a
+// report's timeline names each event's kind unambiguously.
 func TestKindStringRoundTrip(t *testing.T) {
+	seen := map[string]Kind{}
 	for k := KindUnknown; k < numKinds; k++ {
 		s := k.String()
 		if strings.HasPrefix(s, "kind(") {
 			t.Fatalf("kind %d has no name", k)
 		}
-		if got := KindFromString(s); got != k {
-			t.Fatalf("KindFromString(%q) = %v, want %v", s, got, k)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("kinds %d and %d share the name %q", prev, k, s)
 		}
-	}
-	if KindFromString("definitely-not-a-kind") != KindUnknown {
-		t.Fatal("unknown names must map to KindUnknown")
+		seen[s] = k
 	}
 }
 
@@ -168,6 +169,26 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`{"schema": 1, "experiment": "x", "seed": 1, "bogus": true}`)); err == nil {
 		t.Fatal("unknown fields must be rejected")
+	}
+}
+
+// TestDecodeRejectsMalformedHistogram: every histogram has one count
+// per bound plus the overflow count, and at least one bound; a report
+// that breaks that would index out of range in any renderer.
+func TestDecodeRejectsMalformedHistogram(t *testing.T) {
+	for _, hist := range []string{
+		`{"unit":"us","bounds_us":[],"counts":[1],"n":1,"max_ns":5}`,
+		`{"unit":"us","bounds_us":[1,2],"counts":[1,0],"n":1,"max_ns":5}`,
+		`{"unit":"us","bounds_us":[1],"counts":[1,0,0],"n":1,"max_ns":5}`,
+	} {
+		in := `{"schema":1,"experiment":"f9","seed":1,"arp_latency":` + hist + `}`
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Errorf("Decode accepted histogram %s", hist)
+		}
+	}
+	ok := `{"schema":1,"experiment":"f9","seed":1,"arp_latency":{"unit":"us","bounds_us":[1],"counts":[0,1],"n":1,"max_ns":5000}}`
+	if _, err := Decode(strings.NewReader(ok)); err != nil {
+		t.Errorf("Decode rejected a well-formed histogram: %v", err)
 	}
 }
 

@@ -85,9 +85,10 @@ func (r *Report) EncodeBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses a report, rejecting unknown fields and schema
-// mismatches — the golden-test contract is that Decode followed by
-// Encode reproduces the input byte-for-byte.
+// Decode parses a report, rejecting unknown fields, schema mismatches
+// and a histogram without one count per bound plus the overflow — the
+// golden-test contract is that Decode followed by Encode reproduces
+// the input byte-for-byte.
 func Decode(rd io.Reader) (*Report, error) {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
@@ -97,6 +98,9 @@ func Decode(rd io.Reader) (*Report, error) {
 	}
 	if r.Schema != SchemaVersion {
 		return nil, fmt.Errorf("obs: report schema %d, this reader speaks %d", r.Schema, SchemaVersion)
+	}
+	if h := r.ARPLatency; h != nil && (len(h.BoundsUs) == 0 || len(h.Counts) != len(h.BoundsUs)+1) {
+		return nil, fmt.Errorf("obs: ARP latency histogram has %d counts for %d bounds", len(h.Counts), len(h.BoundsUs))
 	}
 	return &r, nil
 }
