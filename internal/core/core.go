@@ -556,20 +556,21 @@ func (f *Fabric) TapSwitch(name string, fn func(port int, frame *ether.Frame, eg
 
 // CapturePcap streams every frame the named switch touches into a
 // standard pcap capture (openable in Wireshark); non-Ethernet-coded
-// internal frames are serialized through the real wire codecs.
+// internal frames are serialized through the real wire codecs. An
+// unknown name is an error that writes nothing to w.
 func (f *Fabric) CapturePcap(name string, w io.Writer) (*trace.PcapWriter, error) {
+	if f.SwitchByName(name) == nil {
+		return nil, fmt.Errorf("no switch named %q", name)
+	}
 	pw, err := trace.NewPcapWriter(w)
 	if err != nil {
 		return nil, err
 	}
 	swEng := f.engOf[f.byName[name]]
-	ok := f.TapSwitch(name, func(_ int, frame *ether.Frame, egress bool) {
+	f.TapSwitch(name, func(_ int, frame *ether.Frame, egress bool) {
 		if !egress { // capture each frame once, on ingress
 			_ = pw.WriteFrame(swEng.Now(), frame)
 		}
 	})
-	if !ok {
-		return nil, fmt.Errorf("no switch named %q", name)
-	}
 	return pw, nil
 }

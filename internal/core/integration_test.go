@@ -125,6 +125,18 @@ func TestPcapCaptureIntegration(t *testing.T) {
 	}
 }
 
+// TestPcapCaptureUnknownSwitch: a name that is no switch's is an error
+// that leaves the writer empty, not a file holding only a pcap header.
+func TestPcapCaptureUnknownSwitch(t *testing.T) {
+	f := buildK4(t)
+	for _, name := range []string{"no-such-switch", "host-p0-e0-h0"} {
+		var buf bytes.Buffer
+		if pw, err := f.CapturePcap(name, &buf); err == nil || pw != nil || buf.Len() != 0 {
+			t.Errorf("CapturePcap(%q) = %v, %v and wrote %d bytes; want an error and 0 bytes", name, pw, err, buf.Len())
+		}
+	}
+}
+
 // TestARPFloodFallbackEndToEnd: a host that has never transmitted is
 // unknown to the fabric manager; resolving it must fall back to the
 // edge-port broadcast and still succeed.

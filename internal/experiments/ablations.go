@@ -21,23 +21,27 @@ import (
 
 // --- A1: ECMP multipath vs single spanning-tree path ---------------
 
-// A1Config parameterizes the bisection-throughput ablation.
-type A1Config struct {
-	K        int
-	Duration time.Duration
-	FlowRate time.Duration // packet interval per flow
-	Size     int
-}
+// A1Config configures the bisection-throughput ablation. It has no
+// fields: the blast is fixed (a1Window, a1Every, a1Size) and the fabric
+// is the rig's. The type stays because benchmark/ runs
+// RunA1(DefaultA1()).
+type A1Config struct{}
 
-// DefaultA1 saturates a k=4 fabric with left→right pod flows.
-func DefaultA1() A1Config {
-	return A1Config{K: 4, Duration: 1 * time.Second, FlowRate: 15 * time.Microsecond, Size: 1400}
-}
+// DefaultA1 returns the one A1 configuration.
+func DefaultA1() A1Config { return A1Config{} }
+
+// A1 saturates the fabric with left→right pod flows: one a1Size-byte
+// datagram per flow every a1Every, measured over a1Window.
+const (
+	a1Window = 1 * time.Second
+	a1Every  = 15 * time.Microsecond
+	a1Size   = 1400
+)
 
 // A1Result compares delivered cross-section goodput. The report
 // covers the PortLand half only: the baseline fabric has no journals.
 type A1Result struct {
-	Cfg          A1Config
+	k            int
 	PortLandMbps float64
 	BaselineMbps float64
 	Speedup      float64
@@ -56,27 +60,26 @@ type a1Half struct {
 // PortLand spreads the flows over every core; the spanning tree
 // funnels them through its single surviving root path. The two
 // fabrics are independent and run as two cells.
-func RunA1(cfg A1Config) (*A1Result, error) { return runA1(DefaultRig(), cfg) }
+func RunA1(A1Config) (*A1Result, error) { return runA1(DefaultRig()) }
 
-func runA1(rig Rig, cfg A1Config) (*A1Result, error) {
-	rig.K = cfg.K
-	res := &A1Result{Cfg: cfg}
+func runA1(rig Rig) (*A1Result, error) {
+	res := &A1Result{k: rig.K}
 	var mbps [2]float64
 	err := sweep(&res.Reported, "a1", rig.Seed, map[string]string{
-		"k": itoa(cfg.K),
+		"k": itoa(rig.K),
 	}, 2, 1, func(half, _ int) (a1Half, error) {
 		if half == 1 {
-			bf, err := buildBaseline(cfg.K, 1, baseline.Config{})
+			bf, err := buildBaseline(rig.K, 1, baseline.Config{})
 			if err != nil {
 				return a1Half{}, err
 			}
-			return a1Half{mbps: crossSectionGoodput(bf, cfg)}, nil
+			return a1Half{mbps: crossSectionGoodput(bf)}, nil
 		}
 		f, err := rig.build()
 		if err != nil {
 			return a1Half{}, err
 		}
-		mbps := crossSectionGoodput(f, cfg)
+		mbps := crossSectionGoodput(f)
 		return a1Half{mbps: mbps, snap: obsCell(f, 0, 0, rig.Seed)}, nil
 	}, func(half int, h []a1Half) { mbps[half] = h[0].mbps })
 	if err != nil {
@@ -100,7 +103,7 @@ func crossSectionGoodput(f interface {
 	HostList() []*host.Host
 	RunFor(time.Duration)
 	Rand() *rand.Rand
-}, cfg A1Config) float64 {
+}) float64 {
 	hosts := f.HostList()
 	half := len(hosts) / 2
 	received := make([]int64, half)
@@ -110,7 +113,7 @@ func crossSectionGoodput(f interface {
 		port := uint16(23000 + i)
 		dst.Endpoint().BindUDP(port, func(netip.Addr, uint16, ether.Payload) {
 			if measuring {
-				received[i] += int64(cfg.Size)
+				received[i] += a1Size
 			}
 		})
 		// One probe to resolve ARP before the blast.
@@ -120,23 +123,23 @@ func crossSectionGoodput(f interface {
 	for i := 0; i < half; i++ {
 		src, dst := hosts[i], hosts[half+i]
 		port := uint16(23000 + i)
-		send := a1Sender(src, dst, port, cfg.Size)
+		send := a1Sender(src, dst, port, a1Size)
 		// De-phase the flows: first tick a random fraction of the interval in.
-		first := time.Duration(f.Rand().Int64N(int64(cfg.FlowRate))) + 1
+		first := time.Duration(f.Rand().Int64N(int64(a1Every))) + 1
 		src.Sim().Schedule(first, func() {
 			send()
-			src.Sim().NewTicker(cfg.FlowRate, 0, send)
+			src.Sim().NewTicker(a1Every, 0, send)
 		})
 	}
 	f.RunFor(200 * time.Millisecond) // ramp
 	measuring = true
-	f.RunFor(cfg.Duration)
+	f.RunFor(a1Window)
 	measuring = false
 	var total int64
 	for _, n := range received {
 		total += n
 	}
-	return float64(total) * 8 / cfg.Duration.Seconds() / 1e6
+	return float64(total) * 8 / a1Window.Seconds() / 1e6
 }
 
 // a1Sender returns one flow's per-tick send: the flow's datagrams are
@@ -149,7 +152,7 @@ func a1Sender(src, dst *host.Host, port uint16, size int) func() {
 
 // Print emits the comparison.
 func (r *A1Result) Print(w io.Writer) {
-	fprintf(w, "Ablation A1 — cross-section goodput: ECMP vs spanning tree (k=%d)\n", r.Cfg.K)
+	fprintf(w, "Ablation A1 — cross-section goodput: ECMP vs spanning tree (k=%d)\n", r.k)
 	hr(w)
 	fprintf(w, "PortLand (ECMP over cores): %8.0f Mbps\n", r.PortLandMbps)
 	fprintf(w, "Flat L2 (spanning tree):    %8.0f Mbps\n", r.BaselineMbps)

@@ -144,7 +144,7 @@ var Catalog = []Experiment{
 		return RunFig12(cfg)
 	}},
 	{ID: "f13", Desc: "Figure 13: fabric-manager control traffic", run: func(s Settings) (Result, error) {
-		return runFig13(s.rig(), DefaultFig13())
+		return runFig13(s.rig())
 	}},
 	{ID: "f14", Desc: "Figure 14: fabric-manager CPU requirement", WallClock: true, run: func(s Settings) (Result, error) {
 		cfg := DefaultFig14()
@@ -178,7 +178,7 @@ var Catalog = []Experiment{
 		return cfg
 	}, RunFT, FTConfig.grid, ftCell),
 	{ID: "a1", Desc: "Ablation A1: ECMP vs spanning-tree cross-section goodput", run: func(s Settings) (Result, error) {
-		return runA1(s.rig(), DefaultA1())
+		return runA1(s.rig())
 	}},
 	{ID: "a2", Desc: "Ablation A2: LDP discovery time vs k", run: func(s Settings) (Result, error) {
 		// The full sweep ends at the paper's deployment target: a k=48

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +17,9 @@ import (
 	"portland/internal/runner"
 )
 
-// render runs one catalog entry and returns everything it hands back:
-// the printed rows followed by the encoded report, and the report.
+// render runs one catalog entry and returns its printed rows followed
+// by a line holding the SHA-256 of its encoded report (f12–f14 return
+// none), and the report.
 func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.Report) {
 	t.Helper()
 	runner.SetWorkers(workers)
@@ -24,9 +30,11 @@ func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.R
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if rep != nil {
-		if err := rep.Encode(&buf); err != nil {
+		b, err := rep.EncodeBytes()
+		if err != nil {
 			t.Fatalf("%s: encoding its report: %v", e.ID, err)
 		}
+		fmt.Fprintf(&buf, "report sha256 %x\n", sha256.Sum256(b))
 	}
 	return buf.Bytes(), rep
 }
@@ -35,9 +43,13 @@ func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.R
 // catalog entry by name at its -quick configuration: the printed rows
 // and the report are the same bytes on one engine and on three engine
 // shards, and on one sweep worker and on eight. Nothing in the output
-// may depend on how the work was laid out. For an entry with cell
-// replay, replaying the sweep report's first and last cells must give
-// back exactly those cells, under the sweep's experiment label.
+// may depend on how the work was laid out. The serial bytes must also
+// equal the entry's checked-in testdata/quick-<id>.golden.txt, so a
+// refactor that moves any printed value or report byte fails here
+// (regenerate with -update after an intentional change). For an entry
+// with cell replay, replaying the sweep report's first and last cells
+// must give back exactly those cells, under the sweep's experiment
+// label.
 func TestCatalogIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
@@ -52,6 +64,7 @@ func TestCatalogIdentity(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("printed nothing")
 			}
+			matchGolden(t, "quick-"+e.ID+".golden.txt", want)
 			if e.replay != nil {
 				for _, c := range []obs.CellReport{rep.Cells[0], rep.Cells[len(rep.Cells)-1]} {
 					got, err := e.Replay(Settings{Quick: true}, c.Point, c.Trial)
@@ -85,6 +98,21 @@ func TestCatalogDocumented(t *testing.T) {
 		if !regexp.MustCompile("(?m)^.*`-exp " + e.ID + "`").Match(doc) {
 			t.Errorf("EXPERIMENTS.md has no `-exp %s` section", e.ID)
 		}
+	}
+}
+
+// TestBenchmarkModuleVets builds and vets benchmark/. It is a module of
+// its own, so `go test ./...` never compiles it, yet it programs
+// against this package's exported API and core's; an API break in
+// internal/ must fail here, not first in `make benchmark-test`.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark module")
+	}
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "vet", ".")
+	cmd.Dir = filepath.Join("..", "..", "benchmark")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in benchmark/: %v\n%s", err, out)
 	}
 }
 

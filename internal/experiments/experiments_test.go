@@ -83,10 +83,10 @@ func TestFig12(t *testing.T) {
 	if res.Reset {
 		t.Fatal("TCP connection reset across migration; PortLand must keep it alive")
 	}
-	if res.Outage < res.Cfg.Pause {
-		t.Fatalf("outage %v shorter than the blackout %v?", res.Outage, res.Cfg.Pause)
+	if res.Outage < fig12Pause {
+		t.Fatalf("outage %v shorter than the blackout %v?", res.Outage, fig12Pause)
 	}
-	if res.Outage > res.Cfg.Pause+2*time.Second {
+	if res.Outage > fig12Pause+2*time.Second {
 		t.Fatalf("outage %v far exceeds blackout+recovery", res.Outage)
 	}
 	if res.PostMbps < 0.5*res.PreMbps {
@@ -179,7 +179,7 @@ func TestA1SendAllocFree(t *testing.T) {
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := 0
 	dst.Endpoint().BindUDP(23000, func(netip.Addr, uint16, ether.Payload) { got++ })
-	send := a1Sender(src, dst, 23000, DefaultA1().Size)
+	send := a1Sender(src, dst, 23000, a1Size)
 	send() // resolves ARP, installs the flow
 	f.RunFor(100 * time.Millisecond)
 	// LDP keepalives are the only periodic events and are not under test.

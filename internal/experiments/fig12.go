@@ -16,23 +16,23 @@ import (
 // Fig. 12: TCP connection throughput while its VM endpoint live-
 // migrates between pods; sub-second interruption, full recovery).
 type Fig12Config struct {
-	Rig    Rig
-	Pause  time.Duration // stop-and-copy blackout
-	Bucket time.Duration // throughput bucket width
+	Rig Rig
 }
 
-// DefaultFig12 models a sub-second stop-and-copy pause.
+// DefaultFig12 runs on the paper-testbed rig.
 func DefaultFig12() Fig12Config {
-	return Fig12Config{
-		Rig:    DefaultRig(),
-		Pause:  300 * time.Millisecond,
-		Bucket: 100 * time.Millisecond,
-	}
+	return Fig12Config{Rig: DefaultRig()}
 }
+
+// fig12Pause is the migration's sub-second stop-and-copy blackout, and
+// fig12Bucket the throughput series' bucket width.
+const (
+	fig12Pause  = 300 * time.Millisecond
+	fig12Bucket = 100 * time.Millisecond
+)
 
 // Fig12Result is the throughput time series around the migration.
 type Fig12Result struct {
-	Cfg       Fig12Config
 	MigrateAt time.Duration // detach instant
 	ResumeAt  time.Duration // attach instant on the new host
 	Series    []metrics.ThroughputPoint
@@ -82,23 +82,23 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	})
 	f.RunFor(1 * time.Second)
 
-	res := &Fig12Result{Cfg: cfg}
+	res := &Fig12Result{}
 	res.MigrateAt = f.Now()
 	oldHost.DetachVM(vm)
-	f.RunFor(cfg.Pause)
+	f.RunFor(fig12Pause)
 	res.ResumeAt = f.Now()
 	newHost.AttachVM(vm)
 	f.RunFor(3 * time.Second)
 
 	start := res.MigrateAt - 1*time.Second
 	end := res.ResumeAt + 2*time.Second
-	res.Series = deliver.Throughput(start, end, cfg.Bucket)
+	res.Series = deliver.Throughput(start, end, fig12Bucket)
 	for _, g := range deliver.GapsOver(50*time.Millisecond, res.MigrateAt-100*time.Millisecond, end) {
 		res.Outage = max(res.Outage, g.Length)
 	}
 	// Pre/post steady-state throughput (exclude the outage window).
-	res.PreMbps = meanMbps(deliver.Throughput(res.MigrateAt-800*time.Millisecond, res.MigrateAt, cfg.Bucket))
-	res.PostMbps = meanMbps(deliver.Throughput(res.ResumeAt+1*time.Second, res.ResumeAt+2*time.Second, cfg.Bucket))
+	res.PreMbps = meanMbps(deliver.Throughput(res.MigrateAt-800*time.Millisecond, res.MigrateAt, fig12Bucket))
+	res.PostMbps = meanMbps(deliver.Throughput(res.ResumeAt+1*time.Second, res.ResumeAt+2*time.Second, fig12Bucket))
 	res.Reset = conn.State() != tcplite.StateEstablished
 	return res, nil
 }
@@ -116,7 +116,7 @@ func meanMbps(pts []metrics.ThroughputPoint) float64 {
 
 // Print emits the throughput series the paper plots.
 func (r *Fig12Result) Print(w io.Writer) {
-	fprintf(w, "Figure 12 — TCP throughput across VM live migration (pause %v)\n", r.Cfg.Pause)
+	fprintf(w, "Figure 12 — TCP throughput across VM live migration (pause %v)\n", fig12Pause)
 	hr(w)
 	fprintf(w, "detach t=%v, resume t=%v\n", r.MigrateAt, r.ResumeAt)
 	fprintf(w, "observed delivery outage: %s   connection reset: %v\n", metrics.FmtMs(r.Outage), r.Reset)

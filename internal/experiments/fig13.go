@@ -34,30 +34,67 @@ func ARPMessageBytes() int {
 	return len(q) + len(a) + 2*ctrlFrameOverhead
 }
 
-// Fig13Config parameterizes the control-traffic scalability estimate
+// Fig13Config configures the control-traffic scalability estimate
 // (paper Fig. 13: fabric-manager control traffic vs number of hosts
-// for per-host ARP rates of 25, 50 and 100/s).
-type Fig13Config struct {
-	Rates     []int // ARPs per second per host
-	HostsStep int
-	HostsMax  int
+// for per-host ARP rates of 25, 50 and 100/s). It has no fields: the
+// axes are the paper's, fixed as arpRates and arpHostsStep..arpHostsMax.
+// The type stays because benchmark/ runs RunFig13(DefaultFig13()).
+type Fig13Config struct{}
+
+// DefaultFig13 returns the one Figure 13 configuration.
+func DefaultFig13() Fig13Config { return Fig13Config{} }
+
+// arpRates are the per-host ARP rates (ARPs/s) of Figures 13 and 14,
+// and arpHostsStep..arpHostsMax their shared host-count axis: the
+// paper's axes, up to ~128k hosts.
+var arpRates = []int{25, 50, 100}
+
+const (
+	arpHostsStep = 8192
+	arpHostsMax  = 131072
+)
+
+// arpAxis calls row once per host count of Figures 13 and 14's axis,
+// with per(hosts, rate) at each of arpRates.
+func arpAxis(row func(hosts int, vals []float64), per func(hosts, rate int) float64) {
+	for hosts := arpHostsStep; hosts <= arpHostsMax; hosts += arpHostsStep {
+		var vals []float64
+		for _, rate := range arpRates {
+			vals = append(vals, per(hosts, rate))
+		}
+		row(hosts, vals)
+	}
 }
 
-// DefaultFig13 matches the paper's axes (up to ~128k hosts).
-func DefaultFig13() Fig13Config {
-	return Fig13Config{Rates: []int{25, 50, 100}, HostsStep: 8192, HostsMax: 131072}
+// printARPAxis prints Figures 13 and 14's host×rate table: a header
+// naming each rate and the unit, then each row's host count and its
+// values, one cell format each.
+func printARPAxis[R any](w io.Writer, unit, cell string, rows []R, row func(R) (int, []float64)) {
+	fprintf(w, "\n%10s", "hosts")
+	for _, rate := range arpRates {
+		fprintf(w, "  %8d/s", rate)
+	}
+	fprintf(w, "   (%s)\n", unit)
+	for _, r := range rows {
+		hosts, vals := row(r)
+		fprintf(w, "%10d", hosts)
+		for _, v := range vals {
+			fprintf(w, cell, v)
+		}
+		fprintf(w, "\n")
+	}
+	fprintf(w, "\n")
 }
 
 // Fig13Row is one x-axis point.
 type Fig13Row struct {
 	Hosts int
-	Mbps  []float64 // parallel to Cfg.Rates
+	Mbps  []float64 // parallel to arpRates
 }
 
 // Fig13Result is the series plus the measured per-ARP constant and
 // the simulation cross-check.
 type Fig13Result struct {
-	Cfg         Fig13Config
 	BytesPerARP int
 	Rows        []Fig13Row
 
@@ -71,18 +108,14 @@ type Fig13Result struct {
 // curve is an extrapolation from the measured per-ARP cost; unlike
 // the paper we also validate that constant against an actual run of
 // the full fabric (the k=4 testbed with a cache-busting ARP workload).
-func RunFig13(cfg Fig13Config) (*Fig13Result, error) { return runFig13(DefaultRig(), cfg) }
+func RunFig13(Fig13Config) (*Fig13Result, error) { return runFig13(DefaultRig()) }
 
-func runFig13(rig Rig, cfg Fig13Config) (*Fig13Result, error) {
-	res := &Fig13Result{Cfg: cfg, BytesPerARP: ARPMessageBytes()}
-	for hosts := cfg.HostsStep; hosts <= cfg.HostsMax; hosts += cfg.HostsStep {
-		row := Fig13Row{Hosts: hosts}
-		for _, rate := range cfg.Rates {
-			bps := float64(hosts) * float64(rate) * float64(res.BytesPerARP) * 8
-			row.Mbps = append(row.Mbps, bps/1e6)
-		}
-		res.Rows = append(res.Rows, row)
-	}
+func runFig13(rig Rig) (*Fig13Result, error) {
+	res := &Fig13Result{BytesPerARP: ARPMessageBytes()}
+	arpAxis(func(hosts int, mbps []float64) { res.Rows = append(res.Rows, Fig13Row{Hosts: hosts, Mbps: mbps}) },
+		func(hosts, rate int) float64 {
+			return float64(hosts) * float64(rate) * float64(res.BytesPerARP) * 8 / 1e6
+		})
 
 	// Cross-check in the simulator.
 	f, err := rig.build()
@@ -92,7 +125,7 @@ func runFig13(rig Rig, cfg Fig13Config) (*Fig13Result, error) {
 	f.RunFor(200 * time.Millisecond)
 	toMgr0, fromMgr0 := f.ControlStats()
 	arps0 := f.Manager.Stats.ARPQueries
-	n := workload.ARPStorm(f.HostList(), 8)
+	n := workload.ARPStorm(f.HostList(), warmPeers)
 	f.RunFor(2 * time.Second)
 	toMgr1, fromMgr1 := f.ControlStats()
 	arps := f.Manager.Stats.ARPQueries - arps0
@@ -114,17 +147,5 @@ func (r *Fig13Result) Print(w io.Writer) {
 	if r.MeasuredPerARP > 0 {
 		fprintf(w, "simulator cross-check (incl. registrations/floods): %.1f bytes/ARP\n", r.MeasuredPerARP)
 	}
-	fprintf(w, "\n%10s", "hosts")
-	for _, rate := range r.Cfg.Rates {
-		fprintf(w, "  %8d/s", rate)
-	}
-	fprintf(w, "   (Mbps at fabric manager)\n")
-	for _, row := range r.Rows {
-		fprintf(w, "%10d", row.Hosts)
-		for _, m := range row.Mbps {
-			fprintf(w, "  %10.1f", m)
-		}
-		fprintf(w, "\n")
-	}
-	fprintf(w, "\n")
+	printARPAxis(w, "Mbps at fabric manager", "  %10.1f", r.Rows, func(row Fig13Row) (int, []float64) { return row.Hosts, row.Mbps })
 }

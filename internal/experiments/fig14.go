@@ -12,21 +12,15 @@ import (
 
 // Fig14Config parameterizes the fabric-manager CPU estimate (paper
 // Fig. 14: cores needed to serve the fabric's aggregate ARP rate, as
-// a function of host count).
+// a function of host count, on Figure 13's host×rate axis).
 type Fig14Config struct {
-	Rates      []int // ARPs per second per host
-	HostsStep  int
-	HostsMax   int
 	Registry   int // registry size during the measurement
 	MeasureOps int // ARP queries to time
 }
 
-// DefaultFig14 uses the paper's axes and its 27,648-host registry.
+// DefaultFig14 uses the paper's 27,648-host registry.
 func DefaultFig14() Fig14Config {
 	return Fig14Config{
-		Rates:      []int{25, 50, 100},
-		HostsStep:  8192,
-		HostsMax:   131072,
 		Registry:   27648,
 		MeasureOps: 400000,
 	}
@@ -35,7 +29,7 @@ func DefaultFig14() Fig14Config {
 // Fig14Row is one x-axis point.
 type Fig14Row struct {
 	Hosts int
-	Cores []float64 // parallel to Cfg.Rates
+	Cores []float64 // parallel to arpRates
 }
 
 // Fig14Result carries the measured single-core service rate and the
@@ -81,13 +75,8 @@ func (nopConn) Send(ctrlmsg.Msg) error { return nil }
 func RunFig14(cfg Fig14Config) (*Fig14Result, error) {
 	res := &Fig14Result{Cfg: cfg}
 	res.ARPsPerSec, res.NsPerARP = MeasureARPThroughput(cfg.Registry, cfg.MeasureOps)
-	for hosts := cfg.HostsStep; hosts <= cfg.HostsMax; hosts += cfg.HostsStep {
-		row := Fig14Row{Hosts: hosts}
-		for _, rate := range cfg.Rates {
-			row.Cores = append(row.Cores, float64(hosts)*float64(rate)/res.ARPsPerSec)
-		}
-		res.Rows = append(res.Rows, row)
-	}
+	arpAxis(func(hosts int, cores []float64) { res.Rows = append(res.Rows, Fig14Row{Hosts: hosts, Cores: cores}) },
+		func(hosts, rate int) float64 { return float64(hosts) * float64(rate) / res.ARPsPerSec })
 	return res, nil
 }
 
@@ -97,17 +86,5 @@ func (r *Fig14Result) Print(w io.Writer) {
 	hr(w)
 	fprintf(w, "measured single-core service rate: %.0f ARPs/s (%.0f ns/ARP, %d-host registry)\n",
 		r.ARPsPerSec, r.NsPerARP, r.Cfg.Registry)
-	fprintf(w, "\n%10s", "hosts")
-	for _, rate := range r.Cfg.Rates {
-		fprintf(w, "  %8d/s", rate)
-	}
-	fprintf(w, "   (cores)\n")
-	for _, row := range r.Rows {
-		fprintf(w, "%10d", row.Hosts)
-		for _, c := range row.Cores {
-			fprintf(w, "  %10.2f", c)
-		}
-		fprintf(w, "\n")
-	}
-	fprintf(w, "\n")
+	printARPAxis(w, "cores", "  %10.2f", r.Rows, func(row Fig14Row) (int, []float64) { return row.Hosts, row.Cores })
 }

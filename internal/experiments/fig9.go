@@ -33,20 +33,18 @@ var fig9Modes = [...]struct{ id, param, what string }{
 // Fig9Config parameterizes the UDP-convergence experiment (paper
 // Fig. 9: "Convergence time with increasing faults").
 type Fig9Config struct {
-	Rig             Rig
-	Mode            Fig9Mode
-	MaxFaults       int  // x-axis: 1..MaxFaults simultaneous failures
-	Trials          int  // repetitions per fault count
-	MeasureRecovery bool // also measure convergence after restoration
+	Rig       Rig
+	Mode      Fig9Mode
+	MaxFaults int // x-axis: 1..MaxFaults simultaneous failures
+	Trials    int // repetitions per fault count
 }
 
 // DefaultFig9 matches the paper's sweep: up to 16 random failures.
 func DefaultFig9() Fig9Config {
 	return Fig9Config{
-		Rig:             DefaultRig(),
-		MaxFaults:       16,
-		Trials:          5,
-		MeasureRecovery: true,
+		Rig:       DefaultRig(),
+		MaxFaults: 16,
+		Trials:    5,
 	}
 }
 
@@ -102,19 +100,13 @@ func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 		return out, f, nil
 	}
 	out.failAt = f.Now()
-	ev := faults.Event{Links: out.links, Switches: crashed}
-	if cfg.MeasureRecovery {
-		ev.Duration = 1 * time.Second
-	}
+	ev := faults.Event{Links: out.links, Switches: crashed, Duration: 1 * time.Second}
 	faults.Schedule{Events: []faults.Event{ev}}.Apply(f)
 	f.RunFor(1 * time.Second)
 	out.fail.addFlows(flows, out.failAt)
-
-	if cfg.MeasureRecovery {
-		out.restoreAt = out.failAt + ev.Duration // armed by the schedule
-		f.RunFor(1 * time.Second)
-		out.rec.addFlows(flows, out.restoreAt)
-	}
+	out.restoreAt = out.failAt + ev.Duration // armed by the schedule
+	f.RunFor(1 * time.Second)
+	out.rec.addFlows(flows, out.restoreAt)
 	for _, fl := range flows {
 		fl.Stop()
 	}

@@ -17,20 +17,22 @@ import (
 // fabric; an outage costs availability of *new* resolutions, never
 // installed forwarding state).
 type FMFConfig struct {
-	Rig      Rig
-	Outages  []time.Duration // manager dead time per cell
-	CtrlLoss []float64       // control-channel loss rate per series
+	Rig     Rig
+	Outages []time.Duration // manager dead time per cell
 }
 
-// DefaultFMF sweeps outages from one heartbeat to many against a
-// lossless and a 10%-loss control plane.
+// DefaultFMF sweeps outages from one heartbeat to many, each against
+// every control-channel loss rate of fmfLoss.
 func DefaultFMF() FMFConfig {
 	return FMFConfig{
-		Rig:      DefaultRig(),
-		Outages:  []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond},
-		CtrlLoss: []float64{0, 0.1},
+		Rig:     DefaultRig(),
+		Outages: []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond},
 	}
 }
+
+// fmfLoss are the control-channel loss rates, one series each: a
+// lossless and a 10%-loss control plane.
+var fmfLoss = []float64{0, 0.1}
 
 // FMFRow is one (outage, loss) cell.
 type FMFRow struct {
@@ -75,9 +77,9 @@ func RunFMF(cfg FMFConfig) (*FMFResult, error) {
 	err := sweep(&res.Reported, "fmf", cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"probe_every": probeEvery.String(),
-	}, len(cfg.CtrlLoss), len(cfg.Outages), func(li, oi int) (FMFRow, error) {
+	}, len(fmfLoss), len(cfg.Outages), func(li, oi int) (FMFRow, error) {
 		// The flat cell number (first cell = 1) is the seed offset.
-		return runFMFCell(cfg, cfg.CtrlLoss[li], cfg.Outages[oi], li*len(cfg.Outages)+oi+1)
+		return runFMFCell(cfg, fmfLoss[li], cfg.Outages[oi], li*len(cfg.Outages)+oi+1)
 	}, func(_ int, series []FMFRow) {
 		res.Rows = append(res.Rows, series...)
 	})

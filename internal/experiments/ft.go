@@ -37,44 +37,40 @@ type FTConfig struct {
 	// Ks are the fat-tree degrees to sweep (the host-count axis:
 	// k³/4 hosts per degree).
 	Ks []int
-	// Gens are the hardware envelopes to sweep. Include a named
-	// generation with zero limits for contrast: its tables stay
-	// unbounded while its links run at the same tier rates as the
-	// others'. Scale a real one down (Generation.Scale) to recreate
-	// production demand/capacity ratios at testbed size.
-	Gens []pswitch.Generation
-	// PeersPerHost is the ARP-storm fan-out both fabrics warm up with.
-	PeersPerHost int
-	// Flows and Window size the sampled trace the PortLand half
-	// replays after warm-up.
+	// Flows sizes the sampled trace the PortLand half replays over
+	// ftWindow after warm-up.
 	Flows  int
-	Window time.Duration
 	Trials int
 }
 
-// DefaultFT sweeps k=4..8 fat trees (16..128 hosts) under three
-// envelopes: unbounded; a Gen40 ASIC scaled 64× down (4 ECMP groups,
-// 64 member slots, 32 flow entries — the same testbed-scaling trick
-// the baseline plays with STP timers), where the *group* budget binds
-// first and destination classes degrade onto the shared wildcard
-// group; and a member-tight envelope (groups plentiful, member slots
-// scarce, random flow eviction) where admission truncates group
-// widths instead — the coarseness that skews the agg↔core load.
+// DefaultFT sweeps k=4..8 fat trees (16..128 hosts) under every
+// envelope of ftGens.
 func DefaultFT() FTConfig {
 	return FTConfig{
-		Rig: DefaultRig(),
-		Ks:  []int{4, 6, 8},
-		Gens: []pswitch.Generation{
-			{Name: "unbounded"},
-			pswitch.Gen40.Scale(64),
-			{Name: "mem-tight", ECMPGroups: 64, ECMPMembers: 20, FlowEntries: 64, FlowPolicy: flowtable.EvictRandom},
-		},
-		PeersPerHost: 8,
-		Flows:        400,
-		Window:       250 * time.Millisecond,
-		Trials:       1,
+		Rig:    DefaultRig(),
+		Ks:     []int{4, 6, 8},
+		Flows:  400,
+		Trials: 1,
 	}
 }
+
+// ftGens are the hardware envelopes the sweep runs at every degree:
+// unbounded (zero limits: its tables stay unbounded while its links run
+// at the same tier rates as the others'); a Gen40 ASIC scaled 64× down
+// (4 ECMP groups, 64 member slots, 32 flow entries — the same
+// testbed-scaling trick the baseline plays with STP timers), where the
+// *group* budget binds first and destination classes degrade onto the
+// shared wildcard group; and a member-tight envelope (groups plentiful,
+// member slots scarce, random flow eviction) where admission truncates
+// group widths instead — the coarseness that skews the agg↔core load.
+var ftGens = []pswitch.Generation{
+	{Name: "unbounded"},
+	pswitch.Gen40.Scale(64),
+	{Name: "mem-tight", ECMPGroups: 64, ECMPMembers: 20, FlowEntries: 64, FlowPolicy: flowtable.EvictRandom},
+}
+
+// ftWindow is the span each cell's sampled trace arrives over.
+const ftWindow = 250 * time.Millisecond
 
 // ftSettle is how long a cell keeps running after the trace window so
 // in-flight packets drain, and ftIdle how long it idles afterwards so
@@ -86,7 +82,7 @@ const (
 
 // ftPoint decodes a grid point into its (k, generation) coordinate.
 func (cfg FTConfig) ftPoint(point int) (int, pswitch.Generation) {
-	return cfg.Ks[point/len(cfg.Gens)], cfg.Gens[point%len(cfg.Gens)]
+	return cfg.Ks[point/len(ftGens)], ftGens[point%len(ftGens)]
 }
 
 // FTRow is one (k, generation) point merged across trials.
@@ -164,9 +160,9 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	}
 	out.hosts = f.Spec.Count().Hosts
 
-	// Phase 1: every host resolves PeersPerHost peers — the Table 1
+	// Phase 1: every host resolves warmPeers peers — the Table 1
 	// warm-up, here run under the hardware envelope.
-	workload.ARPStorm(f.HostList(), cfg.PeersPerHost)
+	workload.ARPStorm(f.HostList(), warmPeers)
 	f.RunFor(2 * time.Second)
 
 	// Phase 2: sampled inter-pod-heavy trace. Delivered frames on each
@@ -180,7 +176,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	wl := workload.TraceConfig{
 		Seed:         rig.Seed,
 		Flows:        cfg.Flows,
-		Arrivals:     workload.Arrivals{Window: cfg.Window, Bursts: 8, Spread: time.Millisecond},
+		Arrivals:     workload.Arrivals{Window: ftWindow, Bursts: 8, Spread: time.Millisecond},
 		Size:         workload.Pareto{Alpha: 1.2, Min: 1, Max: 4},
 		Locality:     workload.LocalityMix{IntraRack: 0.05, IntraPod: 0.15},
 		PacketGap:    200 * time.Microsecond,
@@ -189,7 +185,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 		DstPorts:     8,
 	}
 	tr := workload.StartTrace(wl, workload.NewPlacement(f.Spec), f.HostList())
-	f.RunFor(cfg.Window + ftSettle)
+	f.RunFor(ftWindow + ftSettle)
 	tr.Stop()
 	if tr.Delivered() != tr.Sent() {
 		return out, nil, fmt.Errorf("trace delivered %d of %d packets at k=%d gen=%s",
@@ -248,7 +244,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	if err != nil {
 		return out, nil, err
 	}
-	workload.ARPStorm(bf.HostList(), cfg.PeersPerHost)
+	workload.ARPStorm(bf.HostList(), warmPeers)
 	bf.RunFor(5 * time.Second)
 	var blSum int
 	for _, id := range bf.Spec.Switches() {
@@ -264,7 +260,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 }
 
 // grid bounds the sweep: one point per (k, generation), Trials each.
-func (cfg FTConfig) grid() (int, int, int) { return 0, len(cfg.Ks) * len(cfg.Gens), cfg.Trials }
+func (cfg FTConfig) grid() (int, int, int) { return 0, len(cfg.Ks) * len(ftGens), cfg.Trials }
 
 // report is the cell's replay report: the pressure figures as params,
 // and a timeline of only the degradation events, not the (large) ARP
@@ -275,9 +271,9 @@ func (out ftTrial) report(cfg FTConfig, f *core.Fabric) (*obs.Report, error) {
 		"k":                 itoa(k),
 		"gen":               gen.Name,
 		"hosts":             itoa(out.hosts),
-		"peers_per_host":    itoa(cfg.PeersPerHost),
+		"peers_per_host":    itoa(warmPeers),
 		"flows":             itoa(cfg.Flows),
-		"window":            cfg.Window.String(),
+		"window":            ftWindow.String(),
 		"trial":             itoa(out.cell.Trial),
 		"flow_cap":          itoa(gen.FlowEntries),
 		"flow_hits":         fmt.Sprintf("%d", out.hits),
@@ -318,9 +314,9 @@ func RunFT(cfg FTConfig) (*FTResult, error) {
 	err := sweep(&res.Reported, "ft", cfg.Rig.Seed, map[string]string{
 		"trials":         itoa(cfg.Trials),
 		"flows":          itoa(cfg.Flows),
-		"window":         cfg.Window.String(),
-		"peers_per_host": itoa(cfg.PeersPerHost),
-	}, len(cfg.Ks)*len(cfg.Gens), cfg.Trials, func(point, trial int) (ftTrial, error) {
+		"window":         ftWindow.String(),
+		"peers_per_host": itoa(warmPeers),
+	}, len(cfg.Ks)*len(ftGens), cfg.Trials, func(point, trial int) (ftTrial, error) {
 		out, _, err := ftCell(cfg, point, trial)
 		return out, err
 	}, func(p int, trials []ftTrial) {
@@ -368,7 +364,7 @@ func RunFT(cfg FTConfig) (*FTResult, error) {
 func (r *FTResult) Print(w io.Writer) {
 	fprintf(w, "Forwarding-table pressure — hardware envelopes vs fabric scale\n")
 	fprintf(w, "(%d peers/host warm-up, %d sampled flows over %v per cell, %d trials/point;\n",
-		r.Cfg.PeersPerHost, r.Cfg.Flows, r.Cfg.Window, r.Cfg.Trials)
+		warmPeers, r.Cfg.Flows, ftWindow, r.Cfg.Trials)
 	fprintf(w, " miss ratio proxies flow-setup latency: the reactive slow path is free in virtual time)\n")
 	hr(w)
 	fprintf(w, "%3s %6s %-10s %6s  %13s %6s  %7s %6s %6s  %5s %6s  %15s %7s %7s\n",

@@ -13,10 +13,10 @@ import (
 // run's printed output is byte-identical to a serial run at the same
 // seed. TestCatalogIdentity holds every catalog entry to it at its
 // -quick configuration; the tests here do the same at configurations
-// the catalog does not run (f10, sc and mgr have none: their -quick
-// configuration is the one that was tested here). Each runs the same
-// config with the pool forced to one worker and then to eight, and
-// compares the Print bytes.
+// the catalog does not run (f10, sc, mgr and a1 have none: their
+// -quick configuration is the one that was tested here). Each runs the
+// same config with the pool forced to one worker and then to eight,
+// and compares the Print bytes.
 
 type printer interface{ Print(io.Writer) }
 
@@ -61,7 +61,6 @@ func TestGoldenFig9FaultChurn(t *testing.T) {
 	cfg := DefaultFig9()
 	cfg.MaxFaults = 4
 	cfg.Trials = 3
-	cfg.MeasureRecovery = true
 	goldenEquivalent(t, func() (*Fig9Result, error) { return RunFig9(cfg) })
 }
 
@@ -70,7 +69,6 @@ func TestGoldenFig9Switches(t *testing.T) {
 	cfg.Mode = FailSwitches
 	cfg.MaxFaults = 2
 	cfg.Trials = 2
-	cfg.MeasureRecovery = false
 	goldenEquivalent(t, func() (*Fig9Result, error) { return RunFig9(cfg) })
 }
 
@@ -81,7 +79,7 @@ func TestGoldenFig11(t *testing.T) {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	cfg := Table1Config{Ks: []int{4}, AnalyticKs: []int{32, 48}, PeersPerHost: 2}
+	cfg := Table1Config{Ks: []int{4}}
 	goldenEquivalent(t, func() (*Table1Result, error) { return RunTable1(cfg) })
 }
 
@@ -89,13 +87,6 @@ func TestGoldenFMF(t *testing.T) {
 	cfg := DefaultFMF()
 	cfg.Outages = []time.Duration{100 * time.Millisecond}
 	goldenEquivalent(t, func() (*FMFResult, error) { return RunFMF(cfg) })
-}
-
-func TestGoldenA1(t *testing.T) {
-	cfg := DefaultA1()
-	cfg.Duration = 200 * time.Millisecond
-	cfg.FlowRate = 60 * time.Microsecond
-	goldenEquivalent(t, func() (*A1Result, error) { return RunA1(cfg) })
 }
 
 func TestGoldenA2(t *testing.T) {

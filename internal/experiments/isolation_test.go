@@ -33,7 +33,6 @@ func TestParallelFig9Isolation(t *testing.T) {
 	cfg := DefaultFig9()
 	cfg.MaxFaults = 2
 	cfg.Trials = 4
-	cfg.MeasureRecovery = false
 	res, err := RunFig9(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -27,30 +27,31 @@ import (
 // fabricmgr.fault_ns_per_notify).
 type MgrConfig struct {
 	Rig Rig
-	// Shards are the registry shard counts to sweep (1 = classic
-	// single manager).
-	Shards []int
-	// Batch are the edge punt-batch hold timers to sweep (0 = punt
-	// each ARP miss immediately).
-	Batch []time.Duration
-	// Flows and Window size the sampled trace each cell replays.
+	// Flows sizes the sampled trace each cell replays over mgrWindow.
 	Flows  int
-	Window time.Duration
 	Trials int
 }
 
-// DefaultMgr sweeps 1/2/4 registry shards, each with batching off and
-// with a 200 µs hold timer, on the paper-testbed k=4 rig.
+// DefaultMgr replays 600 flows per cell, two trials per point, on the
+// paper-testbed k=4 rig.
 func DefaultMgr() MgrConfig {
 	return MgrConfig{
 		Rig:    DefaultRig(),
-		Shards: []int{1, 2, 4},
-		Batch:  []time.Duration{0, 200 * time.Microsecond},
 		Flows:  600,
-		Window: 250 * time.Millisecond,
 		Trials: 2,
 	}
 }
+
+// The sweep's axes: 1/2/4 registry shards (1 = classic single manager),
+// each with edge punt batching off (0: punt each ARP miss immediately)
+// and with a 200 µs hold timer.
+var (
+	mgrShards = []int{1, 2, 4}
+	mgrBatch  = []time.Duration{0, 200 * time.Microsecond}
+)
+
+// mgrWindow is the span each cell's sampled trace arrives over.
+const mgrWindow = 250 * time.Millisecond
 
 // mgrSettle is how long a cell keeps running after the trace window so
 // in-flight packets drain, and again after the link failure so the
@@ -104,8 +105,8 @@ type mgrTrial struct {
 }
 
 // mgrPoint decodes a grid point into its (shards, batch) coordinate.
-func (cfg MgrConfig) mgrPoint(point int) (int, time.Duration) {
-	return cfg.Shards[point/len(cfg.Batch)], cfg.Batch[point%len(cfg.Batch)]
+func mgrPoint(point int) (int, time.Duration) {
+	return mgrShards[point/len(mgrBatch)], mgrBatch[point%len(mgrBatch)]
 }
 
 // mgrARPSpan returns the virtual-time span between the first and last
@@ -133,7 +134,7 @@ func mgrARPSpan(merged []obs.SourcedEvent) time.Duration {
 // derives only from (base seed, point, trial), so the cell is a pure
 // function of its grid coordinate.
 func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
-	shards, batch := cfg.mgrPoint(point)
+	shards, batch := mgrPoint(point)
 	var out mgrTrial
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64((point+1)*1000+trial)
@@ -149,7 +150,7 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 	wl := workload.TraceConfig{
 		Seed:         rig.Seed,
 		Flows:        cfg.Flows,
-		Arrivals:     workload.Arrivals{Window: cfg.Window, Bursts: 16, Spread: 500 * time.Microsecond},
+		Arrivals:     workload.Arrivals{Window: mgrWindow, Bursts: 16, Spread: 500 * time.Microsecond},
 		Size:         workload.Pareto{Alpha: 1.2, Min: 1, Max: 3},
 		Locality:     workload.LocalityMix{IntraRack: 0.05, IntraPod: 0.15},
 		PacketGap:    200 * time.Microsecond,
@@ -158,7 +159,7 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 		DstPorts:     4,
 	}
 	tr := workload.StartTrace(wl, workload.NewPlacement(f.Spec), f.HostList())
-	f.RunFor(cfg.Window + mgrSettle)
+	f.RunFor(mgrWindow + mgrSettle)
 	tr.Stop()
 	if tr.Delivered() != tr.Sent() {
 		return out, nil, fmt.Errorf("trace delivered %d of %d packets at shards=%d batch=%v",
@@ -217,18 +218,18 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 }
 
 // grid bounds the sweep: one point per (shards, batch), Trials each.
-func (cfg MgrConfig) grid() (int, int, int) { return 0, len(cfg.Shards) * len(cfg.Batch), cfg.Trials }
+func (cfg MgrConfig) grid() (int, int, int) { return 0, len(mgrShards) * len(mgrBatch), cfg.Trials }
 
 // report is the cell's replay report: the punt and fan-out figures as
 // params, and the timeline from the link failure on.
 func (out mgrTrial) report(cfg MgrConfig, f *core.Fabric) (*obs.Report, error) {
-	shards, batch := cfg.mgrPoint(out.cell.Point)
+	shards, batch := mgrPoint(out.cell.Point)
 	return replayReport("mgr", f, out.cell, map[string]string{
 		"k":                itoa(cfg.Rig.K),
 		"shards":           itoa(shards),
 		"batch":            mgrBatchLabel(batch),
 		"flows":            itoa(cfg.Flows),
-		"window":           cfg.Window.String(),
+		"window":           mgrWindow.String(),
 		"trial":            itoa(out.cell.Trial),
 		"arp_queries":      fmt.Sprintf("%d", out.queries),
 		"arp_batches":      fmt.Sprintf("%d", out.batches),
@@ -253,12 +254,12 @@ func RunMgr(cfg MgrConfig) (*MgrResult, error) {
 		"k":      itoa(cfg.Rig.K),
 		"trials": itoa(cfg.Trials),
 		"flows":  itoa(cfg.Flows),
-		"window": cfg.Window.String(),
-	}, len(cfg.Shards)*len(cfg.Batch), cfg.Trials, func(point, trial int) (mgrTrial, error) {
+		"window": mgrWindow.String(),
+	}, len(mgrShards)*len(mgrBatch), cfg.Trials, func(point, trial int) (mgrTrial, error) {
 		out, _, err := mgrCell(cfg, point, trial)
 		return out, err
 	}, func(p int, trials []mgrTrial) {
-		shards, batch := cfg.mgrPoint(p)
+		shards, batch := mgrPoint(p)
 		row := MgrRow{Shards: shards, Batch: batch, RegMin: int64(1<<62 - 1)}
 		var detMs, convMs []float64
 		var arps float64
@@ -300,7 +301,7 @@ func RunMgr(cfg MgrConfig) (*MgrResult, error) {
 func (r *MgrResult) Print(w io.Writer) {
 	fprintf(w, "Manager scaling — prefix-sharded registry + batched ARP punts\n")
 	fprintf(w, "(k=%d fat tree, %d sampled flows over %v per cell, %d trials/point; virtual-time rates)\n",
-		r.Cfg.Rig.K, r.Cfg.Flows, r.Cfg.Window, r.Cfg.Trials)
+		r.Cfg.Rig.K, r.Cfg.Flows, mgrWindow, r.Cfg.Trials)
 	hr(w)
 	fprintf(w, "%6s %7s  %7s %7s %7s %6s  %9s  %11s  %16s %5s\n",
 		"shards", "batch", "queries", "msgs", "msgs/q", "fill", "arps/s", "reg min/max", "fail->excl (ms)", "excl")

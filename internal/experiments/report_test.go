@@ -13,7 +13,39 @@ import (
 	"portland/internal/obs"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden report files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// matchGolden fails the test unless got equals testdata/name, which
+// -update first rewrites to got. A mismatch names the first line that
+// differs.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatalf("write golden: %v", err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "(end of output)"
+	}
+	t.Fatalf("output differs from golden %s at line %d:\n got: %s\nwant: %s\n(run with -update if the change is intentional)", path, i+1, line(g), line(w))
+}
 
 // replay replays one cell through the catalog entry with this ID.
 func replay(t *testing.T, id string, s Settings, point, trial int) *obs.Report {
@@ -87,7 +119,6 @@ func TestReportGolden(t *testing.T) {
 		{"mgr", Settings{}, 3, 0, "mgr-report.golden.json"},          // 2 shards, 200µs batch
 		{"ft", Settings{Quick: true}, 1, 0, "ft-report.golden.json"}, // k=4, gen40/64
 	} {
-		golden := filepath.Join("testdata", g.file)
 		encode := func(t *testing.T, s Settings) []byte {
 			t.Helper()
 			b, err := replay(t, g.id, s, g.point, g.trial).EncodeBytes()
@@ -97,20 +128,9 @@ func TestReportGolden(t *testing.T) {
 			return b
 		}
 		t.Run(g.id+"/serial", func(t *testing.T) {
-			got := encode(t, g.s)
-			if *updateGolden {
-				if err := os.WriteFile(golden, got, 0o644); err != nil {
-					t.Fatalf("write golden: %v", err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("fresh replay differs from golden %s (len %d vs %d); run with -update if the change is intentional", golden, len(got), len(want))
-			}
-			if again := encode(t, g.s); !bytes.Equal(again, got) {
+			want := encode(t, g.s)
+			matchGolden(t, g.file, want)
+			if again := encode(t, g.s); !bytes.Equal(again, want) {
 				t.Fatal("two in-process replays of the same cell differ")
 			}
 			// Round-trip: any field the schema silently drops or
@@ -131,12 +151,12 @@ func TestReportGolden(t *testing.T) {
 			s := g.s
 			s.Shards = 5
 			got := encode(t, s)
-			want, err := os.ReadFile(golden)
+			want, err := os.ReadFile(filepath.Join("testdata", g.file))
 			if err != nil {
 				t.Fatalf("read golden (run with -update to create): %v", err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("sharded replay differs from the serial golden %s (len %d vs %d): the shard determinism contract is broken", golden, len(got), len(want))
+				t.Fatalf("sharded replay differs from the serial golden %s (len %d vs %d): the shard determinism contract is broken", g.file, len(got), len(want))
 			}
 		})
 	}

@@ -18,35 +18,36 @@ import (
 // against permutation CBR traffic and measuring time-to-detect and
 // time-to-reroute.
 type SCConfig struct {
-	Rig Rig
-	// Detect is the gray-failure detector profile armed in every
-	// family except gray-ldm, whose whole point is to show what the
-	// LDM-only liveness protocol cannot see.
-	Detect graydetect.Config
-	// GrayRate is the per-direction drop probability of the gray
-	// scenarios.
-	GrayRate float64
-	Trials   int
+	Rig    Rig
+	Trials int
 }
 
-// DefaultSC is the default scenario sweep: 50% gray loss, the
-// conservative detector profile with probes on, three trials per
-// family. Probes make Clean-based release meaningful, and the sweep
-// needs it: a whole-switch crash also starves its neighbors' probes,
-// so their detectors quarantine the ports — without release, the
+// DefaultSC is the default scenario sweep: three trials per family.
+func DefaultSC() SCConfig {
+	return SCConfig{
+		Rig:    DefaultRig(),
+		Trials: 3,
+	}
+}
+
+// scDetect is the gray-failure detector profile armed in every family
+// except gray-ldm, whose whole point is to show what the LDM-only
+// liveness protocol cannot see: the conservative profile with probes
+// on. Probes make Clean-based release meaningful, and the sweep needs
+// it: a whole-switch crash also starves its neighbors' probes, so
+// their detectors quarantine the ports — without release, the
 // quarantine would outlive the reboot and the pod would stay excluded
 // forever.
-func DefaultSC() SCConfig {
+var scDetect = func() graydetect.Config {
 	det := graydetect.DefaultConfig
 	det.Probes = true
 	det.Clean = 5
-	return SCConfig{
-		Rig:      DefaultRig(),
-		Detect:   det,
-		GrayRate: 0.5,
-		Trials:   3,
-	}
-}
+	return det
+}()
+
+// scGrayRate is the per-direction drop probability of the gray
+// scenarios.
+const scGrayRate = 0.5
 
 // scSettle is how long each cell keeps running after the scenario's
 // last scheduled instant, so reboots re-discover and flows re-settle.
@@ -62,7 +63,7 @@ type scFamily struct {
 	// exposes the window/trip/clean knobs, with no detector logic of
 	// its own.
 	det func(graydetect.Config) graydetect.Config
-	gen func(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool)
+	gen func(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool)
 	// trigger/response: detection latency = first response event at or
 	// after the first trigger event.
 	trigger  obs.Kind
@@ -86,7 +87,7 @@ var scFamilies = []scFamily{
 	},
 	{
 		id: "flap", detector: true,
-		gen: func(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool) {
+		gen: func(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 			return faults.Flap(r, f, faults.FlapConfig{
 				Links: 1, Cycles: 3,
 				Down: 80 * time.Millisecond, Up: 80 * time.Millisecond,
@@ -97,7 +98,7 @@ var scFamilies = []scFamily{
 	},
 	{
 		id: "pod-power", detector: true,
-		gen: func(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool) {
+		gen: func(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 			return faults.PodPower(r, f, faults.PodPowerConfig{
 				Start: 10 * time.Millisecond, Outage: 300 * time.Millisecond,
 			})
@@ -106,7 +107,7 @@ var scFamilies = []scFamily{
 	},
 	{
 		id: "rolling", detector: true,
-		gen: func(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool) {
+		gen: func(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 			return faults.RollingUpgrade(r, f, faults.RollingConfig{
 				Count: 4, Stagger: 120 * time.Millisecond,
 				Down: 80 * time.Millisecond, Start: 10 * time.Millisecond,
@@ -119,7 +120,7 @@ var scFamilies = []scFamily{
 		// the first moved VM (invalidating its stale PMAC), not a
 		// liveness event — nothing fails.
 		id: "arp-storm", detector: true,
-		gen: func(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool) {
+		gen: func(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 			return faults.ARPStorm(r, f, faults.StormConfig{
 				VMs: 4, Gap: 30 * time.Millisecond,
 				Pause: 5 * time.Millisecond, Start: 10 * time.Millisecond,
@@ -159,9 +160,9 @@ var scFamilies = []scFamily{
 	},
 }
 
-func scGray(r *rand.Rand, f *core.Fabric, cfg SCConfig) (faults.Scenario, bool) {
+func scGray(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 	return faults.Gray(r, f, faults.GrayConfig{
-		Links: 2, Rate: cfg.GrayRate,
+		Links: 2, Rate: scGrayRate,
 		Start: 10 * time.Millisecond, Duration: 1 * time.Second,
 	})
 }
@@ -216,12 +217,12 @@ func detectLatency(fam scFamily, merged []obs.SourcedEvent) (time.Duration, bool
 }
 
 // profile returns the detector profile a detector family's cells arm:
-// the sweep's, rewritten by the family if it has an override.
-func (fam scFamily) profile(cfg SCConfig) graydetect.Config {
+// scDetect, rewritten by the family if it has an override.
+func (fam scFamily) profile() graydetect.Config {
 	if fam.det != nil {
-		return fam.det(cfg.Detect)
+		return fam.det(scDetect)
 	}
-	return cfg.Detect
+	return scDetect
 }
 
 // scCell runs one (family, trial) cell on its own fabric. The seed
@@ -233,7 +234,7 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64((fam+1)*1000+trial)
 	if family.detector {
-		rig.Detect = family.profile(cfg)
+		rig.Detect = family.profile()
 	}
 	f, err := rig.build()
 	if err != nil {
@@ -241,7 +242,7 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	}
 	flows := probeFlows(f)
 
-	sc, ok := family.gen(f.Rand(), f, cfg)
+	sc, ok := family.gen(f.Rand(), f)
 	if !ok {
 		return out, nil, fmt.Errorf("scenario generator %s failed at k=%d", family.id, rig.K)
 	}
@@ -281,7 +282,7 @@ func (tr scTrial) report(cfg SCConfig, f *core.Fabric) (*obs.Report, error) {
 	if scFamilies[fam].detector {
 		// The effective profile for this cell, after any per-family
 		// override — the knobs the coordinate exists to expose.
-		det := scFamilies[fam].profile(cfg)
+		det := scFamilies[fam].profile()
 		params["detector"] = "on"
 		params["det_window"] = det.Interval.String()
 		params["det_trip"] = itoa(det.Trip)
@@ -305,11 +306,11 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 	err := sweep(&res.Reported, "sc", cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"trials":      itoa(cfg.Trials),
-		"gray_rate":   fmt.Sprintf("%.2f", cfg.GrayRate),
+		"gray_rate":   fmt.Sprintf("%.2f", scGrayRate),
 		"probe_every": probeEvery.String(),
-		"det_window":  cfg.Detect.Interval.String(),
-		"det_trip":    itoa(cfg.Detect.Trip),
-		"det_clean":   itoa(cfg.Detect.Clean),
+		"det_window":  scDetect.Interval.String(),
+		"det_trip":    itoa(scDetect.Trip),
+		"det_clean":   itoa(scDetect.Clean),
 	}, len(scFamilies), cfg.Trials, func(fam, trial int) (scTrial, error) {
 		tr, _, err := scCell(cfg, fam, trial)
 		return tr, err
@@ -342,7 +343,7 @@ func (r *SCResult) Print(w io.Writer) {
 	fprintf(w, "Scenario engine — time-to-detect / time-to-reroute per fault family\n")
 	fprintf(w, "(k=%d fat tree, %d trials/family, probe interval %v; detector: %v windows, trip %d, probes %v)\n",
 		r.Cfg.Rig.K, r.Cfg.Trials, probeEvery,
-		r.Cfg.Detect.Interval, r.Cfg.Detect.Trip, r.Cfg.Detect.Probes)
+		scDetect.Interval, scDetect.Trip, scDetect.Probes)
 	hr(w)
 	fprintf(w, "%-10s %9s  %26s  %26s  %8s %5s\n", "family", "detected", "detect latency (ms)", "reroute (ms)", "affected", "dead")
 	fprintf(w, "%-10s %9s  %8s %8s %8s  %8s %8s %8s\n", "", "", "median", "mean", "max", "median", "mean", "max")

@@ -28,16 +28,22 @@ var Table1Qualitative = []struct {
 
 // Table1Config parameterizes the quantitative state-size proxy.
 type Table1Config struct {
-	Ks           []int // fat-tree degrees to measure
-	AnalyticKs   []int // degrees reported analytically only
-	PeersPerHost int   // ARP/flow warm-up fan-out
+	Ks []int // fat-tree degrees to measure
 }
 
-// DefaultTable1 measures small fabrics and extrapolates the paper's
-// deployment scale.
+// DefaultTable1 measures small fabrics; t1AnalyticKs extrapolate to the
+// paper's deployment scale.
 func DefaultTable1() Table1Config {
-	return Table1Config{Ks: []int{4, 8, 16}, AnalyticKs: []int{32, 48}, PeersPerHost: 8}
+	return Table1Config{Ks: []int{4, 8, 16}}
 }
+
+// t1AnalyticKs are the fat-tree degrees Table 1 reports analytically
+// only.
+var t1AnalyticKs = []int{32, 48}
+
+// warmPeers is the ARP-storm fan-out of the warm-up t1, ft and f13
+// run: every host resolves this many distinct peers.
+const warmPeers = 8
 
 // Table1Row is one measured (or analytic) fabric size.
 type Table1Row struct {
@@ -61,7 +67,6 @@ type Table1Row struct {
 
 // Table1Result holds the proxy measurements.
 type Table1Result struct {
-	Cfg  Table1Config
 	Rows []Table1Row
 	Reported
 }
@@ -73,18 +78,18 @@ type t1Cell struct {
 }
 
 // RunTable1 measures forwarding-state footprints: every host talks to
-// PeersPerHost distinct peers, then we count per-switch forwarding
+// warmPeers distinct peers, then we count per-switch forwarding
 // entries in both fabrics. PortLand's edge state is bounded by its
 // local hosts + O(k) protocol state; the baseline learns every MAC
 // that crosses it.
 func RunTable1(cfg Table1Config) (*Table1Result, error) { return runTable1(DefaultRig(), cfg) }
 
 func runTable1(rig Rig, cfg Table1Config) (*Table1Result, error) {
-	res := &Table1Result{Cfg: cfg}
+	res := &Table1Result{}
 	err := sweep(&res.Reported, "t1", rig.Seed, map[string]string{
-		"peers_per_host": itoa(cfg.PeersPerHost),
+		"peers_per_host": itoa(warmPeers),
 	}, len(cfg.Ks), 1, func(point, _ int) (t1Cell, error) {
-		return runTable1Cell(rig, cfg, point, cfg.Ks[point])
+		return runTable1Cell(rig, point, cfg.Ks[point])
 	}, func(_ int, cells []t1Cell) {
 		res.Rows = append(res.Rows, cells[0].row)
 	})
@@ -93,7 +98,7 @@ func runTable1(rig Rig, cfg Table1Config) (*Table1Result, error) {
 	}
 	// Analytic rows: PortLand edge ≈ k/2 local hosts + O(k) neighbor
 	// state; baseline worst case learns every host MAC.
-	for _, k := range cfg.AnalyticKs {
+	for _, k := range t1AnalyticKs {
 		c := topo.FatTreeCounts(k)
 		res.Rows = append(res.Rows, Table1Row{
 			K: k, Hosts: c.Hosts,
@@ -107,7 +112,7 @@ func runTable1(rig Rig, cfg Table1Config) (*Table1Result, error) {
 // runTable1Cell measures one fat-tree degree: a PortLand fabric and a
 // baseline flat-L2 fabric, both with identical warm-up, on private
 // engines.
-func runTable1Cell(rig Rig, cfg Table1Config, point, k int) (t1Cell, error) {
+func runTable1Cell(rig Rig, point, k int) (t1Cell, error) {
 	var out t1Cell
 	rig.K = k
 	f, err := rig.build()
@@ -115,7 +120,7 @@ func runTable1Cell(rig Rig, cfg Table1Config, point, k int) (t1Cell, error) {
 		return out, err
 	}
 	row := Table1Row{K: k, Hosts: f.Spec.Count().Hosts, Measured: true}
-	workload.ARPStorm(f.HostList(), cfg.PeersPerHost)
+	workload.ARPStorm(f.HostList(), warmPeers)
 	f.RunFor(2 * time.Second)
 	for _, id := range f.Spec.Switches() {
 		row.PLActiveMax = max(row.PLActiveMax, f.Switches[id].RoutingStateSize())
@@ -137,7 +142,7 @@ func runTable1Cell(rig Rig, cfg Table1Config, point, k int) (t1Cell, error) {
 	if err != nil {
 		return out, err
 	}
-	workload.ARPStorm(bf.HostList(), cfg.PeersPerHost)
+	workload.ARPStorm(bf.HostList(), warmPeers)
 	bf.RunFor(5 * time.Second)
 	var blSum int
 	for _, id := range bf.Spec.Switches() {
@@ -159,7 +164,7 @@ func (r *Table1Result) Print(w io.Writer) {
 		fprintf(w, "%-30s %-26s %-30s %-22s %s\n", q.System, q.PlugAndPlay, q.Scalability, q.SwitchState, q.SeamlessVMMigration)
 	}
 	fprintf(w, "\nQuantitative proxy — forwarding-state entries per switch after identical warm-up\n")
-	fprintf(w, "(%d peers per host; analytic rows marked *)\n", r.Cfg.PeersPerHost)
+	fprintf(w, "(%d peers per host; analytic rows marked *)\n", warmPeers)
 	hr(w)
 	fprintf(w, "%4s %8s  %22s  %12s  %22s\n", "k", "hosts", "PortLand (max / mean)", "PL peak", "flat L2 (max / mean)")
 	for _, row := range r.Rows {

@@ -110,14 +110,6 @@ func (s *ByteSeries) Add(t time.Duration, total int64) {
 // Len returns the number of observations.
 func (s *ByteSeries) Len() int { return len(s.times) }
 
-// Final returns the last cumulative total.
-func (s *ByteSeries) Final() int64 {
-	if len(s.bytes) == 0 {
-		return 0
-	}
-	return s.bytes[len(s.bytes)-1]
-}
-
 // ThroughputPoint is one bucket of a throughput series.
 type ThroughputPoint struct {
 	T    time.Duration // bucket start

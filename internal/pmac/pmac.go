@@ -56,12 +56,6 @@ func (p PMAC) String() string {
 	return fmt.Sprintf("pmac(%d:%d:%d:%d)", p.Pod, p.Position, p.Port, p.VMID)
 }
 
-// SamePod reports whether q is in p's pod.
-func (p PMAC) SamePod(q PMAC) bool { return p.Pod == q.Pod }
-
-// SameEdge reports whether p and q sit behind the same edge switch.
-func (p PMAC) SameEdge(q PMAC) bool { return p.Pod == q.Pod && p.Position == q.Position }
-
 // Table is an edge switch's bidirectional AMAC↔PMAC map with
 // per-(port,AMAC) VMID allocation, and each host's IP once learned.
 // The zero value is not usable; construct with NewTable.

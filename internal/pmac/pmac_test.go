@@ -26,22 +26,6 @@ func TestAddrLayout(t *testing.T) {
 	}
 }
 
-func TestSamePodSameEdge(t *testing.T) {
-	a := PMAC{Pod: 1, Position: 2, Port: 0, VMID: 1}
-	b := PMAC{Pod: 1, Position: 2, Port: 1, VMID: 1}
-	c := PMAC{Pod: 1, Position: 3, Port: 0, VMID: 1}
-	d := PMAC{Pod: 2, Position: 2, Port: 0, VMID: 1}
-	if !a.SamePod(b) || !a.SameEdge(b) {
-		t.Error("a,b share pod and edge")
-	}
-	if !a.SamePod(c) || a.SameEdge(c) {
-		t.Error("a,c share pod only")
-	}
-	if a.SamePod(d) || a.SameEdge(d) {
-		t.Error("a,d share nothing")
-	}
-}
-
 func TestTableAssignStable(t *testing.T) {
 	tb := NewTable()
 	tb.SetLocation(7, 1)
