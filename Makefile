@@ -41,8 +41,7 @@ docs-lint:
 
 # Report-schema gate alone (also runs as part of `make test`): the four
 # checked-in reports must round-trip byte-identically and a fresh
-# catalog replay must reproduce each, serial or sharded — byte-identity
-# to the serial report IS the sharded engine's contract. Regenerate with:
+# catalog replay must reproduce each, twice over. Regenerate with:
 #   go test ./internal/experiments -run Golden -update
 report-golden:
 	$(GO) test ./internal/experiments -run '^TestReportGolden$$'
@@ -56,9 +55,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# internal/experiments runs every catalog entry serial, on three engine
-# shards and on eight workers (TestCatalogIdentity): ~9 min under the
-# race detector on 2 vCPU, so the default 10 min per package is too tight.
+# internal/experiments runs every catalog entry on one worker and on
+# eight (TestCatalogIdentity): ~5 min under the race detector on 2 vCPU
+# (~6 min inside a whole-repo run), too close to the default 10 min per
+# package to leave a 2x margin.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -10,7 +10,6 @@
 //	portland-bench -list           # list experiment IDs
 //	portland-bench -quick          # reduced trial counts (CI-sized)
 //	portland-bench -parallel 4     # worker-pool size (0 = GOMAXPROCS, 1 = serial)
-//	portland-bench -shards 8       # engine shards per fabric (same output)
 //	portland-bench -cpuprofile cpu.prof -memprofile mem.prof
 //	portland-bench -reports out/   # also write <id>-report.json per experiment
 package main
@@ -44,7 +43,6 @@ func run(args []string, stdout io.Writer) int {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		quick      = fs.Bool("quick", false, "reduced trial counts")
 		parallel   = fs.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial; same output at every value)")
-		shards     = fs.Int("shards", 0, "engine shards per fabric (0/1 = serial); output is byte-identical at every value")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		reports    = fs.String("reports", "", "directory for per-experiment <id>-report.json files")
@@ -69,7 +67,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	runner.SetWorkers(*parallel)
-	settings := experiments.Settings{Quick: *quick, Shards: *shards}
+	settings := experiments.Settings{Quick: *quick}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

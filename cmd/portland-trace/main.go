@@ -97,8 +97,6 @@ func main() {
 			fatal(err)
 		}
 		defer func() { fmt.Printf("pcap: %d frames from %s written to %s\n", pw.Frames(), edge, *pcapF) }()
-		// Note: the pcap tap replaces the path tap on that switch;
-		// show its hops as the capture instead.
 	}
 
 	sendProbe := func(n int, port uint16) {
@@ -107,7 +105,7 @@ func main() {
 		path := hopsByProbe[port]
 		fmt.Printf("probe %d (%s → %s):\n", n, *src, dstName)
 		if len(path) == 0 {
-			fmt.Println("  (no switch observed the probe — tap replaced by pcap?)")
+			fmt.Println("  (no switch observed the probe)")
 			return
 		}
 		for _, h := range path {

@@ -55,8 +55,9 @@ type Options struct {
 	// epochs bounded by the minimum cross-shard link delay. Any value
 	// <= 1 means one shard — and because a one-shard domain runs the
 	// identical code path, a sharded run is byte-identical to the
-	// serial run for the same seed (gated by TestShardIdentity and the
-	// sharded experiment goldens).
+	// serial run for the same seed (gated by TestShardIdentity, and by
+	// TestOptionsMatrix on every other option). No experiment sets it:
+	// the benchmark's sharded boot and the engine's tests do.
 	Shards int
 	// MgrShards partitions the fabric manager's IP→PMAC registry by
 	// address prefix across N manager replicas (see ctrlmsg.ShardOfIP).
@@ -542,24 +543,14 @@ func (f *Fabric) CheckDiscovery() error {
 	return nil
 }
 
-// TapSwitch installs a frame observer on the named switch; fn sees
-// every received (egress=false) and transmitted (egress=true) frame.
-// Pass nil to remove. Reports whether the switch exists.
-func (f *Fabric) TapSwitch(name string, fn func(port int, frame *ether.Frame, egress bool)) bool {
-	sw := f.SwitchByName(name)
-	if sw == nil {
-		return false
-	}
-	sw.Tap = fn
-	return true
-}
-
 // CapturePcap streams every frame the named switch touches into a
 // standard pcap capture (openable in Wireshark); non-Ethernet-coded
-// internal frames are serialized through the real wire codecs. An
-// unknown name is an error that writes nothing to w.
+// internal frames are serialized through the real wire codecs. The
+// switch's existing Tap, if any, keeps seeing every frame. An unknown
+// name is an error that writes nothing to w.
 func (f *Fabric) CapturePcap(name string, w io.Writer) (*trace.PcapWriter, error) {
-	if f.SwitchByName(name) == nil {
+	sw := f.SwitchByName(name)
+	if sw == nil {
 		return nil, fmt.Errorf("no switch named %q", name)
 	}
 	pw, err := trace.NewPcapWriter(w)
@@ -567,10 +558,14 @@ func (f *Fabric) CapturePcap(name string, w io.Writer) (*trace.PcapWriter, error
 		return nil, err
 	}
 	swEng := f.engOf[f.byName[name]]
-	f.TapSwitch(name, func(_ int, frame *ether.Frame, egress bool) {
+	prev := sw.Tap
+	sw.Tap = func(port int, frame *ether.Frame, egress bool) {
+		if prev != nil {
+			prev(port, frame, egress)
+		}
 		if !egress { // capture each frame once, on ingress
 			_ = pw.WriteFrame(swEng.Now(), frame)
 		}
-	})
+	}
 	return pw, nil
 }

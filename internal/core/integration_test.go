@@ -98,9 +98,16 @@ func TestStaggeredFailuresAndRecovery(t *testing.T) {
 }
 
 // TestPcapCaptureIntegration verifies a live capture produces a valid
-// pcap stream with the traffic that actually crossed the switch.
+// pcap stream with the traffic that actually crossed the switch, and
+// that an observer already tapping the switch keeps seeing it.
 func TestPcapCaptureIntegration(t *testing.T) {
 	f := buildK4(t)
+	tapped := 0
+	f.SwitchByName("edge-p0-s0").Tap = func(_ int, _ *ether.Frame, egress bool) {
+		if !egress {
+			tapped++
+		}
+	}
 	var buf bytes.Buffer
 	pw, err := f.CapturePcap("edge-p0-s0", &buf)
 	if err != nil {
@@ -117,6 +124,9 @@ func TestPcapCaptureIntegration(t *testing.T) {
 	// ACK-path nothing (UDP) + LDMs from fabric neighbors.
 	if pw.Frames() < 6 {
 		t.Fatalf("captured %d frames, want >= 6", pw.Frames())
+	}
+	if tapped != pw.Frames() {
+		t.Fatalf("the earlier tap saw %d received frames, the capture %d", tapped, pw.Frames())
 	}
 	// Structural validity is covered by the trace package's tests;
 	// here require the global header plus one record header per frame.

@@ -14,7 +14,8 @@ import (
 
 // supportedOptions is the option matrix a Fabric supports: the zero
 // Options plus each field at the value its production setter uses.
-// Rows name their setter; a new Options field belongs here.
+// Rows name their setter; a new Options field belongs here. Shards is
+// the exception: TestOptionsMatrix crosses it with every row.
 var supportedOptions = []struct {
 	name string
 	opts Options
@@ -23,7 +24,6 @@ var supportedOptions = []struct {
 	{"ctrlloss(fmf)", Options{CtrlLoss: 0.1}},
 	{"ldp(a4)", Options{LDP: ldp.Config{Interval: 50 * time.Millisecond}}},
 	{"detect(sc)", Options{Detect: scDetect()}},
-	{"shards", Options{Shards: 3}},
 	{"mgrshards(mgr)", Options{MgrShards: 2}},
 	{"puntbatch(mgr)", Options{PuntBatch: 200 * time.Microsecond}},
 	{"mgrshards+puntbatch(mgr)", Options{MgrShards: 2, PuntBatch: 200 * time.Microsecond}},
@@ -43,14 +43,18 @@ func scDetect() graydetect.Config {
 // TestOptionsMatrix boots every supported option row at k=4, checks
 // discovery against the blueprint, and drives a 16-flow CBR
 // permutation in which every flow must still be delivering at the
-// end. Two builds of one row must agree on every counter and on the
-// merged journal: each row is as deterministic as the default.
+// end. Each row is built twice, serial and on three engine shards, and
+// the two must agree on every counter and on the merged journal: each
+// row is as deterministic as the default, and sharding never moves a
+// result.
 func TestOptionsMatrix(t *testing.T) {
 	for _, row := range supportedOptions {
 		t.Run(row.name, func(t *testing.T) {
-			first := optionsRun(t, row.opts)
-			if again := optionsRun(t, row.opts); again != first {
-				t.Errorf("two builds diverge: %s", firstDiff(first, again))
+			serial := optionsRun(t, row.opts)
+			sharded := row.opts
+			sharded.Shards = 3
+			if got := optionsRun(t, sharded); got != serial {
+				t.Errorf("serial and 3 engine shards diverge: %s", firstDiff(serial, got))
 			}
 		})
 	}

@@ -24,9 +24,8 @@ type A5Result struct {
 
 // RunA5 starts many random inter-pod flows and counts data frames per
 // core switch. A single cell: there is nothing to sweep.
-func RunA5(k, flows int) (*A5Result, error) { return runA5(DefaultRig(), k, flows) }
-
-func runA5(rig Rig, k, flows int) (*A5Result, error) {
+func RunA5(k, flows int) (*A5Result, error) {
+	rig := DefaultRig()
 	rig.K = k
 	f, err := rig.build()
 	if err != nil {

@@ -27,9 +27,8 @@ type A6Result struct {
 
 // RunA6 pings representative pairs in each locality class. A single
 // cell: there is nothing to sweep.
-func RunA6(k, probes int) (*A6Result, error) { return runA6(DefaultRig(), k, probes) }
-
-func runA6(rig Rig, k, probes int) (*A6Result, error) {
+func RunA6(k, probes int) (*A6Result, error) {
+	rig := DefaultRig()
 	rig.K = k
 	f, err := rig.build()
 	if err != nil {

@@ -60,9 +60,8 @@ type a1Half struct {
 // PortLand spreads the flows over every core; the spanning tree
 // funnels them through its single surviving root path. The two
 // fabrics are independent and run as two cells.
-func RunA1(A1Config) (*A1Result, error) { return runA1(DefaultRig()) }
-
-func runA1(rig Rig) (*A1Result, error) {
+func RunA1(A1Config) (*A1Result, error) {
+	rig := DefaultRig()
 	res := &A1Result{k: rig.K}
 	var mbps [2]float64
 	err := sweep(&res.Reported, "a1", rig.Seed, map[string]string{
@@ -97,8 +96,7 @@ func runA1(rig Rig) (*A1Result, error) {
 // measurement window and reports the aggregate delivered rate. Each
 // flow ticks on its source host's own scheduler, from a phase drawn at
 // rest from the driver's PRNG, and each receiver counts into its own
-// slot, summed at rest, so the measurement is the same on every shard
-// layout.
+// slot, summed at rest.
 func crossSectionGoodput(f interface {
 	HostList() []*host.Host
 	RunFor(time.Duration)
@@ -183,9 +181,8 @@ type a2Cell struct {
 // RunA2 measures the virtual time from cold boot until every switch
 // has resolved its location; each degree boots its own fabric, one
 // cell per k.
-func RunA2(ks []int) (*A2Result, error) { return runA2(DefaultRig(), ks) }
-
-func runA2(rig Rig, ks []int) (*A2Result, error) {
+func RunA2(ks []int) (*A2Result, error) {
+	rig := DefaultRig()
 	res := &A2Result{}
 	err := sweep(&res.Reported, "a2", rig.Seed, nil, len(ks), 1, func(i, _ int) (a2Cell, error) {
 		f, err := core.NewFatTree(ks[i], rig.Options)
@@ -249,9 +246,8 @@ type a3Half struct {
 }
 
 // RunA3 measures per-resolution cost in both fabrics.
-func RunA3(k int, resolutions int) (*A3Result, error) { return runA3(DefaultRig(), k, resolutions) }
-
-func runA3(rig Rig, k, resolutions int) (*A3Result, error) {
+func RunA3(k, resolutions int) (*A3Result, error) {
+	rig := DefaultRig()
 	rig.K = k
 	res := &A3Result{K: k}
 	var halves [2]a3Half
@@ -405,10 +401,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 // gain) against keepalive overhead (the cost) over an (interval,
 // trial) grid.
 func RunA4(intervals []time.Duration, trials int) (*A4Result, error) {
-	return runA4(DefaultRig(), intervals, trials)
-}
-
-func runA4(rig Rig, intervals []time.Duration, trials int) (*A4Result, error) {
+	rig := DefaultRig()
 	res := &A4Result{}
 	err := sweep(&res.Reported, "a4", rig.Seed, map[string]string{
 		"trials": itoa(trials),

@@ -12,22 +12,10 @@ import (
 )
 
 // Settings are the run-wide knobs a caller (portland-bench's flags)
-// hands to every experiment. None changes a result: Quick only picks
-// the smaller declared configuration and sharding moves only wall
-// clock.
+// hands to every experiment.
 type Settings struct {
 	// Quick selects the reduced, CI-sized sweep.
 	Quick bool
-	// Shards is the engine-shard count of every fabric built (0/1 =
-	// serial); printed output is byte-identical at every value.
-	Shards int
-}
-
-// rig is the paper-testbed rig under these settings.
-func (s Settings) rig() Rig {
-	r := DefaultRig()
-	r.Shards = s.Shards
-	return r
 }
 
 // Experiment is one catalog entry: what portland-bench lists, selects
@@ -112,39 +100,32 @@ var Catalog = []Experiment{
 	{ID: "t1", Desc: "Table 1: technique comparison + forwarding-state proxy", run: func(s Settings) (Result, error) {
 		cfg := DefaultTable1()
 		cfg.Ks = pick(s, cfg.Ks, []int{4, 8})
-		return runTable1(s.rig(), cfg)
+		return RunTable1(cfg)
 	}},
 	cells("f9", "Figure 9: UDP convergence vs number of link failures", func(s Settings) Fig9Config {
 		cfg := DefaultFig9()
-		cfg.Rig = s.rig()
 		cfg.MaxFaults, cfg.Trials = pick(s, cfg.MaxFaults, 6), pick(s, cfg.Trials, 3)
 		return cfg
 	}, RunFig9, Fig9Config.grid, fig9Cell),
 	cells("f9s", "Figure 9 variant: whole-switch (agg/core) crashes", func(s Settings) Fig9Config {
 		cfg := DefaultFig9()
-		cfg.Rig = s.rig()
 		cfg.Mode = FailSwitches
 		cfg.MaxFaults, cfg.Trials = pick(s, 6, 3), pick(s, 5, 2)
 		return cfg
 	}, RunFig9, Fig9Config.grid, fig9Cell),
-	{ID: "f10", Desc: "Figure 10: TCP convergence across a failure", run: func(s Settings) (Result, error) {
-		cfg := DefaultFig10()
-		cfg.Rig = s.rig()
-		return RunFig10(cfg)
+	{ID: "f10", Desc: "Figure 10: TCP convergence across a failure", run: func(Settings) (Result, error) {
+		return RunFig10(DefaultFig10())
 	}},
 	{ID: "f11", Desc: "Figure 11: multicast convergence under failure", run: func(s Settings) (Result, error) {
 		cfg := DefaultFig11()
-		cfg.Rig = s.rig()
 		cfg.Trials = pick(s, cfg.Trials, 4)
 		return RunFig11(cfg)
 	}},
-	{ID: "f12", Desc: "Figure 12: TCP across VM live migration", run: func(s Settings) (Result, error) {
-		cfg := DefaultFig12()
-		cfg.Rig = s.rig()
-		return RunFig12(cfg)
+	{ID: "f12", Desc: "Figure 12: TCP across VM live migration", run: func(Settings) (Result, error) {
+		return RunFig12(DefaultFig12())
 	}},
-	{ID: "f13", Desc: "Figure 13: fabric-manager control traffic", run: func(s Settings) (Result, error) {
-		return runFig13(s.rig())
+	{ID: "f13", Desc: "Figure 13: fabric-manager control traffic", run: func(Settings) (Result, error) {
+		return RunFig13(DefaultFig13())
 	}},
 	{ID: "f14", Desc: "Figure 14: fabric-manager CPU requirement", WallClock: true, run: func(s Settings) (Result, error) {
 		cfg := DefaultFig14()
@@ -155,48 +136,44 @@ var Catalog = []Experiment{
 	}},
 	{ID: "fmf", Desc: "Manager failover: ARP blackout + convergence vs outage/control loss", run: func(s Settings) (Result, error) {
 		cfg := DefaultFMF()
-		cfg.Rig = s.rig()
 		cfg.Outages = pick(s, cfg.Outages, []time.Duration{100 * time.Millisecond, 400 * time.Millisecond})
 		return RunFMF(cfg)
 	}},
 	cells("sc", "Scenario engine: time-to-detect/reroute per fault family", func(s Settings) SCConfig {
 		cfg := DefaultSC()
-		cfg.Rig = s.rig()
 		cfg.Trials = pick(s, cfg.Trials, 1)
 		return cfg
 	}, RunSC, SCConfig.grid, scCell),
 	cells("mgr", "Manager scaling: prefix-sharded registry + batched ARP punts", func(s Settings) MgrConfig {
 		cfg := DefaultMgr()
-		cfg.Rig = s.rig()
 		cfg.Trials, cfg.Flows = pick(s, cfg.Trials, 1), pick(s, cfg.Flows, 300)
 		return cfg
 	}, RunMgr, MgrConfig.grid, mgrCell),
 	cells("ft", "Table pressure: hardware envelopes vs fabric scale", func(s Settings) FTConfig {
 		cfg := DefaultFT()
-		cfg.Rig = s.rig()
 		cfg.Ks, cfg.Flows = pick(s, cfg.Ks, []int{4, 6}), pick(s, cfg.Flows, 200)
 		return cfg
 	}, RunFT, FTConfig.grid, ftCell),
-	{ID: "a1", Desc: "Ablation A1: ECMP vs spanning-tree cross-section goodput", run: func(s Settings) (Result, error) {
-		return runA1(s.rig())
+	{ID: "a1", Desc: "Ablation A1: ECMP vs spanning-tree cross-section goodput", run: func(Settings) (Result, error) {
+		return RunA1(DefaultA1())
 	}},
 	{ID: "a2", Desc: "Ablation A2: LDP discovery time vs k", run: func(s Settings) (Result, error) {
 		// The full sweep ends at the paper's deployment target: a k=48
 		// fat tree with 2880 switches and 27,648 hosts.
-		return runA2(s.rig(), pick(s, []int{4, 8, 16, 32, 48}, []int{4, 8, 16}))
+		return RunA2(pick(s, []int{4, 8, 16, 32, 48}, []int{4, 8, 16}))
 	}},
-	{ID: "a3", Desc: "Ablation A3: proxy ARP vs broadcast ARP cost", run: func(s Settings) (Result, error) {
-		return runA3(s.rig(), 4, 8)
+	{ID: "a3", Desc: "Ablation A3: proxy ARP vs broadcast ARP cost", run: func(Settings) (Result, error) {
+		return RunA3(4, 8)
 	}},
 	{ID: "a4", Desc: "Ablation A4: LDM interval sweep", run: func(s Settings) (Result, error) {
 		ivs := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond}
-		return runA4(s.rig(), ivs, pick(s, 5, 2))
+		return RunA4(ivs, pick(s, 5, 2))
 	}},
 	{ID: "a5", Desc: "Ablation A5: ECMP flow-hash balance across cores", run: func(s Settings) (Result, error) {
-		return runA5(s.rig(), 4, pick(s, 256, 64))
+		return RunA5(4, pick(s, 256, 64))
 	}},
 	{ID: "a6", Desc: "Ablation A6: round-trip time by locality class", run: func(s Settings) (Result, error) {
-		return runA6(s.rig(), 4, pick(s, 50, 20))
+		return RunA6(4, pick(s, 50, 20))
 	}},
 }
 

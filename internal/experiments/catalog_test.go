@@ -41,9 +41,8 @@ func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.R
 
 // TestCatalogIdentity is the determinism contract, held against every
 // catalog entry by name at its -quick configuration: the printed rows
-// and the report are the same bytes on one engine and on three engine
-// shards, and on one sweep worker and on eight. Nothing in the output
-// may depend on how the work was laid out. The serial bytes must also
+// and the report are the same bytes on one sweep worker and on eight.
+// Nothing in the output may depend on how the work was laid out. The serial bytes must also
 // equal the entry's checked-in testdata/quick-<id>.golden.txt, so a
 // refactor that moves any printed value or report byte fails here
 // (regenerate with -update after an intentional change). For an entry
@@ -52,7 +51,7 @@ func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.R
 // label.
 func TestCatalogIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment three times")
+		t.Skip("runs every experiment twice")
 	}
 	t.Cleanup(func() { runner.SetWorkers(0) })
 	for _, e := range Catalog {
@@ -76,9 +75,6 @@ func TestCatalogIdentity(t *testing.T) {
 							c.Point, c.Trial, got.Experiment, got.Cells, rep.Experiment, c)
 					}
 				}
-			}
-			if got, _ := render(t, e, Settings{Quick: true, Shards: 3}, 1); !bytes.Equal(got, want) {
-				t.Errorf("output on 3 engine shards differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", want, got)
 			}
 			if got, _ := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
 				t.Errorf("output on 8 sweep workers differs from one:\n--- one ---\n%s\n--- eight ---\n%s", want, got)

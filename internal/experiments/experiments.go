@@ -27,7 +27,7 @@ import (
 
 // Rig configures the simulated testbed common to the experiments: the
 // fat tree's arity plus the fabric's build options, declared once in
-// core.Options (Rig.Seed, Rig.Shards etc. are its promoted fields).
+// core.Options (Rig.Seed, Rig.CtrlLoss etc. are its promoted fields).
 type Rig struct {
 	K int
 	core.Options

@@ -40,7 +40,6 @@ type Fig10Result struct {
 	FailAt      time.Duration
 	SendTrace   []SeqPoint
 	Gap         time.Duration // delivery interruption at the receiver
-	NetworkConv time.Duration // fabric reconvergence (probe-measured)
 	Timeouts    int64
 	Retransmits int64
 	Reported

@@ -53,7 +53,7 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 		rec := &metrics.Recorder{}
 		recs[i] = rec
 		h := f.HostByName(name)
-		rxNow := h.Sim().Now // receiver-shard clock: safe inside the handler
+		rxNow := h.Sim().Now // the receiving host's clock
 		h.Endpoint().JoinGroup(group, false, func(*ether.Frame) { rec.Record(rxNow()) })
 	}
 	sender.Endpoint().JoinGroup(group, true, nil)

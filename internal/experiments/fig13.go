@@ -108,9 +108,7 @@ type Fig13Result struct {
 // curve is an extrapolation from the measured per-ARP cost; unlike
 // the paper we also validate that constant against an actual run of
 // the full fabric (the k=4 testbed with a cache-busting ARP workload).
-func RunFig13(Fig13Config) (*Fig13Result, error) { return runFig13(DefaultRig()) }
-
-func runFig13(rig Rig) (*Fig13Result, error) {
+func RunFig13(Fig13Config) (*Fig13Result, error) {
 	res := &Fig13Result{BytesPerARP: ARPMessageBytes()}
 	arpAxis(func(hosts int, mbps []float64) { res.Rows = append(res.Rows, Fig13Row{Hosts: hosts, Mbps: mbps}) },
 		func(hosts, rate int) float64 {
@@ -118,7 +116,7 @@ func runFig13(rig Rig) (*Fig13Result, error) {
 		})
 
 	// Cross-check in the simulator.
-	f, err := rig.build()
+	f, err := DefaultRig().build()
 	if err != nil {
 		return nil, err
 	}

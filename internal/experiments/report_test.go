@@ -101,10 +101,8 @@ func TestReplayMatchesFig9Cell(t *testing.T) {
 // contract, one row per checked-in cell report. Serial, a fresh replay
 // must reproduce the golden bytes, a second in-process replay must
 // agree with the first, and the golden must round-trip decode →
-// re-encode byte-identically. On five engine shards (one per pod plus
-// the core bank, at k=4) the replay must reproduce the same golden:
-// there is no "sharded golden", and a sharded run that needs its own
-// is a broken one. Each golden's own cells[0] names its coordinate.
+// re-encode byte-identically. Each golden's own cells[0] names its
+// coordinate.
 // Regenerate with `go test ./internal/experiments -run Golden -update`
 // after an intentional schema or behavior change.
 func TestReportGolden(t *testing.T) {
@@ -119,18 +117,18 @@ func TestReportGolden(t *testing.T) {
 		{"mgr", Settings{}, 3, 0, "mgr-report.golden.json"},          // 2 shards, 200µs batch
 		{"ft", Settings{Quick: true}, 1, 0, "ft-report.golden.json"}, // k=4, gen40/64
 	} {
-		encode := func(t *testing.T, s Settings) []byte {
+		encode := func(t *testing.T) []byte {
 			t.Helper()
-			b, err := replay(t, g.id, s, g.point, g.trial).EncodeBytes()
+			b, err := replay(t, g.id, g.s, g.point, g.trial).EncodeBytes()
 			if err != nil {
 				t.Fatalf("EncodeBytes: %v", err)
 			}
 			return b
 		}
 		t.Run(g.id+"/serial", func(t *testing.T) {
-			want := encode(t, g.s)
+			want := encode(t)
 			matchGolden(t, g.file, want)
-			if again := encode(t, g.s); !bytes.Equal(again, want) {
+			if again := encode(t); !bytes.Equal(again, want) {
 				t.Fatal("two in-process replays of the same cell differ")
 			}
 			// Round-trip: any field the schema silently drops or
@@ -145,18 +143,6 @@ func TestReportGolden(t *testing.T) {
 			}
 			if !bytes.Equal(again, want) {
 				t.Fatalf("golden report does not round-trip byte-identically (len %d vs %d)", len(again), len(want))
-			}
-		})
-		t.Run(g.id+"/shards5", func(t *testing.T) {
-			s := g.s
-			s.Shards = 5
-			got := encode(t, s)
-			want, err := os.ReadFile(filepath.Join("testdata", g.file))
-			if err != nil {
-				t.Fatalf("read golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("sharded replay differs from the serial golden %s (len %d vs %d): the shard determinism contract is broken", g.file, len(got), len(want))
 			}
 		})
 	}

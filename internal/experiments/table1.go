@@ -82,9 +82,8 @@ type t1Cell struct {
 // entries in both fabrics. PortLand's edge state is bounded by its
 // local hosts + O(k) protocol state; the baseline learns every MAC
 // that crosses it.
-func RunTable1(cfg Table1Config) (*Table1Result, error) { return runTable1(DefaultRig(), cfg) }
-
-func runTable1(rig Rig, cfg Table1Config) (*Table1Result, error) {
+func RunTable1(cfg Table1Config) (*Table1Result, error) {
+	rig := DefaultRig()
 	res := &Table1Result{}
 	err := sweep(&res.Reported, "t1", rig.Seed, map[string]string{
 		"peers_per_host": itoa(warmPeers),

@@ -80,12 +80,11 @@ type Switch struct {
 	links  []*sim.Link
 
 	agent *ldp.Agent
-	ctrl  ctrlnet.Conn
-	// ctrlShards, when the fabric manager is prefix-sharded, holds one
-	// control channel per registry shard (ctrlShards[0] == ctrl).
+	// ctrl holds one control channel per fabric-manager registry shard:
+	// one element on an unsharded manager, none before SetControlShards.
 	// Registration and ARP punts route by ctrlmsg.ShardOfIP; everything
 	// route- or fault-related stays on shard 0, the route authority.
-	ctrlShards []ctrlnet.Conn
+	ctrl []ctrlnet.Conn
 
 	// Punt batching (off unless SetPuntBatch armed it): per-shard
 	// buffers of pending ARP-miss punts, flushed as one ARPQueryBatch
@@ -196,16 +195,7 @@ func (s *Switch) Attach(port int, l *sim.Link) { s.links[port] = l }
 // conns[i] reaches registry shard i. A single-element slice is the
 // unsharded fabric: every message goes to shard 0. Must be called
 // before Start.
-func (s *Switch) SetControlShards(conns []ctrlnet.Conn) {
-	if len(conns) == 0 {
-		return
-	}
-	s.ctrl = conns[0]
-	s.ctrlShards = nil
-	if len(conns) > 1 {
-		s.ctrlShards = conns
-	}
-}
+func (s *Switch) SetControlShards(conns []ctrlnet.Conn) { s.ctrl = conns }
 
 // SetPuntBatch arms ARP punt batching: instead of one ARPQuery per
 // host request, the switch holds misses for up to d and sends one
@@ -214,12 +204,7 @@ func (s *Switch) SetControlShards(conns []ctrlnet.Conn) {
 func (s *Switch) SetPuntBatch(d time.Duration) { s.puntBatch = d }
 
 // numShards returns how many manager shards the switch is wired to.
-func (s *Switch) numShards() int {
-	if len(s.ctrlShards) > 1 {
-		return len(s.ctrlShards)
-	}
-	return 1
-}
+func (s *Switch) numShards() int { return max(1, len(s.ctrl)) }
 
 // SetJournal directs the switch's (and its LDP agent's) control-plane
 // events into j. Safe to leave unset.
@@ -385,29 +370,22 @@ func (s *Switch) send(port int, f *ether.Frame) {
 	s.pool.Put(f) // unwired port: the frame is consumed here
 }
 
-func (s *Switch) sendCtrl(m ctrlmsg.Msg) {
-	if s.ctrl != nil {
-		_ = s.ctrl.Send(m)
-	}
-}
+// sendCtrl sends m to shard 0, the route authority.
+func (s *Switch) sendCtrl(m ctrlmsg.Msg) { s.sendCtrlTo(0, m) }
 
-// sendCtrlTo routes m to one manager shard. Shard 0 (and any shard on
-// an unsharded fabric) is the plain sendCtrl path.
+// sendCtrlTo routes m to one manager shard; an unwired switch drops it.
 func (s *Switch) sendCtrlTo(shard int, m ctrlmsg.Msg) {
-	if shard > 0 && shard < len(s.ctrlShards) {
-		_ = s.ctrlShards[shard].Send(m)
-		return
+	if shard < len(s.ctrl) {
+		_ = s.ctrl[shard].Send(m)
 	}
-	s.sendCtrl(m)
 }
 
 // sendCtrlAll fans m out to every manager shard: identity and location
 // must be shared state, since each shard floods ARP misses to the edge
 // set and replays its registry slice on resync.
 func (s *Switch) sendCtrlAll(m ctrlmsg.Msg) {
-	s.sendCtrl(m)
-	for i := 1; i < len(s.ctrlShards); i++ {
-		_ = s.ctrlShards[i].Send(m)
+	for _, c := range s.ctrl {
+		_ = c.Send(m)
 	}
 }
 
