@@ -310,39 +310,22 @@ type HostInstall struct {
 	PMAC ether.Addr
 }
 
-// ARPQueryItem is one punted ARP request inside an ARPQueryBatch —
-// the same fields as ARPQuery minus the switch, which the batch
-// header carries once.
-type ARPQueryItem struct {
-	QueryID    uint64
-	SenderPMAC ether.Addr
-	SenderIP   netip.Addr
-	TargetIP   netip.Addr
-}
-
 // ARPQueryBatch carries every ARP-miss punt an edge switch collected
 // for one registry shard during one batching tick. Batching amortizes
 // the per-message control-channel and journal cost of an ARP storm:
-// the manager answers with a single ARPAnswerBatch.
+// the manager answers with a single ARPAnswerBatch. On the wire the
+// queries omit their Switch, which the batch header carries once;
+// Decode fills it back in.
 type ARPQueryBatch struct {
 	Switch  SwitchID
-	Queries []ARPQueryItem
-}
-
-// ARPAnswerItem is one resolution inside an ARPAnswerBatch — the same
-// fields as ARPAnswer.
-type ARPAnswerItem struct {
-	QueryID  uint64
-	Found    bool
-	TargetIP netip.Addr
-	PMAC     ether.Addr
+	Queries []ARPQuery
 }
 
 // ARPAnswerBatch answers an ARPQueryBatch in one message. Queries the
 // manager cannot answer immediately (parked during a resync) are
 // omitted and answered individually later.
 type ARPAnswerBatch struct {
-	Answers []ARPAnswerItem
+	Answers []ARPAnswer
 }
 
 // ShardOfIP maps an IPv4 address to its owning registry shard among n:
@@ -725,8 +708,8 @@ func Decode(b []byte) (Msg, error) {
 		qb := ARPQueryBatch{Switch: SwitchID(r.u32())}
 		n := int(r.u16())
 		for i := 0; i < n && r.err == nil; i++ {
-			qb.Queries = append(qb.Queries, ARPQueryItem{
-				QueryID: r.u64(), SenderPMAC: r.mac(), SenderIP: r.ip(), TargetIP: r.ip(),
+			qb.Queries = append(qb.Queries, ARPQuery{
+				Switch: qb.Switch, QueryID: r.u64(), SenderPMAC: r.mac(), SenderIP: r.ip(), TargetIP: r.ip(),
 			})
 		}
 		m = qb
@@ -734,7 +717,7 @@ func Decode(b []byte) (Msg, error) {
 		ab := ARPAnswerBatch{}
 		n := int(r.u16())
 		for i := 0; i < n && r.err == nil; i++ {
-			ab.Answers = append(ab.Answers, ARPAnswerItem{
+			ab.Answers = append(ab.Answers, ARPAnswer{
 				QueryID: r.u64(), Found: r.bool(), TargetIP: r.ip(), PMAC: r.mac(),
 			})
 		}

@@ -40,11 +40,11 @@ func TestAllKindsRoundTrip(t *testing.T) {
 		SeqAck{NextSeq: 78},
 		GrayReport{Switch: 7, Port: 2, PeerID: 9, WireErrs: 11, ProbesLost: 3, Quarantined: true},
 		HostInstall{IP: ip([4]byte{10, 0, 1, 2}), AMAC: ether.Addr{2, 0, 0, 0, 1, 2}, PMAC: ether.Addr{0, 0, 1, 0, 0, 2}},
-		ARPQueryBatch{Switch: 5, Queries: []ARPQueryItem{
-			{QueryID: 1, SenderPMAC: ether.Addr{0, 1, 0, 0, 0, 2}, SenderIP: ip([4]byte{10, 0, 0, 2}), TargetIP: ip([4]byte{10, 0, 0, 3})},
-			{QueryID: 2, SenderPMAC: ether.Addr{0, 1, 0, 0, 0, 2}, SenderIP: ip([4]byte{10, 0, 0, 2}), TargetIP: ip([4]byte{10, 0, 0, 7})},
+		ARPQueryBatch{Switch: 5, Queries: []ARPQuery{
+			{Switch: 5, QueryID: 1, SenderPMAC: ether.Addr{0, 1, 0, 0, 0, 2}, SenderIP: ip([4]byte{10, 0, 0, 2}), TargetIP: ip([4]byte{10, 0, 0, 3})},
+			{Switch: 5, QueryID: 2, SenderPMAC: ether.Addr{0, 1, 0, 0, 0, 2}, SenderIP: ip([4]byte{10, 0, 0, 2}), TargetIP: ip([4]byte{10, 0, 0, 7})},
 		}},
-		ARPAnswerBatch{Answers: []ARPAnswerItem{
+		ARPAnswerBatch{Answers: []ARPAnswer{
 			{QueryID: 1, Found: true, TargetIP: ip([4]byte{10, 0, 0, 3}), PMAC: ether.Addr{0, 2, 0, 0, 0, 1}},
 			{QueryID: 2, Found: false, TargetIP: ip([4]byte{10, 0, 0, 7})},
 		}},
@@ -117,8 +117,8 @@ func TestQuickRoundTrips(t *testing.T) {
 		}
 		in := ARPQueryBatch{Switch: SwitchID(sw)}
 		for _, id := range ids {
-			in.Queries = append(in.Queries, ARPQueryItem{
-				QueryID: id, SenderIP: ip([4]byte{10, 0, 0, 1}), TargetIP: ip(t4),
+			in.Queries = append(in.Queries, ARPQuery{
+				Switch: in.Switch, QueryID: id, SenderIP: ip([4]byte{10, 0, 0, 1}), TargetIP: ip(t4),
 			})
 		}
 		out, err := Decode(Encode(in))
@@ -142,7 +142,7 @@ func TestQuickRoundTrips(t *testing.T) {
 		}
 		in := ARPAnswerBatch{}
 		for _, id := range ids {
-			in.Answers = append(in.Answers, ARPAnswerItem{
+			in.Answers = append(in.Answers, ARPAnswer{
 				QueryID: id, Found: found, TargetIP: ip([4]byte{10, 0, 0, 2}), PMAC: pm,
 			})
 		}

@@ -123,7 +123,7 @@ func (c *SimConn) Send(m ctrlmsg.Msg) error {
 	}
 	b := ctrlmsg.Encode(m)
 	c.stats.Msgs++
-	c.stats.Bytes += int64(len(b) + frameOverhead)
+	c.stats.Bytes += int64(len(b) + FrameOverhead)
 	if c.cfg.LossRate > 0 && c.proc.Rand().Float64() < c.cfg.LossRate {
 		c.stats.Drops++
 		return nil
@@ -171,9 +171,9 @@ func (c *SimConn) Stats() Stats { return c.stats }
 // frame that fails to decode is discarded; the channel stays open.
 func (c *SimConn) Err() error { return c.err }
 
-// frameOverhead is the per-message framing cost (length prefix),
+// FrameOverhead is the per-message framing cost (length prefix),
 // charged identically by both transports.
-const frameOverhead = 4
+const FrameOverhead = 4
 
 // maxFrame bounds a control frame; anything larger is a protocol
 // error, not a legitimate message.
@@ -203,7 +203,7 @@ func NewTCPConn(c net.Conn, h Handler) *TCPConn {
 // Send implements Conn.
 func (t *TCPConn) Send(m ctrlmsg.Msg) error {
 	b := ctrlmsg.Encode(m)
-	var hdr [frameOverhead]byte
+	var hdr [FrameOverhead]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -217,7 +217,7 @@ func (t *TCPConn) Send(m ctrlmsg.Msg) error {
 		return fmt.Errorf("sending control frame body: %w", err)
 	}
 	t.stats.Msgs++
-	t.stats.Bytes += int64(len(b) + frameOverhead)
+	t.stats.Bytes += int64(len(b) + FrameOverhead)
 	return nil
 }
 
@@ -258,7 +258,7 @@ func (t *TCPConn) ReadErr() error {
 
 func (t *TCPConn) readLoop() {
 	defer close(t.done)
-	var hdr [frameOverhead]byte
+	var hdr [FrameOverhead]byte
 	for {
 		if _, err := io.ReadFull(t.conn, hdr[:]); err != nil {
 			t.finish(err)

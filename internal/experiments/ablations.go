@@ -381,7 +381,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 		}
 		return n
 	}
-	ldm0 := ldmsSent()
+	ldm0, t0 := ldmsSent(), f.Now()
 	link, err := f.BusiestLink(100*time.Millisecond, topo.Aggregation, topo.Core)
 	if err != nil {
 		return out, err
@@ -389,7 +389,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 	failAt := f.Now()
 	f.FailLink(link)
 	f.RunFor(2 * time.Second)
-	out.ldmRate = float64(ldmsSent()-ldm0) / 2.1 / float64(len(f.Spec.Switches()))
+	out.ldmRate = float64(ldmsSent()-ldm0) / (f.Now() - t0).Seconds() / float64(len(f.Spec.Switches()))
 
 	out.conv.addFlows([]*workload.CBR{flow}, failAt)
 	flow.Stop()

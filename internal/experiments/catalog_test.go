@@ -17,10 +17,10 @@ import (
 	"portland/internal/runner"
 )
 
-// render runs one catalog entry and returns its printed rows followed
-// by a line holding the SHA-256 of its encoded report (f12–f14 return
-// none), and the report.
-func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.Report) {
+// render runs one catalog entry and returns its result, its printed
+// rows followed by a line holding the SHA-256 of its encoded report
+// (f12–f14 return none), and the report.
+func render(t *testing.T, e Experiment, s Settings, workers int) (Result, []byte, *obs.Report) {
 	t.Helper()
 	runner.SetWorkers(workers)
 	res, rep, err := e.Run(s)
@@ -36,19 +36,23 @@ func render(t *testing.T, e Experiment, s Settings, workers int) ([]byte, *obs.R
 		}
 		fmt.Fprintf(&buf, "report sha256 %x\n", sha256.Sum256(b))
 	}
-	return buf.Bytes(), rep
+	return res, buf.Bytes(), rep
 }
 
-// TestCatalogIdentity is the determinism contract, held against every
-// catalog entry by name at its -quick configuration: the printed rows
-// and the report are the same bytes on one sweep worker and on eight.
-// Nothing in the output may depend on how the work was laid out. The serial bytes must also
-// equal the entry's checked-in testdata/quick-<id>.golden.txt, so a
-// refactor that moves any printed value or report byte fails here
-// (regenerate with -update after an intentional change). For an entry
-// with cell replay, replaying the sweep report's first and last cells
-// must give back exactly those cells, under the sweep's experiment
-// label.
+// TestCatalogIdentity runs every catalog entry at its -quick
+// configuration and holds the one serial run to three checks:
+//   - every ledger row (ledger_test.go) for the entry holds, as
+//     subtest <id>/<row name>, and each entry has at least one;
+//   - its bytes (rows plus the report's SHA-256) equal the checked-in
+//     testdata/quick-<id>.golden.txt, so a refactor that moves any
+//     printed value or report byte fails here (regenerate with -update
+//     after an intentional change);
+//   - the determinism contract: eight sweep workers print the same
+//     bytes as one, and for an entry with cell replay, replaying the
+//     sweep report's first and last cells gives back exactly those
+//     cells, under the sweep's experiment label.
+//
+// f14 prints a wall-clock rate, so it is exempt from the last two.
 func TestCatalogIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -56,12 +60,23 @@ func TestCatalogIdentity(t *testing.T) {
 	t.Cleanup(func() { runner.SetWorkers(0) })
 	for _, e := range Catalog {
 		t.Run(e.ID, func(t *testing.T) {
-			if e.WallClock {
-				t.Skip("prints a wall-clock rate")
+			res, want, rep := render(t, e, Settings{Quick: true}, 1)
+			rows := 0
+			for _, c := range ledger {
+				if c.id == e.ID {
+					rows++
+					t.Run(c.name, func(t *testing.T) {
+						if err := c.holds(res); err != nil {
+							t.Errorf("%v\n(paper: %s; band: %s)", err, c.paper, c.band)
+						}
+					})
+				}
 			}
-			want, rep := render(t, e, Settings{Quick: true}, 1)
-			if len(want) == 0 {
-				t.Fatal("printed nothing")
+			if rows == 0 {
+				t.Error("no ledger row checks this entry")
+			}
+			if e.WallClock {
+				return
 			}
 			matchGolden(t, "quick-"+e.ID+".golden.txt", want)
 			if e.replay != nil {
@@ -76,7 +91,7 @@ func TestCatalogIdentity(t *testing.T) {
 					}
 				}
 			}
-			if got, _ := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
+			if _, got, _ := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
 				t.Errorf("output on 8 sweep workers differs from one:\n--- one ---\n%s\n--- eight ---\n%s", want, got)
 			}
 		})

@@ -424,11 +424,9 @@ func (m *Manager) handleARPBatch(v ctrlmsg.ARPQueryBatch) {
 	m.Stats.ARPBatches++
 	m.Stats.BatchedQueries += int64(len(v.Queries))
 	m.Stats.ARPQueries += int64(len(v.Queries))
-	answers := make([]ctrlmsg.ARPAnswerItem, 0, len(v.Queries))
+	answers := make([]ctrlmsg.ARPAnswer, 0, len(v.Queries))
 	hits, misses := 0, 0
-	for _, it := range v.Queries {
-		q := ctrlmsg.ARPQuery{Switch: v.Switch, QueryID: it.QueryID,
-			SenderPMAC: it.SenderPMAC, SenderIP: it.SenderIP, TargetIP: it.TargetIP}
+	for _, q := range v.Queries {
 		a, parked := m.resolveARP(q)
 		switch {
 		case parked:
@@ -439,7 +437,7 @@ func (m *Manager) handleARPBatch(v ctrlmsg.ARPQueryBatch) {
 			misses++
 			m.floodARP(q)
 		}
-		answers = append(answers, ctrlmsg.ARPAnswerItem(a))
+		answers = append(answers, a)
 	}
 	m.jou.Record(obs.MgrARPBatch, uint64(v.Switch), uint64(len(v.Queries)), uint64(hits), uint64(misses))
 	if len(answers) > 0 {

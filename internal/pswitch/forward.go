@@ -142,23 +142,19 @@ func (s *Switch) punt(p pendingARP) {
 	// Bound the parked-request table: answers normally arrive in
 	// microseconds; anything older than a host ARP retry is dead.
 	s.eng.Schedule(pendingARPTTL, func() { delete(s.pending, id) })
-	shard := ctrlmsg.ShardOfIP(p.targetIP, s.numShards())
-	if s.puntBatch > 0 {
-		s.bufferPunt(shard, ctrlmsg.ARPQueryItem{
-			QueryID:    id,
-			SenderPMAC: s.senderPMAC(p),
-			SenderIP:   p.hostIP,
-			TargetIP:   p.targetIP,
-		})
-		return
-	}
-	s.sendCtrlTo(shard, ctrlmsg.ARPQuery{
+	q := ctrlmsg.ARPQuery{
 		Switch:     s.id,
 		QueryID:    id,
 		SenderPMAC: s.senderPMAC(p),
 		SenderIP:   p.hostIP,
 		TargetIP:   p.targetIP,
-	})
+	}
+	shard := ctrlmsg.ShardOfIP(p.targetIP, s.numShards())
+	if s.puntBatch > 0 {
+		s.bufferPunt(shard, q)
+		return
+	}
+	s.sendCtrlTo(shard, q)
 }
 
 // puntBatchMax caps a single ARPQueryBatch; a full buffer flushes
@@ -167,9 +163,9 @@ const puntBatchMax = 64
 
 // bufferPunt queues one ARP miss for the owning shard and arms the
 // hold timer on the first queued entry.
-func (s *Switch) bufferPunt(shard int, q ctrlmsg.ARPQueryItem) {
+func (s *Switch) bufferPunt(shard int, q ctrlmsg.ARPQuery) {
 	if s.puntBuf == nil {
-		s.puntBuf = make([][]ctrlmsg.ARPQueryItem, s.numShards())
+		s.puntBuf = make([][]ctrlmsg.ARPQuery, s.numShards())
 	}
 	s.puntBuf[shard] = append(s.puntBuf[shard], q)
 	if len(s.puntBuf[shard]) >= puntBatchMax {
@@ -197,7 +193,7 @@ func (s *Switch) flushPunts() {
 		if len(buf) == 0 {
 			continue
 		}
-		qs := make([]ctrlmsg.ARPQueryItem, len(buf))
+		qs := make([]ctrlmsg.ARPQuery, len(buf))
 		copy(qs, buf)
 		s.puntBuf[shard] = buf[:0]
 		s.sendCtrlTo(shard, ctrlmsg.ARPQueryBatch{Switch: s.id, Queries: qs})

@@ -90,7 +90,7 @@ type Switch struct {
 	// buffers of pending ARP-miss punts, flushed as one ARPQueryBatch
 	// per shard when the hold timer fires or a buffer fills.
 	puntBatch time.Duration
-	puntBuf   [][]ctrlmsg.ARPQueryItem
+	puntBuf   [][]ctrlmsg.ARPQuery
 	puntTimer *sim.Timer
 	puntArmed bool
 
@@ -487,7 +487,7 @@ func (s *Switch) handleCtrlFrom(shard int, m ctrlmsg.Msg) {
 		s.handleARPAnswer(v)
 	case ctrlmsg.ARPAnswerBatch:
 		for _, a := range v.Answers {
-			s.handleARPAnswer(ctrlmsg.ARPAnswer{QueryID: a.QueryID, Found: a.Found, TargetIP: a.TargetIP, PMAC: a.PMAC})
+			s.handleARPAnswer(a)
 		}
 	case ctrlmsg.ARPFlood:
 		s.handleARPFlood(v)
