@@ -127,6 +127,8 @@ type oracle struct {
 	log   []sentExclude // RouteExcludes the manager sent for this message
 	last  ctrlmsg.Msg
 	step  int
+	// got and want are compare's reusable registry reads.
+	got, want registry
 }
 
 // logConn records the RouteExcludes sent to one switch in the
@@ -172,16 +174,23 @@ func (o *oracle) deliver(from ctrlmsg.SwitchID, msg ctrlmsg.Msg) {
 	}
 	o.last = msg
 	o.step++
-	o.compare(fmt.Sprintf("%T%+v", msg, msg))
+	o.compare(msg)
 }
 
-func (o *oracle) compare(what string) {
+// compare holds the manager to the reference after msg. The registries
+// are compared as values, and printed only on a mismatch.
+func (o *oracle) compare(msg ctrlmsg.Msg) {
 	o.tb.Helper()
 	if !slices.Equal(o.log, o.ref.sent) {
-		o.tb.Fatalf("step %d %s: RouteExcludes sent\n got  %v\n want %v", o.step, what, o.log, o.ref.sent)
+		o.tb.Fatalf("step %d %T%+v: RouteExcludes sent\n got  %v\n want %v", o.step, msg, msg, o.log, o.ref.sent)
 	}
 	if got, want := o.m.Stats.ExclusionsSet, o.ref.exclusionsSet; got != want {
-		o.tb.Fatalf("step %d %s: ExclusionsSet %d, reference %d", o.step, what, got, want)
+		o.tb.Fatalf("step %d %T%+v: ExclusionsSet %d, reference %d", o.step, msg, msg, got, want)
+	}
+	o.got.ofManager(o.m)
+	o.want.ofReference(o.ref)
+	if o.got.equal(&o.want) {
+		return
 	}
 	var got strings.Builder
 	for _, line := range strings.SplitAfter(o.m.Snapshot(), "\n") {
@@ -189,9 +198,7 @@ func (o *oracle) compare(what string) {
 			got.WriteString(line)
 		}
 	}
-	if want := o.ref.snapshot(); got.String() != want {
-		o.tb.Fatalf("step %d %s: snapshot\n--- got\n%s--- want\n%s", o.step, what, got.String(), want)
-	}
+	o.tb.Fatalf("step %d %T%+v: snapshot\n--- got\n%s--- want\n%s", o.step, msg, msg, got.String(), o.ref.snapshot())
 }
 
 // hello binds id's session if it is not bound yet.

@@ -12,7 +12,9 @@ package fabricmgr
 // scan (incident).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -150,37 +152,100 @@ func (m *refManager) handleFault(v ctrlmsg.FaultNotify) {
 	m.recomputeRoutes()
 }
 
+// registry is the part of a manager's state the oracle compares, as
+// values in the order Manager.Snapshot prints it: the alloc, loc, link
+// and excl lines, with ip and lease lines as counts (the oracle's
+// schedules register no host). Multicast groups are left out.
+type registry struct {
+	nextPod     uint16
+	nextLease   uint32
+	ips, leases int
+	locs        []locRow
+	links       []linkRow
+	excl        []exclRow
+}
+
+type locRow struct {
+	id  ctrlmsg.SwitchID
+	loc ctrlmsg.Loc
+}
+
+type linkRow struct {
+	lo, hi         ctrlmsg.SwitchID
+	loPort, hiPort int
+	loUp, hiUp     bool
+}
+
+type exclRow struct {
+	id ctrlmsg.SwitchID
+	k  exclKey
+}
+
+func (r *registry) equal(o *registry) bool {
+	return r.nextPod == o.nextPod && r.nextLease == o.nextLease && r.ips == o.ips && r.leases == o.leases &&
+		slices.Equal(r.locs, o.locs) && slices.Equal(r.links, o.links) && slices.Equal(r.excl, o.excl)
+}
+
+// ofManager reads m's registry, reusing r's buffers.
+func (r *registry) ofManager(m *Manager) {
+	*r = registry{nextPod: m.nextPod, nextLease: m.nextLease, ips: len(m.ips), leases: len(m.leases),
+		locs: r.locs[:0], links: r.links[:0], excl: r.excl[:0]}
+	g := &m.g
+	for _, i := range g.order {
+		r.locs = append(r.locs, locRow{g.ids[i], g.nodes[i].loc})
+	}
+	for _, i := range g.order {
+		for _, l := range g.nodes[i].adj {
+			if id, peer := g.ids[i], g.ids[l.idx]; peer > id {
+				port, peerPort := l.ports()
+				r.links = append(r.links, linkRow{id, peer, port, peerPort, l.flags&selfDown == 0, l.flags&peerDown == 0})
+			}
+		}
+	}
+	for _, i := range g.order {
+		for _, k := range g.nodes[i].excl {
+			r.excl = append(r.excl, exclRow{g.ids[i], k})
+		}
+	}
+}
+
+// ofReference reads the reference's registry, reusing r's buffers.
+func (r *registry) ofReference(m *refManager) {
+	*r = registry{nextPod: m.nextPod, locs: r.locs[:0], links: r.links[:0], excl: r.excl[:0]}
+	for _, id := range m.sortedSwitchIDs() {
+		r.locs = append(r.locs, locRow{id, m.locs[id]})
+	}
+	for _, l := range m.links {
+		r.links = append(r.links, linkRow{l.lo, l.hi, l.loPort, l.hiPort, l.loUp, l.hiUp})
+	}
+	slices.SortFunc(r.links, func(a, b linkRow) int { return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi)) })
+	ids := make([]ctrlmsg.SwitchID, 0, len(m.excl))
+	for id := range m.excl {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		for _, k := range m.sortedExclKeys(m.excl[id]) {
+			r.excl = append(r.excl, exclRow{id, k})
+		}
+	}
+}
+
 // snapshot prints the reference's state as Manager.Snapshot prints
 // the same state: the alloc, loc, link and excl lines.
 func (m *refManager) snapshot() string {
+	var r registry
+	r.ofReference(m)
 	var b strings.Builder
-	fmt.Fprintf(&b, "alloc nextPod=%d nextLease=0\n", m.nextPod)
-	for _, id := range m.sortedSwitchIDs() {
-		fmt.Fprintf(&b, "loc %d %s\n", id, m.locs[id])
+	fmt.Fprintf(&b, "alloc nextPod=%d nextLease=0\n", r.nextPod)
+	for _, l := range r.locs {
+		fmt.Fprintf(&b, "loc %d %s\n", l.id, l.loc)
 	}
-	pairs := make([]pairKey, 0, len(m.links))
-	for k := range m.links {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lo != pairs[j].lo {
-			return pairs[i].lo < pairs[j].lo
-		}
-		return pairs[i].hi < pairs[j].hi
-	})
-	for _, k := range pairs {
-		l := m.links[k]
+	for _, l := range r.links {
 		fmt.Fprintf(&b, "link %d/%d ports=%d/%d up=%v/%v\n", l.lo, l.hi, l.loPort, l.hiPort, l.loUp, l.hiUp)
 	}
-	exclIDs := make([]ctrlmsg.SwitchID, 0, len(m.excl))
-	for id := range m.excl {
-		exclIDs = append(exclIDs, id)
-	}
-	sort.Slice(exclIDs, func(i, j int) bool { return exclIDs[i] < exclIDs[j] })
-	for _, id := range exclIDs {
-		for _, k := range m.sortedExclKeys(m.excl[id]) {
-			fmt.Fprintf(&b, "excl %d via=%d dst=%d/%d\n", id, k.via, k.pod, k.pos)
-		}
+	for _, e := range r.excl {
+		fmt.Fprintf(&b, "excl %d via=%d dst=%d/%d\n", e.id, e.k.via, e.k.pod, e.k.pos)
 	}
 	return b.String()
 }

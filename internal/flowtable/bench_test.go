@@ -39,7 +39,7 @@ func touch(tb *Table, keys []Key, i int) {
 // wrapped the table sits at exactly its capacity (Occupancy 1 — a
 // bounded table that isn't full isn't under pressure, one that is
 // over-full isn't bounded), it got there by evicting, and a
-// lookup+install step reuses freed entry objects, so it allocates
+// lookup+install step reuses the victim's slab slot, so it allocates
 // nothing.
 func TestTablePressureSteadyState(t *testing.T) {
 	for _, policy := range []Policy{EvictLRU, EvictRandom} {
@@ -61,6 +61,26 @@ func TestTablePressureSteadyState(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v: %.2f allocs per steady-state lookup+install, want 0", policy, allocs)
 		}
+	}
+}
+
+// TestTableFlushRefillAllocFree pins the fault path's cache cycle on
+// an unbounded table: a flush keeps the slab's and the index's
+// capacity, so installing the same working set again, flushing, and
+// installing it again allocates nothing.
+func TestTableFlushRefillAllocFree(t *testing.T) {
+	tb, keys := pressureRig(0, EvictLRU)
+	cycle := func() {
+		for i, k := range keys {
+			tb.Install(k, i&15)
+		}
+		if n := tb.InvalidateAll(); n != len(keys) {
+			t.Fatalf("flushed %d entries, want %d", n, len(keys))
+		}
+	}
+	cycle() // grows the slab and index to the working set
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("%.2f allocs per install/flush cycle of %d keys, want 0", allocs, len(keys))
 	}
 }
 

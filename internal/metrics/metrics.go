@@ -152,7 +152,9 @@ func (s *ByteSeries) Throughput(from, to, bucket time.Duration) []ThroughputPoin
 // cumulative byte count made no progress for longer than threshold
 // within [from, to]. The series may be event-driven (points only on
 // progress) or polled (repeated points with unchanged totals); both
-// report the same stalls.
+// report the same stalls. A stall still open at to is returned too,
+// from the last progress to to: delivery that never resumes is the
+// longest gap of all, not none.
 func (s *ByteSeries) GapsOver(threshold, from, to time.Duration) []ThroughputGap {
 	var out []ThroughputGap
 	var lastProgressAt time.Duration
@@ -175,6 +177,9 @@ func (s *ByteSeries) GapsOver(threshold, from, to time.Duration) []ThroughputGap
 			lastProgressAt = t
 			lastBytes = s.bytes[i]
 		}
+	}
+	if have && to-lastProgressAt > threshold {
+		out = append(out, ThroughputGap{Start: lastProgressAt, Length: to - lastProgressAt})
 	}
 	return out
 }

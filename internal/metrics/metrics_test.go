@@ -126,7 +126,7 @@ func TestGapsOverProgressStalls(t *testing.T) {
 		s.Add(ms(i), 100)
 	}
 	s.Add(ms(210), 300)
-	gaps := s.GapsOver(ms(50), 0, ms(300))
+	gaps := s.GapsOver(ms(50), 0, ms(250))
 	if len(gaps) != 1 {
 		t.Fatalf("gaps %v", gaps)
 	}
@@ -138,9 +138,34 @@ func TestGapsOverProgressStalls(t *testing.T) {
 	e.Add(ms(0), 0)
 	e.Add(ms(10), 100)
 	e.Add(ms(210), 300)
-	gaps = e.GapsOver(ms(50), 0, ms(300))
+	gaps = e.GapsOver(ms(50), 0, ms(250))
 	if len(gaps) != 1 || gaps[0].Length != ms(200) {
 		t.Fatalf("event-driven gaps %v", gaps)
+	}
+}
+
+// TestGapsOverTrailingStall: a stall still open when the window ends
+// is a gap up to the window's end, whether the series keeps polling
+// the flat total or stops at the last progress; a stall shorter than
+// the threshold at the end is none.
+func TestGapsOverTrailingStall(t *testing.T) {
+	var polled, event ByteSeries
+	for _, s := range []*ByteSeries{&polled, &event} {
+		s.Add(ms(0), 0)
+		s.Add(ms(10), 100)
+		s.Add(ms(20), 200)
+	}
+	for i := 30; i <= 300; i += 10 {
+		polled.Add(ms(i), 200)
+	}
+	for _, s := range []*ByteSeries{&polled, &event} {
+		gaps := s.GapsOver(ms(50), 0, ms(300))
+		if len(gaps) != 1 || gaps[0].Start != ms(20) || gaps[0].Length != ms(280) {
+			t.Fatalf("gaps %v, want one open stall start=20ms len=280ms", gaps)
+		}
+		if gaps := s.GapsOver(ms(50), 0, ms(60)); len(gaps) != 0 {
+			t.Fatalf("gaps %v, want none: 40ms of trailing stall is under the threshold", gaps)
+		}
 	}
 }
 
