@@ -47,9 +47,9 @@ test:
 	$(GO) test ./...
 
 # internal/experiments runs every catalog entry on one worker and on
-# eight (TestCatalogIdentity): ~5 min under the race detector inside a
-# whole-repo run on 2 vCPU (~5.5 min in all), too close to the default
-# 10 min per package to leave a 2x margin.
+# eight (TestCatalogIdentity): 2–3 min under the race detector inside a
+# whole-repo run on 2 vCPU (124 s within an uncached `make check`, 167 s
+# on a loaded host). The 30 min timeout is headroom for slower hosts.
 race:
 	$(GO) test -race -timeout 30m ./...
 

@@ -386,8 +386,7 @@ func runA4Cell(rig Rig, iv time.Duration, trial int) (a4Trial, error) {
 	if err != nil {
 		return out, err
 	}
-	failAt := f.Now()
-	f.FailLink(link)
+	failAt := failLink(f, link)
 	f.RunFor(2 * time.Second)
 	out.ldmRate = float64(ldmsSent()-ldm0) / (f.Now() - t0).Seconds() / float64(len(f.Spec.Switches()))
 

@@ -61,23 +61,30 @@ func (e Experiment) Replay(s Settings, point, trial int) (*obs.Report, error) {
 	return e.replay(s, point, trial)
 }
 
+// cellGrid is a replayable entry's configuration. It declares the
+// sweep once, for sweepCells and Replay alike: grid bounds it (points
+// first..first+points-1, trials 0..trials-1), and cell runs one
+// coordinate, as a pure function of it, on a fabric it returns.
+type cellGrid[T any] interface {
+	grid() (first, points, trials int)
+	cell(point, trial int) (T, *core.Fabric, error)
+}
+
 // cells declares an entry whose sweep cells each keep a journaled
 // fabric, so any one replays. config is the one place the entry's
 // configuration is built from Settings; sweep and replay both use it.
-// grid bounds the sweep: points first..first+points-1, trials 0..trials-1.
-func cells[C any, R Result, T interface {
+func cells[C cellGrid[T], T interface {
 	report(C, *core.Fabric) (*obs.Report, error)
-}](id, desc string, config func(Settings) C, run func(C) (R, error),
-	grid func(C) (first, points, trials int), cell func(C, int, int) (T, *core.Fabric, error)) Experiment {
+}, R Result](id, desc string, config func(Settings) C, run func(C) (R, error)) Experiment {
 	return Experiment{ID: id, Desc: desc,
 		run: func(s Settings) (Result, error) { return run(config(s)) },
 		replay: func(s Settings, point, trial int) (*obs.Report, error) {
 			cfg := config(s)
-			if first, points, trials := grid(cfg); point < first || point >= first+points || trial < 0 || trial >= trials {
+			if first, points, trials := cfg.grid(); point < first || point >= first+points || trial < 0 || trial >= trials {
 				return nil, fmt.Errorf("%w: (point %d, trial %d) is outside the sweep's points %d..%d and trials 0..%d",
 					ErrNoCell, point, trial, first, first+points-1, trials-1)
 			}
-			tr, f, err := cell(cfg, point, trial)
+			tr, f, err := cfg.cell(point, trial)
 			if err != nil {
 				return nil, err
 			}
@@ -106,13 +113,13 @@ var Catalog = []Experiment{
 		cfg := DefaultFig9()
 		cfg.MaxFaults, cfg.Trials = pick(s, cfg.MaxFaults, 6), pick(s, cfg.Trials, 3)
 		return cfg
-	}, RunFig9, Fig9Config.grid, fig9Cell),
+	}, RunFig9),
 	cells("f9s", "Figure 9 variant: whole-switch (agg/core) crashes", func(s Settings) Fig9Config {
 		cfg := DefaultFig9()
 		cfg.Mode = FailSwitches
 		cfg.MaxFaults, cfg.Trials = pick(s, 6, 3), pick(s, 5, 2)
 		return cfg
-	}, RunFig9, Fig9Config.grid, fig9Cell),
+	}, RunFig9),
 	{ID: "f10", Desc: "Figure 10: TCP convergence across a failure", run: func(Settings) (Result, error) {
 		return RunFig10(DefaultFig10())
 	}},
@@ -143,17 +150,17 @@ var Catalog = []Experiment{
 		cfg := DefaultSC()
 		cfg.Trials = pick(s, cfg.Trials, 1)
 		return cfg
-	}, RunSC, SCConfig.grid, scCell),
+	}, RunSC),
 	cells("mgr", "Manager scaling: prefix-sharded registry + batched ARP punts", func(s Settings) MgrConfig {
 		cfg := DefaultMgr()
 		cfg.Trials, cfg.Flows = pick(s, cfg.Trials, 1), pick(s, cfg.Flows, 300)
 		return cfg
-	}, RunMgr, MgrConfig.grid, mgrCell),
+	}, RunMgr),
 	cells("ft", "Table pressure: hardware envelopes vs fabric scale", func(s Settings) FTConfig {
 		cfg := DefaultFT()
 		cfg.Ks, cfg.Flows = pick(s, cfg.Ks, []int{4, 6}), pick(s, cfg.Flows, 200)
 		return cfg
-	}, RunFT, FTConfig.grid, ftCell),
+	}, RunFT),
 	{ID: "a1", Desc: "Ablation A1: ECMP vs spanning-tree cross-section goodput", run: func(Settings) (Result, error) {
 		return RunA1(DefaultA1())
 	}},

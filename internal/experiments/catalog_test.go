@@ -10,16 +10,19 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"portland/internal/obs"
 	"portland/internal/runner"
 )
 
-// render runs one catalog entry and returns its result, its printed
-// rows followed by a line holding the SHA-256 of its encoded report
-// (f12–f14 return none), and the report.
+// render runs one catalog entry, fails the test unless its printer
+// emits a title, the rule under it and at least one row, and returns
+// its result, its printed rows followed by a line holding the SHA-256
+// of its encoded report (f12–f14 return none), and the report.
 func render(t *testing.T, e Experiment, s Settings, workers int) (Result, []byte, *obs.Report) {
 	t.Helper()
 	runner.SetWorkers(workers)
@@ -29,6 +32,9 @@ func render(t *testing.T, e Experiment, s Settings, workers int) (Result, []byte
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
+	if title, body, ruled := strings.Cut(buf.String(), "\n-----"); !ruled || strings.TrimSpace(title) == "" || strings.Count(body, "\n") < 2 {
+		t.Errorf("%s printed no title/rule/rows:\n%s", e.ID, buf.String())
+	}
 	if rep != nil {
 		b, err := rep.EncodeBytes()
 		if err != nil {
@@ -40,19 +46,25 @@ func render(t *testing.T, e Experiment, s Settings, workers int) (Result, []byte
 }
 
 // TestCatalogIdentity runs every catalog entry at its -quick
-// configuration and holds the one serial run to three checks:
+// configuration and holds the one serial run to these checks:
+//   - its printer emits a title, a rule and rows (render);
 //   - every ledger row (ledger_test.go) for the entry holds, as
 //     subtest <id>/<row name>, and each entry has at least one;
+//   - for an entry with cell replay, replaying the sweep report's
+//     first and last cells gives back exactly those cells, under the
+//     sweep's experiment label;
+//   - one fault input: an entry in faultTimelines journals its fault
+//     (faults.Schedule's fault-applied record) in every report
+//     timeline it gives, run or replayed;
 //   - its bytes (rows plus the report's SHA-256) equal the checked-in
 //     testdata/quick-<id>.golden.txt, so a refactor that moves any
 //     printed value or report byte fails here (regenerate with -update
 //     after an intentional change);
 //   - the determinism contract: eight sweep workers print the same
-//     bytes as one, and for an entry with cell replay, replaying the
-//     sweep report's first and last cells gives back exactly those
-//     cells, under the sweep's experiment label.
+//     bytes as one.
 //
-// f14 prints a wall-clock rate, so it is exempt from the last two.
+// f14 prints a wall-clock rate, so it is exempt from all but the
+// first two.
 func TestCatalogIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -78,7 +90,7 @@ func TestCatalogIdentity(t *testing.T) {
 			if e.WallClock {
 				return
 			}
-			matchGolden(t, "quick-"+e.ID+".golden.txt", want)
+			reports := []*obs.Report{rep}
 			if e.replay != nil {
 				for _, c := range []obs.CellReport{rep.Cells[0], rep.Cells[len(rep.Cells)-1]} {
 					got, err := e.Replay(Settings{Quick: true}, c.Point, c.Trial)
@@ -89,12 +101,52 @@ func TestCatalogIdentity(t *testing.T) {
 						t.Errorf("replayed cell (%d, %d) = %s %+v, sweep cell = %s %+v",
 							c.Point, c.Trial, got.Experiment, got.Cells, rep.Experiment, c)
 					}
+					reports = append(reports, got)
 				}
 			}
+			if faultTimelines[e.ID] {
+				checkFaultJournaled(t, reports)
+			}
+			matchGolden(t, "quick-"+e.ID+".golden.txt", want)
 			if _, got, _ := render(t, e, Settings{Quick: true}, 8); !bytes.Equal(got, want) {
 				t.Errorf("output on 8 sweep workers differs from one:\n--- one ---\n%s\n--- eight ---\n%s", want, got)
 			}
 		})
+	}
+}
+
+// faultTimelines are the entries whose report timelines open at one
+// injected fault: f10's run report, and the replayed cells of the rest.
+// (ft's timeline holds only ECMP degradations; it injects no fault.)
+var faultTimelines = map[string]bool{"f9": true, "f9s": true, "f10": true, "sc": true, "mgr": true}
+
+// checkFaultJournaled fails unless every report timeline holds a
+// fault-applied record at the fault instant: the convergence view's,
+// or else the instant the timeline opens at (every driver opens its
+// timeline at its fault). A fault injected around faults.Schedule
+// leaves no such record.
+func checkFaultJournaled(t *testing.T, reports []*obs.Report) {
+	t.Helper()
+	timelines := 0
+	for _, rep := range reports {
+		if rep == nil || len(rep.Timeline) == 0 {
+			continue
+		}
+		timelines++
+		at := rep.Timeline[0].AtNs
+		if rep.Convergence != nil {
+			at = rep.Convergence.FaultAtNs
+		}
+		if !slices.ContainsFunc(rep.Timeline, func(e obs.TimelineEntry) bool {
+			return e.Kind == obs.FaultApplied.String() && e.AtNs == at
+		}) {
+			c := rep.Cells[0]
+			t.Errorf("%s cell (%d, %d): no %s record at the fault instant %v in its timeline",
+				rep.Experiment, c.Point, c.Trial, obs.FaultApplied, time.Duration(at))
+		}
+	}
+	if timelines == 0 {
+		t.Error("no report timeline to find the fault in")
 	}
 }
 

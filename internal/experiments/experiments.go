@@ -21,6 +21,8 @@ import (
 
 	"portland/internal/baseline"
 	"portland/internal/core"
+	"portland/internal/faults"
+	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/topo"
 )
@@ -92,4 +94,20 @@ func fprintf(w io.Writer, format string, args ...any) {
 
 func hr(w io.Writer) {
 	fmt.Fprintln(w, "--------------------------------------------------------------")
+}
+
+// msOrNever renders d as metrics.FmtMs does, or "never" for the
+// negative duration that marks a stall that never ended.
+func msOrNever(d time.Duration) string {
+	if d < 0 {
+		return "never"
+	}
+	return metrics.FmtMs(d)
+}
+
+// failLink arms blueprint link li to fail now, when the engine next runs, as a
+// one-event faults.Schedule (journaled as fault-applied); it returns now.
+func failLink(f *core.Fabric, li int) time.Duration {
+	faults.Schedule{Events: []faults.Event{{Links: []int{li}}}}.Apply(f)
+	return f.Now()
 }

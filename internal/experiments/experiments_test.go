@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +10,7 @@ import (
 
 // The paper's shape claims are checked by the ledger (ledger_test.go)
 // on TestCatalogIdentity's run. The tests here cover configurations
-// the catalog never runs, and every printer's shape.
+// the catalog never runs.
 
 // A1's blast sends one prebuilt datagram per flow per tick: at 15 µs
 // per packet a sender that built its datagram each tick was the
@@ -96,23 +94,5 @@ func TestFig11UnderControlLoss(t *testing.T) {
 	}
 	if res.Convergence.N > 0 && res.Convergence.Median > 600 {
 		t.Fatalf("multicast convergence median %.1f ms under control loss", res.Convergence.Median)
-	}
-}
-
-// TestAllPrintersProduceOutput smoke-tests every catalog entry's
-// printer at -quick size: each must emit a title, the rule under it and
-// at least one data row without panicking.
-func TestAllPrintersProduceOutput(t *testing.T) {
-	for _, e := range Catalog {
-		res, _, err := e.Run(Settings{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		var buf bytes.Buffer
-		res.Print(&buf)
-		title, body, ruled := strings.Cut(buf.String(), "\n-----")
-		if !ruled || strings.TrimSpace(title) == "" || strings.Count(body, "\n") < 2 {
-			t.Errorf("%s printed no title/rule/rows:\n%s", e.ID, buf.String())
-		}
 	}
 }

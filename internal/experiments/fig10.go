@@ -77,8 +77,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.FailAt = f.Now()
-	f.FailLink(link)
+	res.FailAt = failLink(f, link)
 	f.RunFor(2 * time.Second)
 
 	// The receiver-side delivery gap is the paper's reported effect.

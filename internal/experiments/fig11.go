@@ -72,8 +72,7 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 			return out, err
 		}
 	}
-	failAt := f.Now()
-	f.FailLink(link)
+	failAt := failLink(f, link)
 	f.RunFor(1 * time.Second)
 
 	for i, rec := range recs {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"portland/internal/ether"
+	"portland/internal/faults"
 	"portland/internal/host"
 	"portland/internal/metrics"
 	"portland/internal/tcplite"
@@ -36,7 +37,7 @@ type Fig12Result struct {
 	MigrateAt time.Duration // detach instant
 	ResumeAt  time.Duration // attach instant on the new host
 	Series    []metrics.ThroughputPoint
-	Outage    time.Duration // observed delivery stall
+	Outage    time.Duration // observed delivery stall; -1 if it never resumed
 	PreMbps   float64
 	PostMbps  float64
 	Reset     bool // connection died (must be false)
@@ -84,10 +85,10 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 
 	res := &Fig12Result{}
 	res.MigrateAt = f.Now()
-	oldHost.DetachVM(vm)
+	faults.Schedule{Events: []faults.Event{{Detach: []*host.Endpoint{vm}}}}.Apply(f)
 	f.RunFor(fig12Pause)
 	res.ResumeAt = f.Now()
-	newHost.AttachVM(vm)
+	faults.Schedule{Events: []faults.Event{{Attach: []faults.VMAttach{{VM: vm, To: newHost}}}}}.Apply(f)
 	f.RunFor(3 * time.Second)
 
 	start := res.MigrateAt - 1*time.Second
@@ -95,6 +96,9 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	res.Series = deliver.Throughput(start, end, fig12Bucket)
 	for _, g := range deliver.GapsOver(50*time.Millisecond, res.MigrateAt-100*time.Millisecond, end) {
 		res.Outage = max(res.Outage, g.Length)
+		if g.Start+g.Length == end { // still open when the window closes
+			res.Outage = -1
+		}
 	}
 	// Pre/post steady-state throughput (exclude the outage window).
 	res.PreMbps = meanMbps(deliver.Throughput(res.MigrateAt-800*time.Millisecond, res.MigrateAt, fig12Bucket))
@@ -119,7 +123,7 @@ func (r *Fig12Result) Print(w io.Writer) {
 	fprintf(w, "Figure 12 — TCP throughput across VM live migration (pause %v)\n", fig12Pause)
 	hr(w)
 	fprintf(w, "detach t=%v, resume t=%v\n", r.MigrateAt, r.ResumeAt)
-	fprintf(w, "observed delivery outage: %s   connection reset: %v\n", metrics.FmtMs(r.Outage), r.Reset)
+	fprintf(w, "observed delivery outage: %s   connection reset: %v\n", msOrNever(r.Outage), r.Reset)
 	fprintf(w, "steady-state throughput: before=%.0f Mbps after=%.0f Mbps\n\n", r.PreMbps, r.PostMbps)
 	fprintf(w, "%12s %10s\n", "t", "Mbps")
 	for _, p := range r.Series {

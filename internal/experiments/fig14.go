@@ -42,28 +42,6 @@ type Fig14Result struct {
 	Reported
 }
 
-// MeasureARPThroughput loads a manager's registry with n hosts and
-// times end-to-end ARPQuery handling on one core (wall clock — this
-// measures our own CPU, not simulated time).
-func MeasureARPThroughput(registry, ops int) (arpsPerSec, nsPerARP float64) {
-	m := fabricmgr.New()
-	sess := m.NewSession(nopConn{})
-	sess.Handle(ctrlmsg.Hello{Switch: 1})
-	for i := 0; i < registry; i++ {
-		ip := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		sess.Handle(ctrlmsg.PMACRegister{Switch: 1, IP: ip, AMAC: ether.Addr{2, 0, 0, 0, 0, 1}, PMAC: ether.Addr{0, 1, 0, 0, 0, 1}})
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		n := i % registry
-		ip := netip.AddrFrom4([4]byte{10, byte(n >> 16), byte(n >> 8), byte(n)})
-		sess.Handle(ctrlmsg.ARPQuery{Switch: 1, QueryID: uint64(i), TargetIP: ip})
-	}
-	el := time.Since(start)
-	nsPerARP = float64(el.Nanoseconds()) / float64(ops)
-	return 1e9 / nsPerARP, nsPerARP
-}
-
 // nopConn swallows manager replies during throughput measurement.
 type nopConn struct{}
 
@@ -74,7 +52,22 @@ func (nopConn) Send(ctrlmsg.Msg) error { return nil }
 // serviceRate exactly as the paper extrapolates from its measurement.
 func RunFig14(cfg Fig14Config) (*Fig14Result, error) {
 	res := &Fig14Result{Cfg: cfg}
-	res.ARPsPerSec, res.NsPerARP = MeasureARPThroughput(cfg.Registry, cfg.MeasureOps)
+	// Load the registry, then time end-to-end ARPQuery handling on one
+	// core: wall clock, so this measures our own CPU, not simulated time.
+	sess := fabricmgr.New().NewSession(nopConn{})
+	sess.Handle(ctrlmsg.Hello{Switch: 1})
+	for i := 0; i < cfg.Registry; i++ {
+		ip := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		sess.Handle(ctrlmsg.PMACRegister{Switch: 1, IP: ip, AMAC: ether.Addr{2, 0, 0, 0, 0, 1}, PMAC: ether.Addr{0, 1, 0, 0, 0, 1}})
+	}
+	start := time.Now()
+	for i := 0; i < cfg.MeasureOps; i++ {
+		n := i % cfg.Registry
+		ip := netip.AddrFrom4([4]byte{10, byte(n >> 16), byte(n >> 8), byte(n)})
+		sess.Handle(ctrlmsg.ARPQuery{Switch: 1, QueryID: uint64(i), TargetIP: ip})
+	}
+	res.NsPerARP = float64(time.Since(start).Nanoseconds()) / float64(cfg.MeasureOps)
+	res.ARPsPerSec = 1e9 / res.NsPerARP
 	arpAxis(func(hosts int, cores []float64) { res.Rows = append(res.Rows, Fig14Row{Hosts: hosts, Cores: cores}) },
 		func(hosts, rate int) float64 { return float64(hosts) * float64(rate) / res.ARPsPerSec })
 	return res, nil

@@ -76,10 +76,10 @@ type fig9Trial struct {
 	restoreAt time.Duration
 }
 
-// fig9Cell runs one independent trial on its own fabric. The seed
-// derives only from (base seed, fault count, trial), so the cell is a
-// pure function of its grid coordinate.
-func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
+// grid and cell declare the sweep (cellGrid): fault counts 1..MaxFaults, Trials each.
+func (cfg Fig9Config) grid() (int, int, int) { return 1, cfg.MaxFaults, cfg.Trials }
+
+func (cfg Fig9Config) cell(n, trial int) (fig9Trial, *core.Fabric, error) {
 	var out fig9Trial
 	rig := cfg.Rig
 	rig.Seed = cfg.Rig.Seed + uint64(n*1000+trial)
@@ -114,9 +114,6 @@ func fig9Cell(cfg Fig9Config, n, trial int) (fig9Trial, *core.Fabric, error) {
 	return out, f, nil
 }
 
-// grid bounds the sweep: fault counts 1..MaxFaults, Trials each.
-func (cfg Fig9Config) grid() (int, int, int) { return 1, cfg.MaxFaults, cfg.Trials }
-
 // report is the cell's replay report: the failure→reconvergence
 // timeline, per-flow convergence, ARP latency, churn and counters.
 func (tr fig9Trial) report(cfg Fig9Config, f *core.Fabric) (*obs.Report, error) {
@@ -148,17 +145,14 @@ func (tr fig9Trial) report(cfg Fig9Config, f *core.Fabric) (*obs.Report, error) 
 // paper), convergence = interruption seen by affected receivers.
 func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 	res := &Fig9Result{Cfg: cfg}
-	err := sweep(&res.Reported, fig9Modes[cfg.Mode].id, cfg.Rig.Seed, map[string]string{
+	err := sweepCells(&res.Reported, fig9Modes[cfg.Mode].id, cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"max_faults":  itoa(cfg.MaxFaults),
 		"trials":      itoa(cfg.Trials),
 		"probe_every": probeEvery.String(),
-	}, cfg.MaxFaults, cfg.Trials, func(point, trial int) (fig9Trial, error) {
-		tr, _, err := fig9Cell(cfg, point+1, trial)
-		return tr, err
-	}, func(p int, trials []fig9Trial) {
+	}, cfg, func(n int, trials []fig9Trial) {
 		var failMs, recMs []float64
-		row := Fig9Row{Faults: p + 1}
+		row := Fig9Row{Faults: n}
 		for _, tr := range trials {
 			if !tr.feasible {
 				continue

@@ -172,15 +172,8 @@ func (r *FMFResult) Print(w io.Writer) {
 	fprintf(w, "%8s %6s  %13s %12s %13s %5s %10s\n",
 		"outage", "loss", "ARP blackout", "resync", "flow conv", "dead", "ctrl drops")
 	for _, row := range r.Rows {
-		blackout, resync := "never", "never"
-		if row.ARPBlackout >= 0 {
-			blackout = metrics.FmtMs(row.ARPBlackout)
-		}
-		if row.ResyncRound >= 0 {
-			resync = metrics.FmtMs(row.ResyncRound)
-		}
 		fprintf(w, "%8v %6.2f  %13s %12s %13s %5d %10d\n",
-			row.Outage, row.CtrlLoss, blackout, resync,
+			row.Outage, row.CtrlLoss, msOrNever(row.ARPBlackout), msOrNever(row.ResyncRound),
 			metrics.FmtMs(row.FlowConv), row.Dead, row.CtrlDrops)
 	}
 	fprintf(w, "\n")

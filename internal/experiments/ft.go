@@ -144,10 +144,10 @@ type ftTrial struct {
 	blEvict, blFlood    int64
 }
 
-// ftCell runs one (point, trial) cell on private fabrics. The seed
-// derives only from (base seed, point, trial), so the cell is a pure
-// function of its grid coordinate.
-func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
+// grid and cell declare the sweep (cellGrid): one point per (k, generation), Trials each.
+func (cfg FTConfig) grid() (int, int, int) { return 0, len(cfg.Ks) * len(ftGens), cfg.Trials }
+
+func (cfg FTConfig) cell(point, trial int) (ftTrial, *core.Fabric, error) {
 	k, gen := cfg.ftPoint(point)
 	var out ftTrial
 	rig := cfg.Rig
@@ -229,13 +229,7 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	// Phase 3: idle the reactive entries out; what remains is the
 	// state PortLand *requires* — flat in host count.
 	f.RunFor(ftIdle)
-	var plSum int
-	for _, id := range f.Spec.Switches() {
-		s := f.Switches[id].RoutingStateSize()
-		plSum += s
-		out.plMax = max(out.plMax, s)
-	}
-	out.plMean = float64(plSum) / float64(len(f.Spec.Switches()))
+	out.plMax, out.plMean = routingState(f)
 	out.snap = obsCell(f, point, trial, rig.Seed)
 
 	// Phase 4: the conventional flat-L2 baseline under a CAM bound
@@ -258,9 +252,6 @@ func ftCell(cfg FTConfig, point, trial int) (ftTrial, *core.Fabric, error) {
 	out.blMean = float64(blSum) / float64(len(bf.Spec.Switches()))
 	return out, f, nil
 }
-
-// grid bounds the sweep: one point per (k, generation), Trials each.
-func (cfg FTConfig) grid() (int, int, int) { return 0, len(cfg.Ks) * len(ftGens), cfg.Trials }
 
 // report is the cell's replay report: the pressure figures as params,
 // and a timeline of only the degradation events, not the (large) ARP
@@ -311,15 +302,12 @@ func (out ftTrial) report(cfg FTConfig, f *core.Fabric) (*obs.Report, error) {
 // generation) coordinate under the same warm-up and trace family.
 func RunFT(cfg FTConfig) (*FTResult, error) {
 	res := &FTResult{Cfg: cfg}
-	err := sweep(&res.Reported, "ft", cfg.Rig.Seed, map[string]string{
+	err := sweepCells(&res.Reported, "ft", cfg.Rig.Seed, map[string]string{
 		"trials":         itoa(cfg.Trials),
 		"flows":          itoa(cfg.Flows),
 		"window":         ftWindow.String(),
 		"peers_per_host": itoa(warmPeers),
-	}, len(cfg.Ks)*len(ftGens), cfg.Trials, func(point, trial int) (ftTrial, error) {
-		out, _, err := ftCell(cfg, point, trial)
-		return out, err
-	}, func(p int, trials []ftTrial) {
+	}, cfg, func(p int, trials []ftTrial) {
 		k, gen := cfg.ftPoint(p)
 		row := FTRow{K: k, Gen: gen.Name, FlowCap: gen.FlowEntries, BLCap: gen.FlowEntries}
 		var plMean, blMean, imb float64

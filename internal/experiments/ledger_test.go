@@ -164,6 +164,9 @@ var ledger = []claim{
 			if r.Reset {
 				return fmt.Errorf("connection reset across the migration")
 			}
+			if r.Outage < 0 {
+				return fmt.Errorf("delivery never resumed: the stall was still open 2 s after the re-attach")
+			}
 			if err := within("outage ms", float64(r.Outage)/1e6, 300, 2300); err != nil {
 				return err
 			}

@@ -130,10 +130,10 @@ func mgrARPSpan(merged []obs.SourcedEvent) time.Duration {
 	return last - first
 }
 
-// mgrCell runs one (point, trial) cell on its own fabric. The seed
-// derives only from (base seed, point, trial), so the cell is a pure
-// function of its grid coordinate.
-func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
+// grid and cell declare the sweep (cellGrid): one point per (shards, batch), Trials each.
+func (cfg MgrConfig) grid() (int, int, int) { return 0, len(mgrShards) * len(mgrBatch), cfg.Trials }
+
+func (cfg MgrConfig) cell(point, trial int) (mgrTrial, *core.Fabric, error) {
 	shards, batch := mgrPoint(point)
 	var out mgrTrial
 	rig := cfg.Rig
@@ -188,8 +188,7 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 	if !ok {
 		return out, nil, fmt.Errorf("no agg-p0-s0<->core-0 link at k=%d", rig.K)
 	}
-	out.failAt, out.faultLink = f.Now(), linkName(f, li)
-	f.FailLink(li)
+	out.failAt, out.faultLink = failLink(f, li), linkName(f, li)
 	f.RunFor(mgrSettle)
 	var downAt, lastInstall time.Duration
 	for _, e := range f.Obs.Merge() {
@@ -216,9 +215,6 @@ func mgrCell(cfg MgrConfig, point, trial int) (mgrTrial, *core.Fabric, error) {
 	out.snap = obsCell(f, point, trial, rig.Seed)
 	return out, f, nil
 }
-
-// grid bounds the sweep: one point per (shards, batch), Trials each.
-func (cfg MgrConfig) grid() (int, int, int) { return 0, len(mgrShards) * len(mgrBatch), cfg.Trials }
 
 // report is the cell's replay report: the punt and fan-out figures as
 // params, and the timeline from the link failure on.
@@ -250,15 +246,12 @@ func (out mgrTrial) report(cfg MgrConfig, f *core.Fabric) (*obs.Report, error) {
 // punt-batch) coordinate under the same sampled trace family.
 func RunMgr(cfg MgrConfig) (*MgrResult, error) {
 	res := &MgrResult{Cfg: cfg}
-	err := sweep(&res.Reported, "mgr", cfg.Rig.Seed, map[string]string{
+	err := sweepCells(&res.Reported, "mgr", cfg.Rig.Seed, map[string]string{
 		"k":      itoa(cfg.Rig.K),
 		"trials": itoa(cfg.Trials),
 		"flows":  itoa(cfg.Flows),
 		"window": mgrWindow.String(),
-	}, len(mgrShards)*len(mgrBatch), cfg.Trials, func(point, trial int) (mgrTrial, error) {
-		out, _, err := mgrCell(cfg, point, trial)
-		return out, err
-	}, func(p int, trials []mgrTrial) {
+	}, cfg, func(p int, trials []mgrTrial) {
 		shards, batch := mgrPoint(p)
 		row := MgrRow{Shards: shards, Batch: batch, RegMin: int64(1<<62 - 1)}
 		var detMs, convMs []float64

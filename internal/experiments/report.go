@@ -72,6 +72,20 @@ func sweep[T interface{ snapshot() obs.CellReport }](
 	return nil
 }
 
+// sweepCells is sweep over a replayable entry's declared grid, through
+// the cell function Replay runs; each cell's fabric is dropped once the
+// cell returns. reduce gets each point's grid coordinate.
+func sweepCells[C cellGrid[T], T interface{ snapshot() obs.CellReport }](
+	into *Reported, experiment string, seed uint64, params map[string]string,
+	cfg C, reduce func(point int, trials []T),
+) error {
+	first, points, trials := cfg.grid()
+	return sweep(into, experiment, seed, params, points, trials, func(p, trial int) (T, error) {
+		tr, _, err := cfg.cell(first+p, trial)
+		return tr, err
+	}, func(p int, trials []T) { reduce(first+p, trials) })
+}
+
 // probeEvery is the interval of every probe stream a driver classifies
 // (paper-style CBR, and Fig. 11's multicast sender).
 const probeEvery = time.Millisecond

@@ -68,9 +68,9 @@ func replay(t *testing.T, id string, s Settings, point, trial int) *obs.Report {
 // deterministic cell.
 func TestReplayMatchesFig9Cell(t *testing.T) {
 	cfg := DefaultFig9() // the f9 entry's full configuration
-	tr, _, err := fig9Cell(cfg, 1, 3)
+	tr, _, err := cfg.cell(1, 3)
 	if err != nil {
-		t.Fatalf("fig9Cell: %v", err)
+		t.Fatalf("cell (1, 3): %v", err)
 	}
 	if !tr.feasible {
 		t.Fatalf("cell (1,3) infeasible; pick another coordinate")

@@ -225,10 +225,10 @@ func (fam scFamily) profile() graydetect.Config {
 	return scDetect
 }
 
-// scCell runs one (family, trial) cell on its own fabric. The seed
-// derives only from (base seed, family, trial): the cell is a pure
-// function of its grid coordinate.
-func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
+// grid and cell declare the sweep (cellGrid): one point per scenario family, Trials each.
+func (cfg SCConfig) grid() (int, int, int) { return 0, len(scFamilies), cfg.Trials }
+
+func (cfg SCConfig) cell(fam, trial int) (scTrial, *core.Fabric, error) {
 	family := scFamilies[fam]
 	var out scTrial
 	rig := cfg.Rig
@@ -262,9 +262,6 @@ func scCell(cfg SCConfig, fam, trial int) (scTrial, *core.Fabric, error) {
 	out.snap = obsCell(f, fam, trial, rig.Seed)
 	return out, f, nil
 }
-
-// grid bounds the sweep: one point per scenario family, Trials each.
-func (cfg SCConfig) grid() (int, int, int) { return 0, len(scFamilies), cfg.Trials }
 
 // report is the cell's replay report: the scenario's fault timeline,
 // per-flow reroute convergence, ARP latency, churn and counters.
@@ -303,7 +300,7 @@ func (tr scTrial) report(cfg SCConfig, f *core.Fabric) (*obs.Report, error) {
 // restore steady delivery (time-to-reroute).
 func RunSC(cfg SCConfig) (*SCResult, error) {
 	res := &SCResult{Cfg: cfg}
-	err := sweep(&res.Reported, "sc", cfg.Rig.Seed, map[string]string{
+	err := sweepCells(&res.Reported, "sc", cfg.Rig.Seed, map[string]string{
 		"k":           itoa(cfg.Rig.K),
 		"trials":      itoa(cfg.Trials),
 		"gray_rate":   fmt.Sprintf("%.2f", scGrayRate),
@@ -311,10 +308,7 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 		"det_window":  scDetect.Interval.String(),
 		"det_trip":    itoa(scDetect.Trip),
 		"det_clean":   itoa(scDetect.Clean),
-	}, len(scFamilies), cfg.Trials, func(fam, trial int) (scTrial, error) {
-		tr, _, err := scCell(cfg, fam, trial)
-		return tr, err
-	}, func(p int, trials []scTrial) {
+	}, cfg, func(p int, trials []scTrial) {
 		row := SCRow{Family: scFamilies[p].id, Trials: len(trials)}
 		var detMs, rerMs []float64
 		for _, tr := range trials {

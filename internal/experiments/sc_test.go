@@ -16,7 +16,7 @@ func replaySC(t *testing.T, cfg SCConfig, family string) *obs.Report {
 	if fam < 0 {
 		t.Fatalf("no scenario family %q", family)
 	}
-	tr, f, err := scCell(cfg, fam, 0)
+	tr, f, err := cfg.cell(fam, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

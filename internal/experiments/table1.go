@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"portland/internal/baseline"
+	"portland/internal/core"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -121,19 +122,11 @@ func runTable1Cell(rig Rig, point, k int) (t1Cell, error) {
 	row := Table1Row{K: k, Hosts: f.Spec.Count().Hosts, Measured: true}
 	workload.ARPStorm(f.HostList(), warmPeers)
 	f.RunFor(2 * time.Second)
-	for _, id := range f.Spec.Switches() {
-		row.PLActiveMax = max(row.PLActiveMax, f.Switches[id].RoutingStateSize())
-	}
+	row.PLActiveMax, _ = routingState(f)
 	// Let the reactive flow entries idle out (OpenFlow soft
 	// timeouts); what remains is the state PortLand *requires*.
 	f.RunFor(8 * time.Second)
-	var plSum int
-	for _, id := range f.Spec.Switches() {
-		n := f.Switches[id].RoutingStateSize()
-		plSum += n
-		row.PLMax = max(row.PLMax, n)
-	}
-	row.PLMean = float64(plSum) / float64(len(f.Spec.Switches()))
+	row.PLMax, row.PLMean = routingState(f)
 	out.snap = obsCell(f, point, 0, rig.Seed)
 
 	// Baseline fabric, identical warm-up.
@@ -152,6 +145,18 @@ func runTable1Cell(rig Rig, point, k int) (t1Cell, error) {
 	row.BLMean = float64(blSum) / float64(len(bf.Spec.Switches()))
 	out.row = row
 	return out, nil
+}
+
+// routingState returns the largest and the mean per-switch forwarding
+// state (RoutingStateSize) over f's switches.
+func routingState(f *core.Fabric) (largest int, mean float64) {
+	sum := 0
+	for _, id := range f.Spec.Switches() {
+		n := f.Switches[id].RoutingStateSize()
+		sum += n
+		largest = max(largest, n)
+	}
+	return largest, float64(sum) / float64(len(f.Spec.Switches()))
 }
 
 // Print emits both halves of Table 1.
