@@ -14,14 +14,19 @@ check: vet build docs-lint test race fuzz bench benchmark-test loc
 # benchmark/. Comment and blank lines count in the total; the split
 # below it (a line whose first non-blank characters are // is a
 # comment) lets a PR that claims a reduction report it net of
-# comment-only changes.
-LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat
+# comment-only changes. The per-directory lines after it (internal/<pkg>,
+# cmd, examples; largest first) say where the number moved.
+LOC_FIND = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0
+LOC_FILES = $(LOC_FIND) | xargs -0 cat
 
 loc:
 	@printf 'non-test Go lines outside benchmark/: '
 	@$(LOC_FILES) | wc -l
 	@$(LOC_FILES) | awk '/^[ \t]*$$/ { b++; next } /^[ \t]*\/\// { c++; next } { n++ } \
 		END { printf "  code %d, comment %d, blank %d\n", n, c, b }'
+	@$(LOC_FIND) | xargs -0 wc -l | awk '$$2 != "total" { split($$2, p, "/"); \
+		d = p[2] == "internal" ? p[2] "/" p[3] : p[2]; n[d] += $$1 } \
+		END { for (d in n) printf "  %-22s %6d\n", d, n[d] }' | sort -k2,2nr
 
 # Documentation gate: every exported identifier in every internal/
 # package must carry a doc comment that opens with the identifier's

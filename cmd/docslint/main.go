@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	docslint ./internal/obs ./internal/metrics ./internal/trace
+//	docslint ./internal/obs ./internal/trace
 //
 // Exit status is 1 if any identifier is undocumented or misdocumented.
 package main

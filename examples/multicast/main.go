@@ -12,7 +12,7 @@ import (
 
 	"portland/internal/core"
 	"portland/internal/ether"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/topo"
 )
 
@@ -29,9 +29,9 @@ func main() {
 	const group = 0xBEEF
 	sender := fabric.HostByName("host-p0-e0-h0")
 	names := []string{"host-p1-e0-h0", "host-p2-e1-h1", "host-p3-e0-h1"}
-	recs := make([]*metrics.Recorder, len(names))
+	recs := make([]*obs.Recorder, len(names))
 	for i, name := range names {
-		rec := &metrics.Recorder{}
+		rec := &obs.Recorder{}
 		recs[i] = rec
 		fabric.HostByName(name).Endpoint().JoinGroup(group, false, func(*ether.Frame) {
 			rec.Record(fabric.Now())

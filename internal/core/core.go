@@ -20,7 +20,6 @@ import (
 	"portland/internal/graydetect"
 	"portland/internal/host"
 	"portland/internal/ldp"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/pswitch"
 	"portland/internal/sim"
@@ -429,29 +428,6 @@ func ppm(rate float64) uint64 { return uint64(rate * 1e6) }
 // milestones alongside the link/switch events.
 func (f *Fabric) FabricJournal() *obs.Journal { return f.jFabric }
 
-// FailSwitch crashes a switch: it stops speaking LDP and discards all
-// traffic; neighbors discover the failure through missed LDMs.
-func (f *Fabric) FailSwitch(name string) bool {
-	sw := f.SwitchByName(name)
-	if sw == nil {
-		return false
-	}
-	sw.Fail()
-	return true
-}
-
-// RecoverSwitch reboots a crashed switch: it rediscovers its location
-// from scratch and rejoins the fabric. Reports whether the switch
-// exists.
-func (f *Fabric) RecoverSwitch(name string) bool {
-	sw := f.SwitchByName(name)
-	if sw == nil {
-		return false
-	}
-	sw.Recover()
-	return true
-}
-
 // ControlStats sums control-channel traffic in both directions:
 // toMgr is switch→manager, fromMgr is manager→switch.
 func (f *Fabric) ControlStats() (toMgr, fromMgr ctrlnet.Stats) {
@@ -469,18 +445,6 @@ func (f *Fabric) ControlStats() (toMgr, fromMgr ctrlnet.Stats) {
 		}
 	}
 	return toMgr, fromMgr
-}
-
-// LinkDrops sums frame loss across every fabric link, broken down by
-// cause (drop-tail queueing vs injected loss vs down links). The
-// per-cause split separates congestion effects from fault effects in
-// experiment output.
-func (f *Fabric) LinkDrops() metrics.LinkDrops {
-	var d metrics.LinkDrops
-	for _, l := range f.Links {
-		d.Add(metrics.LinkDrops{Queue: l.QueueDrops(), Loss: l.LossDrops(), Gray: l.GrayDrops(), Down: l.DownDrops()})
-	}
-	return d
 }
 
 // CheckDiscovery verifies LDP's output against the blueprint's ground

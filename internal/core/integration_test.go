@@ -434,16 +434,14 @@ func TestSwitchCrashAndReboot(t *testing.T) {
 
 	victim := f.SwitchByName("agg-p0-s0")
 	podBefore := victim.Loc().Pod
-	f.FailSwitch("agg-p0-s0")
+	victim.Fail()
 	f.RunFor(time.Second)
 	end := f.Eng.Now()
 	if got := flow.RX.CountIn(end-300*time.Millisecond, end); got < 290 {
 		t.Fatalf("delivery %d/300 with the aggregation switch down", got)
 	}
 
-	if !f.RecoverSwitch("agg-p0-s0") {
-		t.Fatal("recover failed")
-	}
+	victim.Recover()
 	f.RunFor(2 * time.Second)
 	if !victim.Resolved() {
 		t.Fatal("rebooted switch did not rediscover its location")
@@ -473,9 +471,9 @@ func TestEdgeCrashAndRebootKeepsPosition(t *testing.T) {
 	f := buildK4(t)
 	victim := f.SwitchByName("edge-p1-s1")
 	before := victim.Loc()
-	f.FailSwitch("edge-p1-s1")
+	victim.Fail()
 	f.RunFor(500 * time.Millisecond)
-	f.RecoverSwitch("edge-p1-s1")
+	victim.Recover()
 	f.RunFor(2 * time.Second)
 	if !victim.Resolved() {
 		t.Fatal("edge did not re-resolve")

@@ -7,7 +7,7 @@ import (
 
 	"portland/internal/ether"
 	"portland/internal/host"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 )
 
 func TestMulticastDelivery(t *testing.T) {
@@ -17,10 +17,10 @@ func TestMulticastDelivery(t *testing.T) {
 	receivers := []string{"host-p1-e0-h0", "host-p2-e1-h1", "host-p3-e0-h1"}
 	nonMember := f.HostByName("host-p2-e0-h0")
 
-	recs := make(map[string]*metrics.Recorder)
+	recs := make(map[string]*obs.Recorder)
 	for _, name := range receivers {
 		h := f.HostByName(name)
-		rec := &metrics.Recorder{}
+		rec := &obs.Recorder{}
 		recs[name] = rec
 		h.Endpoint().JoinGroup(group, false, func(*ether.Frame) { rec.Record(f.Eng.Now()) })
 	}
@@ -49,10 +49,10 @@ func TestMulticastFailureRecovery(t *testing.T) {
 	const group = 0x2002
 	sender := f.HostByName("host-p0-e0-h0")
 	names := []string{"host-p1-e0-h0", "host-p2-e1-h1", "host-p3-e0-h1"}
-	recs := make([]*metrics.Recorder, len(names))
+	recs := make([]*obs.Recorder, len(names))
 	for i, name := range names {
 		h := f.HostByName(name)
-		rec := &metrics.Recorder{}
+		rec := &obs.Recorder{}
 		recs[i] = rec
 		h.Endpoint().JoinGroup(group, false, func(*ether.Frame) { rec.Record(f.Eng.Now()) })
 	}
@@ -102,7 +102,7 @@ func TestMulticastMembershipFollowsVM(t *testing.T) {
 	oldHost.AttachVM(vm)
 	f.RunFor(100 * time.Millisecond)
 
-	rec := &metrics.Recorder{}
+	rec := &obs.Recorder{}
 	vm.JoinGroup(group, false, func(*ether.Frame) { rec.Record(f.Eng.Now()) })
 	sender.Endpoint().JoinGroup(group, true, nil)
 	f.RunFor(50 * time.Millisecond)

@@ -85,11 +85,17 @@ func (f *Fabric) ObsCounters() obs.Counters {
 		c["ecmp.members_used"] = membersUsed
 	}
 
-	d := f.LinkDrops()
-	c["link.drops_queue"] = d.Queue
-	c["link.drops_loss"] = d.Loss
-	c["link.drops_gray"] = d.Gray
-	c["link.drops_down"] = d.Down
+	var queue, loss, gray, down int64
+	for _, l := range f.Links {
+		queue += l.QueueDrops()
+		loss += l.LossDrops()
+		gray += l.GrayDrops()
+		down += l.DownDrops()
+	}
+	c["link.drops_queue"] = queue
+	c["link.drops_loss"] = loss
+	c["link.drops_gray"] = gray
+	c["link.drops_down"] = down
 
 	toMgr, fromMgr := f.ControlStats()
 	c["ctrl.to_mgr_msgs"] = toMgr.Msgs

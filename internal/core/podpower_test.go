@@ -25,11 +25,11 @@ func TestPodPowerCycleRecovers(t *testing.T) {
 
 	pod3 := []string{"edge-p3-s0", "edge-p3-s1", "agg-p3-s0", "agg-p3-s1"}
 	for _, name := range pod3 {
-		f.FailSwitch(name)
+		f.SwitchByName(name).Fail()
 	}
 	f.RunFor(300 * time.Millisecond)
 	for _, name := range pod3 {
-		f.RecoverSwitch(name)
+		f.SwitchByName(name).Recover()
 	}
 	recoverAt := f.Eng.Now()
 	f.RunFor(3 * time.Second)

@@ -97,12 +97,6 @@ func (r *Reliable) Receive(m ctrlmsg.Msg) {
 		r.under.Send(ctrlmsg.SeqAck{NextSeq: r.recvNext})
 	case ctrlmsg.SeqAck:
 		r.onAck(v.NextSeq)
-	default:
-		// A peer that is not wrapping (mixed deployment during
-		// rollout) — deliver as-is rather than wedge.
-		if r.handler != nil {
-			r.handler(m)
-		}
 	}
 }
 

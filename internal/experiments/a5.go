@@ -4,7 +4,7 @@ import (
 	"io"
 	"time"
 
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -18,7 +18,7 @@ type A5Result struct {
 	Flows     int
 	PerCore   []int64 // frames delivered through each core (sorted desc)
 	Imbalance float64 // max/mean
-	Spread    metrics.Summary
+	Spread    obs.Summary
 	Reported
 }
 
@@ -65,7 +65,7 @@ func RunA5(k, flows int) (*A5Result, error) {
 		samples = append(samples, float64(d))
 		total += d
 	}
-	res.Spread = metrics.Summarize(samples)
+	res.Spread = obs.Summarize(samples)
 	if mean := float64(total) / float64(len(res.PerCore)); mean > 0 {
 		res.Imbalance = res.Spread.Max / mean
 	}

@@ -4,14 +4,14 @@ import (
 	"io"
 	"time"
 
-	"portland/internal/metrics"
+	"portland/internal/obs"
 )
 
 // A6Row is one locality class's round-trip-time distribution.
 type A6Row struct {
 	Class string
-	Hops  int             // one-way switch hops on the canonical path
-	RTT   metrics.Summary // microseconds
+	Hops  int         // one-way switch hops on the canonical path
+	RTT   obs.Summary // microseconds
 }
 
 // A6Result measures how latency tracks the PMAC hierarchy: same-edge
@@ -67,7 +67,7 @@ func RunA6(k, probes int) (*A6Result, error) {
 				f.RunFor(time.Millisecond)
 			}
 		}
-		res.Rows = append(res.Rows, A6Row{Class: c.name, Hops: c.hops, RTT: metrics.Summarize(samples)})
+		res.Rows = append(res.Rows, A6Row{Class: c.name, Hops: c.hops, RTT: obs.Summarize(samples)})
 	}
 	res.Report = replayReport("a6", f, obsCell(f, 0, 0, rig.Seed).cell, map[string]string{
 		"k":      itoa(k),

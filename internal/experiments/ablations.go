@@ -13,7 +13,7 @@ import (
 	"portland/internal/host"
 	"portland/internal/ippkt"
 	"portland/internal/ldp"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/sim"
 	"portland/internal/topo"
 	"portland/internal/workload"
@@ -346,8 +346,8 @@ func linkDelivered(links []*sim.Link) int64 {
 // A4Row is one LDM-interval point.
 type A4Row struct {
 	Interval    time.Duration
-	Convergence metrics.Summary // ms over trials
-	LDMsPerSec  float64         // per switch, steady state
+	Convergence obs.Summary // ms over trials
+	LDMsPerSec  float64     // per switch, steady state
 }
 
 // A4Result is the sweep.
@@ -415,7 +415,7 @@ func RunA4(intervals []time.Duration, trials int) (*A4Result, error) {
 		}
 		res.Rows = append(res.Rows, A4Row{
 			Interval:    intervals[p],
-			Convergence: metrics.Summarize(samples),
+			Convergence: obs.Summarize(samples),
 			LDMsPerSec:  ldmRate / float64(trials),
 		})
 	})

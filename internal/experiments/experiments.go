@@ -22,7 +22,6 @@ import (
 	"portland/internal/baseline"
 	"portland/internal/core"
 	"portland/internal/faults"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/topo"
 )
@@ -96,13 +95,13 @@ func hr(w io.Writer) {
 	fmt.Fprintln(w, "--------------------------------------------------------------")
 }
 
-// msOrNever renders d as metrics.FmtMs does, or "never" for the
+// msOrNever renders d as obs.FmtMs does, or "never" for the
 // negative duration that marks a stall that never ended.
 func msOrNever(d time.Duration) string {
 	if d < 0 {
 		return "never"
 	}
-	return metrics.FmtMs(d)
+	return obs.FmtMs(d)
 }
 
 // failLink arms blueprint link li to fail now, when the engine next runs, as a

@@ -4,7 +4,7 @@ import (
 	"io"
 	"time"
 
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/tcplite"
 	"portland/internal/topo"
 )
@@ -57,7 +57,7 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 	src, dst := hosts[0], hosts[len(hosts)-1]
 
 	res := &Fig10Result{Cfg: cfg}
-	var deliver metrics.ByteSeries
+	var deliver obs.ByteSeries
 	// The delivery trace lives on the server-side connection.
 	dst.Endpoint().ListenTCPWith(80, tcplite.Config{
 		Window:       fig10Window,
@@ -101,7 +101,7 @@ func (r *Fig10Result) Print(w io.Writer) {
 	fprintf(w, "Figure 10 — TCP convergence across a link failure (min RTO %v)\n", tcplite.MinRTO)
 	hr(w)
 	fprintf(w, "failure injected at t=%v\n", r.FailAt)
-	fprintf(w, "delivery gap at receiver: %s (paper: ~RTOmin plus reconvergence)\n", metrics.FmtMs(r.Gap))
+	fprintf(w, "delivery gap at receiver: %s (paper: ~RTOmin plus reconvergence)\n", obs.FmtMs(r.Gap))
 	fprintf(w, "sender RTO events: %d, total retransmissions: %d\n", r.Timeouts, r.Retransmits)
 	fprintf(w, "\nsequence trace around the failure (send-side, decimated):\n")
 	fprintf(w, "%12s %14s %6s\n", "t", "seq", "retx")

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"portland/internal/ether"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/topo"
 )
 
@@ -26,7 +26,7 @@ func DefaultFig11() Fig11Config {
 // Fig11Result summarizes per-receiver convergence across trials.
 type Fig11Result struct {
 	Cfg         Fig11Config
-	Convergence metrics.Summary // ms, all receivers × trials
+	Convergence obs.Summary // ms, all receivers × trials
 	Dead        int
 	Reported
 }
@@ -48,9 +48,9 @@ func runFig11Cell(cfg Fig11Config, trial int) (fig11Trial, error) {
 	const group = 0x3000
 	sender := f.HostByName("host-p0-e0-h0")
 	receivers := []string{"host-p1-e0-h0", "host-p2-e1-h1", "host-p3-e0-h1"}
-	recs := make([]*metrics.Recorder, len(receivers))
+	recs := make([]*obs.Recorder, len(receivers))
 	for i, name := range receivers {
-		rec := &metrics.Recorder{}
+		rec := &obs.Recorder{}
 		recs[i] = rec
 		h := f.HostByName(name)
 		rxNow := h.Sim().Now // the receiving host's clock
@@ -99,7 +99,7 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Convergence = metrics.Summarize(samples)
+	res.Convergence = obs.Summarize(samples)
 	return res, nil
 }
 

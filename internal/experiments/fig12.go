@@ -9,7 +9,7 @@ import (
 	"portland/internal/ether"
 	"portland/internal/faults"
 	"portland/internal/host"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/tcplite"
 )
 
@@ -36,7 +36,7 @@ const (
 type Fig12Result struct {
 	MigrateAt time.Duration // detach instant
 	ResumeAt  time.Duration // attach instant on the new host
-	Series    []metrics.ThroughputPoint
+	Series    []obs.ThroughputPoint
 	Outage    time.Duration // observed delivery stall; -1 if it never resumed
 	PreMbps   float64
 	PostMbps  float64
@@ -59,7 +59,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	f.RunFor(100 * time.Millisecond)
 	vm.ListenTCP(80, nil)
 
-	var deliver metrics.ByteSeries
+	var deliver obs.ByteSeries
 	conn := client.Endpoint().DialTCP(vm.LocalIP(), 41000, 80, tcplite.Config{}) // receiver side traces below
 	// The server (VM side) records delivery; hook once it accepts.
 	f.RunFor(50 * time.Millisecond)
@@ -107,7 +107,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	return res, nil
 }
 
-func meanMbps(pts []metrics.ThroughputPoint) float64 {
+func meanMbps(pts []obs.ThroughputPoint) float64 {
 	if len(pts) == 0 {
 		return 0
 	}

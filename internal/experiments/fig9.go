@@ -7,7 +7,6 @@ import (
 
 	"portland/internal/core"
 	"portland/internal/faults"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/topo"
 )
@@ -51,11 +50,11 @@ func DefaultFig9() Fig9Config {
 // Fig9Row is one x-axis point.
 type Fig9Row struct {
 	Faults   int
-	Trials   int             // trials that found a routability-preserving sample
-	Failure  metrics.Summary // convergence after failure, ms
-	Recovery metrics.Summary // convergence after restoration, ms
-	Affected int             // flows that saw any interruption
-	Dead     int             // flows that never recovered (should be 0)
+	Trials   int         // trials that found a routability-preserving sample
+	Failure  obs.Summary // convergence after failure, ms
+	Recovery obs.Summary // convergence after restoration, ms
+	Affected int         // flows that saw any interruption
+	Dead     int         // flows that never recovered (should be 0)
 }
 
 // Fig9Result is the full series.
@@ -134,8 +133,8 @@ func (tr fig9Trial) report(cfg Fig9Config, f *core.Fabric) (*obs.Report, error) 
 	return replayReport(fig9Modes[cfg.Mode].id, f, tr.cell, params, views{faultAt: tr.failAt, arp: true, conv: &obs.Convergence{
 		FaultAtNs:   int64(tr.failAt),
 		RestoreAtNs: int64(tr.restoreAt),
-		Failure:     metrics.Summarize(tr.fail.ms),
-		Recovery:    metrics.Summarize(tr.rec.ms),
+		Failure:     obs.Summarize(tr.fail.ms),
+		Recovery:    obs.Summarize(tr.rec.ms),
 		Flows:       tr.fail.flows,
 	}}), nil
 }
@@ -163,7 +162,7 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 			row.Affected += tr.fail.affected
 			row.Dead += tr.fail.dead
 		}
-		row.Failure, row.Recovery = metrics.Summarize(failMs), metrics.Summarize(recMs)
+		row.Failure, row.Recovery = obs.Summarize(failMs), obs.Summarize(recMs)
 		res.Rows = append(res.Rows, row)
 	})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"portland/internal/faults"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/topo"
 	"portland/internal/workload"
 )
@@ -174,7 +174,7 @@ func (r *FMFResult) Print(w io.Writer) {
 	for _, row := range r.Rows {
 		fprintf(w, "%8v %6.2f  %13s %12s %13s %5d %10d\n",
 			row.Outage, row.CtrlLoss, msOrNever(row.ARPBlackout), msOrNever(row.ResyncRound),
-			metrics.FmtMs(row.FlowConv), row.Dead, row.CtrlDrops)
+			obs.FmtMs(row.FlowConv), row.Dead, row.CtrlDrops)
 	}
 	fprintf(w, "\n")
 }

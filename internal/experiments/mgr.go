@@ -7,7 +7,6 @@ import (
 
 	"portland/internal/core"
 	"portland/internal/fabricmgr"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/workload"
 )
@@ -70,16 +69,16 @@ func mgrBatchLabel(d time.Duration) string {
 type MgrRow struct {
 	Shards     int
 	Batch      time.Duration
-	Queries    int64           // ARP queries served by all shards
-	PuntMsgs   int64           // control messages those queries rode in
-	MsgsPerQ   float64         // PuntMsgs / Queries — the batching amortization
-	BatchFill  float64         // queries per batch message (0 with batching off)
-	ARPsPerSec float64         // virtual-time service rate over the ARP span
-	RegMin     int64           // smallest per-shard registration count
-	RegMax     int64           // largest per-shard registration count
-	Detect     metrics.Summary // link-fail → fault-matrix transition, ms
-	Conv       metrics.Summary // link-fail → last exclusion install, ms
-	Excl       int             // exclusions pushed for the fault, all trials
+	Queries    int64       // ARP queries served by all shards
+	PuntMsgs   int64       // control messages those queries rode in
+	MsgsPerQ   float64     // PuntMsgs / Queries — the batching amortization
+	BatchFill  float64     // queries per batch message (0 with batching off)
+	ARPsPerSec float64     // virtual-time service rate over the ARP span
+	RegMin     int64       // smallest per-shard registration count
+	RegMax     int64       // largest per-shard registration count
+	Detect     obs.Summary // link-fail → fault-matrix transition, ms
+	Conv       obs.Summary // link-fail → last exclusion install, ms
+	Excl       int         // exclusions pushed for the fault, all trials
 }
 
 // MgrResult is the full sweep.
@@ -209,9 +208,9 @@ func (cfg MgrConfig) cell(point, trial int) (mgrTrial, *core.Fabric, error) {
 	if downAt == 0 || lastInstall < downAt {
 		return out, nil, fmt.Errorf("link fault produced no exclusion cascade at shards=%d", shards)
 	}
-	out.detectMs = metrics.Ms(downAt - out.failAt)
-	out.fanoutMs = metrics.Ms(lastInstall - downAt)
-	out.convMs = metrics.Ms(lastInstall - out.failAt)
+	out.detectMs = obs.Ms(downAt - out.failAt)
+	out.fanoutMs = obs.Ms(lastInstall - downAt)
+	out.convMs = obs.Ms(lastInstall - out.failAt)
 	out.snap = obsCell(f, point, trial, rig.Seed)
 	return out, f, nil
 }
@@ -276,8 +275,8 @@ func RunMgr(cfg MgrConfig) (*MgrResult, error) {
 			row.BatchFill = float64(batched) / float64(batches)
 		}
 		row.ARPsPerSec = arps / float64(len(trials))
-		row.Detect = metrics.Summarize(detMs)
-		row.Conv = metrics.Summarize(convMs)
+		row.Detect = obs.Summarize(detMs)
+		row.Conv = obs.Summarize(convMs)
 		res.Rows = append(res.Rows, row)
 	})
 	if err != nil {

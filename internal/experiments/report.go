@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"portland/internal/core"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 	"portland/internal/runner"
 	"portland/internal/workload"
@@ -111,7 +110,7 @@ type probeStats struct {
 	flows    []obs.FlowConvergence
 }
 
-func (p *probeStats) add(name string, rx *metrics.Recorder, at time.Duration) {
+func (p *probeStats) add(name string, rx *obs.Recorder, at time.Duration) {
 	conv, recovered := rx.ConvergenceAfter(at, probeEvery)
 	affected := recovered && conv > 2*probeEvery
 	switch {
@@ -119,11 +118,11 @@ func (p *probeStats) add(name string, rx *metrics.Recorder, at time.Duration) {
 		p.dead++
 	case affected:
 		p.affected++
-		p.ms = append(p.ms, metrics.Ms(conv))
+		p.ms = append(p.ms, obs.Ms(conv))
 	}
 	p.flows = append(p.flows, obs.FlowConvergence{
 		Flow:        name,
-		ConvergedMs: metrics.Ms(conv),
+		ConvergedMs: obs.Ms(conv),
 		Recovered:   recovered,
 		Affected:    affected,
 	})

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"portland/internal/metrics"
 	"portland/internal/obs"
 )
 
@@ -63,7 +62,7 @@ func replay(t *testing.T, id string, s Settings, point, trial int) *obs.Report {
 
 // TestReplayMatchesFig9Cell pins the acceptance criterion that a
 // replayed cell's report describes exactly what the sweep measured:
-// the report's failure summary must equal metrics.Summarize over the
+// the report's failure summary must equal obs.Summarize over the
 // same cell's raw samples, because both paths run the identical
 // deterministic cell.
 func TestReplayMatchesFig9Cell(t *testing.T) {
@@ -79,11 +78,11 @@ func TestReplayMatchesFig9Cell(t *testing.T) {
 	if rep.Convergence == nil {
 		t.Fatalf("replay report has no convergence view")
 	}
-	want := metrics.Summarize(tr.fail.ms)
+	want := obs.Summarize(tr.fail.ms)
 	if got := rep.Convergence.Failure; got != want {
 		t.Errorf("replay failure summary = %+v, sweep cell = %+v", got, want)
 	}
-	if want := metrics.Summarize(tr.rec.ms); rep.Convergence.Recovery != want {
+	if want := obs.Summarize(tr.rec.ms); rep.Convergence.Recovery != want {
 		t.Errorf("replay recovery summary = %+v, sweep cell = %+v", rep.Convergence.Recovery, want)
 	}
 	if rep.Convergence.FaultAtNs == 0 {

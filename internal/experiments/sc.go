@@ -9,7 +9,6 @@ import (
 	"portland/internal/core"
 	"portland/internal/faults"
 	"portland/internal/graydetect"
-	"portland/internal/metrics"
 	"portland/internal/obs"
 )
 
@@ -171,11 +170,11 @@ func scGray(r *rand.Rand, f *core.Fabric) (faults.Scenario, bool) {
 type SCRow struct {
 	Family   string
 	Trials   int
-	Detected int             // trials in which detection fired at all
-	Detect   metrics.Summary // detection latency over detected trials, ms
-	Reroute  metrics.Summary // per-flow convergence after scenario onset, ms
-	Affected int             // flows that saw any interruption
-	Dead     int             // flows never recovered by end of cell
+	Detected int         // trials in which detection fired at all
+	Detect   obs.Summary // detection latency over detected trials, ms
+	Reroute  obs.Summary // per-flow convergence after scenario onset, ms
+	Affected int         // flows that saw any interruption
+	Dead     int         // flows never recovered by end of cell
 }
 
 // SCResult is the full sweep.
@@ -253,7 +252,7 @@ func (cfg SCConfig) cell(fam, trial int) (scTrial, *core.Fabric, error) {
 	f.RunFor(endRel + scSettle)
 
 	if d, found := detectLatency(family, f.Obs.Merge()); found {
-		out.detMs, out.detected = metrics.Ms(d), true
+		out.detMs, out.detected = obs.Ms(d), true
 	}
 	out.reroute.addFlows(flows, out.onset)
 	for _, fl := range flows {
@@ -290,7 +289,7 @@ func (tr scTrial) report(cfg SCConfig, f *core.Fabric) (*obs.Report, error) {
 	}
 	return replayReport("sc", f, tr.cell, params, views{faultAt: tr.onset, arp: true, conv: &obs.Convergence{
 		FaultAtNs: int64(tr.onset),
-		Failure:   metrics.Summarize(tr.reroute.ms),
+		Failure:   obs.Summarize(tr.reroute.ms),
 		Flows:     tr.reroute.flows,
 	}}), nil
 }
@@ -320,8 +319,8 @@ func RunSC(cfg SCConfig) (*SCResult, error) {
 			row.Affected += tr.reroute.affected
 			row.Dead += tr.reroute.dead
 		}
-		row.Detect = metrics.Summarize(detMs)
-		row.Reroute = metrics.Summarize(rerMs)
+		row.Detect = obs.Summarize(detMs)
+		row.Reroute = obs.Summarize(rerMs)
 		res.Rows = append(res.Rows, row)
 	})
 	if err != nil {

@@ -13,6 +13,10 @@
 // preallocated and events are fixed-size values) and a nil *Journal
 // is a valid no-op sink, so instrumented packages need no guards.
 //
+// The measurement primitives experiments read their results through
+// live here too (measure.go): arrival recorders with convergence
+// detectors, throughput series and sample summaries.
+//
 // A Registry owns every journal of one fabric and merges them into a
 // single time-ordered timeline. Ties at the same virtual instant are
 // broken by journal attach order (blueprint order, by construction in

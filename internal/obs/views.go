@@ -3,11 +3,7 @@
 // registry-churn rate series.
 package obs
 
-import (
-	"time"
-
-	"portland/internal/metrics"
-)
+import "time"
 
 // TimelineEntry is one row of a report's timeline: a merged journal
 // event serialized with its source and a rendered description.
@@ -121,7 +117,7 @@ func RegistryChurn(events []SourcedEvent, bucket time.Duration) []ChurnPoint {
 		if !ok {
 			i = len(out)
 			idx[b] = i
-			out = append(out, ChurnPoint{AtMs: metrics.Ms(time.Duration(b) * bucket)})
+			out = append(out, ChurnPoint{AtMs: Ms(time.Duration(b) * bucket)})
 		}
 		if e.Kind == MgrRegister {
 			out[i].Registrations++
@@ -136,7 +132,7 @@ func RegistryChurn(events []SourcedEvent, bucket time.Duration) []ChurnPoint {
 }
 
 // FlowConvergence is one probe flow's recovery after a fault, measured
-// by metrics.Recorder.ConvergenceAfter on the receiver's arrival
+// by Recorder.ConvergenceAfter on the receiver's arrival
 // times.
 type FlowConvergence struct {
 	Flow        string  `json:"flow"`
@@ -151,7 +147,7 @@ type FlowConvergence struct {
 type Convergence struct {
 	FaultAtNs   int64             `json:"fault_at_ns"`
 	RestoreAtNs int64             `json:"restore_at_ns,omitempty"`
-	Failure     metrics.Summary   `json:"failure_ms"`
-	Recovery    metrics.Summary   `json:"recovery_ms"`
+	Failure     Summary           `json:"failure_ms"`
+	Recovery    Summary           `json:"recovery_ms"`
 	Flows       []FlowConvergence `json:"flows,omitempty"`
 }

@@ -109,17 +109,20 @@ func TestLinkSendAllocFree(t *testing.T) {
 
 // Popped slots must not keep the executed callback reachable through
 // any stage's spare capacity — a closure can pin an entire fabric.
-// The scheduler has three event stores (due heap, wheel-node arena,
-// overflow list); all of them must zero vacated slots.
+// The scheduler has two event stores (due heap and wheel-node arena);
+// both must zero vacated slots.
 func TestPopReleasesCallback(t *testing.T) {
 	e := New(1)
 	big := make([]byte, 1<<20)
 	// Cover every stage: same-tick (due), near (level 0), far (coarse
-	// levels) and beyond-horizon (overflow).
+	// levels) and a month out, which files into level 5.
 	e.Schedule(0, func() { _ = big[0] })
 	e.Schedule(time.Millisecond, func() { _ = big[1] })
 	e.Schedule(time.Hour, func() { _ = big[2] })
 	e.Schedule(30*24*time.Hour, func() { _ = big[3] })
+	if e.occ[5] == ([wheelWords]uint64{}) {
+		t.Fatal("the 30-day event is not in level 5")
+	}
 	if got := e.Run(); got != 4 {
 		t.Fatalf("ran %d events", got)
 	}
@@ -136,11 +139,6 @@ func TestPopReleasesCallback(t *testing.T) {
 			if n := &chunk[i]; n.ev.fn != nil || n.ev.dir != nil {
 				t.Fatalf("wheel arena node %d still references its event after drain", c*arenaChunk+i)
 			}
-		}
-	}
-	for i, ev := range e.overflow[:cap(e.overflow)] {
-		if ev.fn != nil || ev.dir != nil {
-			t.Fatalf("overflow slot %d still references its event after re-file", i)
 		}
 	}
 }

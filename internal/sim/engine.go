@@ -110,17 +110,16 @@ func (h *eventHeap) pop() event {
 // serialization+delay hop, so co-bucketed events are genuinely near
 // each other). Each of the wheelLevels levels holds wheelSlots buckets;
 // a level-l bucket spans wheelSlots^l ticks, so the wheels cover
-// deltas up to wheelSlots^wheelLevels ticks (~13 days of virtual time)
-// and anything beyond parks in the overflow list.
+// deltas up to wheelSlots^wheelLevels = 2^56 ticks. Every instant a
+// time.Duration can hold is below 2^63 ns, a tick below 2^53, so every
+// event lands in a wheel bucket.
 const (
 	tickShift   = 10
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits // 256
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 5
+	wheelLevels = 7
 	wheelWords  = wheelSlots / 64
-	// horizonTicks is the first delta the wheels cannot hold.
-	horizonTicks = uint64(1) << (wheelLevels * wheelBits)
 )
 
 // wheelNode is one wheel-resident event plus its intrusive list link.
@@ -166,7 +165,7 @@ type Engine struct {
 	// due holds events already orderable for execution: exactly those
 	// with tick(at) <= base. Sub-tick ordering comes from the heap.
 	due    eventHeap
-	queued int // total events across due, wheels and overflow
+	queued int // total events across due and wheels
 
 	base  uint64                          // wheel position, in ticks
 	heads [wheelLevels][wheelSlots]int32  // bucket list heads (arena indices)
@@ -174,11 +173,6 @@ type Engine struct {
 	nodes []*[arenaChunk]wheelNode        // arena backing every bucket list
 	used  int32                           // arena nodes ever handed out
 	free  int32                           // arena free-list head, -1 when empty
-
-	// overflow parks events beyond the wheels' horizon (~13 virtual
-	// days out); overflowMin tracks the earliest parked tick.
-	overflow    []event
-	overflowMin uint64
 
 	// pool is the engine-local frame free-list; everything wired to
 	// this engine shares it, and nothing outside this engine ever
@@ -244,25 +238,7 @@ func (e *Engine) enqueue(ev event) {
 // t: level l covers deltas in [wheelSlots^l, wheelSlots^(l+1)), and the
 // slot within a level is the tick's l-th base-wheelSlots digit.
 func (e *Engine) wheelPush(ev event, t uint64) {
-	var l uint
-	switch d := t - e.base; {
-	case d < 1<<wheelBits:
-		l = 0
-	case d < 1<<(2*wheelBits):
-		l = 1
-	case d < 1<<(3*wheelBits):
-		l = 2
-	case d < 1<<(4*wheelBits):
-		l = 3
-	case d < 1<<(5*wheelBits):
-		l = 4
-	default:
-		if len(e.overflow) == 0 || t < e.overflowMin {
-			e.overflowMin = t
-		}
-		e.overflow = append(e.overflow, ev)
-		return
-	}
+	l := uint(bits.Len64(t-e.base)-1) / wheelBits
 	i := e.free
 	if i >= 0 {
 		e.free = e.node(i).next
@@ -324,26 +300,6 @@ func (e *Engine) drain(l uint, s int) {
 	}
 }
 
-// refileOverflow re-files every parked event against the current base.
-// Events still beyond the horizon re-park (wheelPush appends them back
-// while the loop reads earlier indices of the same backing array, which
-// is safe: the write index never passes the read index).
-func (e *Engine) refileOverflow() {
-	items := e.overflow
-	e.overflow = e.overflow[:0]
-	for idx := range items {
-		ev := items[idx]
-		if t := uint64(ev.at) >> tickShift; t > e.base {
-			e.wheelPush(ev, t)
-		} else {
-			e.due.push(ev)
-		}
-	}
-	// Zero the vacated tail so re-parked spare capacity does not keep
-	// moved closures reachable.
-	clear(items[len(e.overflow):])
-}
-
 // advance moves base forward to the next occupied tick and drains it
 // into the due heap. Correctness rests on two invariants maintained
 // everywhere base moves: (1) events with tick <= base are always in
@@ -357,7 +313,7 @@ func (e *Engine) advance() {
 		// Fast path: the nearest occupied level-0 bucket in the current
 		// 256-tick block, if any, is globally earliest — higher-level
 		// buckets start at block boundaries at or beyond this block's
-		// end, and the overflow horizon is further still.
+		// end.
 		p0 := int(e.base) & wheelMask
 		if j := e.nextSet(0, p0); j >= 0 {
 			e.base = e.base&^uint64(wheelMask) | uint64(j)
@@ -366,8 +322,9 @@ func (e *Engine) advance() {
 		}
 		// Slow path: earliest occupied bucket span across all levels,
 		// considering both the rest of each level's current window and
-		// its wrapped (next-window) slots.
-		best, bestOK := uint64(0), false
+		// its wrapped (next-window) slots. Some bucket is occupied: the
+		// due heap is empty and every other event is in a wheel.
+		best := uint64(math.MaxUint64)
 		for l := uint(0); l < wheelLevels; l++ {
 			p := int(e.base>>(l*wheelBits)) & wheelMask
 			winSize := uint64(1) << ((l + 1) * wheelBits)
@@ -379,23 +336,7 @@ func (e *Engine) advance() {
 			if j < 0 {
 				continue
 			}
-			if cand := w | uint64(j)<<(l*wheelBits); !bestOK || cand < best {
-				best, bestOK = cand, true
-			}
-		}
-		if !bestOK {
-			// Wheels empty: everything queued is parked in overflow.
-			e.base = e.overflowMin
-			e.refileOverflow()
-			continue
-		}
-		if len(e.overflow) > 0 && e.overflowMin <= best {
-			// Base has advanced enough that parked events are no longer
-			// provably later than the wheels' earliest; re-file them.
-			// (Candidates are < base+horizon, so the minimum parked
-			// event fits in a wheel now — progress is guaranteed.)
-			e.refileOverflow()
-			continue
+			best = min(best, w|uint64(j)<<(l*wheelBits))
 		}
 		e.base = best
 		// Cascade every bucket whose span begins exactly at the new

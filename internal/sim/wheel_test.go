@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -52,12 +53,12 @@ func (s *heapSched) NewTicker(interval, jitter time.Duration, fn func()) *Ticker
 
 // TestWheelMatchesHeapOrder drives randomized Schedule/Reset/Stop
 // workloads through a heapSched: mixed-magnitude delays (same instant
-// through beyond the wheel horizon), timer churn, and interleaved
+// through a month out), timer churn, and interleaved
 // partial drains. Any divergence from the reference heap's (at, seq)
 // pop order fails the test.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	// Delay magnitudes chosen to land in every stage: due (0), level 0
-	// (µs), levels 1–4 (ms, 100ms, 10s, 20min) and overflow (30 days).
+	// (µs), levels 1–4 (ms, 100ms, 10s, 20min) and level 5 (30 days).
 	scales := []time.Duration{
 		0, time.Microsecond, 300 * time.Microsecond, time.Millisecond,
 		100 * time.Millisecond, 10 * time.Second, 20 * time.Minute,
@@ -136,14 +137,25 @@ func TestWheelShadowProtocolMix(t *testing.T) {
 	}
 }
 
+// farAhead are delays at the coarsest levels' edges: the last tick of
+// level 4 and the first of level 5 (2^40 ticks ahead), and the same
+// pair for levels 5 and 6 (2^48 ticks ahead).
+var farAhead = [...]time.Duration{
+	1<<40<<tickShift - 1<<tickShift, 1 << 40 << tickShift,
+	1<<48<<tickShift - 1<<tickShift, 1 << 48 << tickShift,
+}
+
 // FuzzWheelOrdering lets the fuzzer look for schedules where the wheel
 // and the reference heap disagree. The corpus seeds cover stage
-// boundaries (tick edges, level edges, the overflow horizon).
+// boundaries (tick edges, level edges, the coarsest levels and the
+// last representable instant).
 func FuzzWheelOrdering(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 16, 17})
 	f.Add([]byte{8, 0, 8, 1, 8, 2, 9, 9, 9})           // same-tick ties
 	f.Add([]byte{200, 200, 200, 100, 50, 25, 12, 6})   // descending
-	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 128}) // horizon hops
+	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0, 128}) // same-instant bursts
+	f.Add([]byte{240, 241, 8, 230, 241, 240, 200})     // the level 4|5 edge
+	f.Add([]byte{242, 243, 244, 230, 243, 242, 244})   // the level 5|6 edge, math.MaxInt64
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := newHeapSched(t, 7)
 		e := s.e
@@ -157,6 +169,10 @@ func FuzzWheelOrdering(f *testing.F) {
 				s.Schedule(d+time.Duration(i), func() { fired++ })
 			case b < 240:
 				e.RunUntil(e.Now() + time.Duration(b-223)*time.Millisecond)
+			case int(b) < 240+len(farAhead):
+				s.Schedule(farAhead[b-240]+time.Duration(i), func() { fired++ })
+			case int(b) == 240+len(farAhead):
+				s.ScheduleAt(math.MaxInt64, func() { fired++ })
 			default:
 				s.Schedule(0, func() { fired++ })
 			}
@@ -245,7 +261,7 @@ func TestStopMidBucket(t *testing.T) {
 }
 
 // TestPendingAcrossBucketLevels: Pending must count events accurately
-// wherever they live — due heap, every wheel level, and overflow — and
+// wherever they live — due heap and every wheel level — and
 // stay exact as advance() migrates them between stages.
 func TestPendingAcrossBucketLevels(t *testing.T) {
 	e := New(1)
@@ -257,7 +273,7 @@ func TestPendingAcrossBucketLevels(t *testing.T) {
 		2 * time.Second,       // level 2
 		10 * time.Minute,      // level 3
 		24 * time.Hour,        // level 4
-		40 * 24 * time.Hour,   // overflow (beyond the ~13-day horizon)
+		40 * 24 * time.Hour,   // level 5
 	}
 	for i, d := range delays {
 		e.Schedule(d, fn)
@@ -281,21 +297,24 @@ func TestPendingAcrossBucketLevels(t *testing.T) {
 }
 
 // TestWheelFarFutureOrder exercises the slow advance path directly:
-// events only in coarse levels and overflow, popped across idle gaps.
+// events only in coarse levels, up to the last instant a time.Duration
+// holds, popped across idle gaps and checked against the reference heap.
 func TestWheelFarFutureOrder(t *testing.T) {
 	s := newHeapSched(t, 1)
 	var got []time.Duration
-	delays := []time.Duration{
-		30 * 24 * time.Hour, // overflow
+	at := []time.Duration{
+		30 * 24 * time.Hour, // level 5
 		26 * time.Hour,      // level 4
 		90 * time.Minute,    // level 3
 		3 * time.Second,     // level 2
 		20 * time.Millisecond,
-		14 * 24 * time.Hour, // just past the horizon
+		14 * 24 * time.Hour, // level 5
+		math.MaxInt64,       // level 6
 	}
-	for _, d := range delays {
+	at = append(at, farAhead[:]...)
+	for _, d := range at {
 		d := d
-		s.Schedule(d, func() { got = append(got, d) })
+		s.ScheduleAt(d, func() { got = append(got, d) })
 	}
 	s.e.Run()
 	for i := 1; i < len(got); i++ {
@@ -303,8 +322,8 @@ func TestWheelFarFutureOrder(t *testing.T) {
 			t.Fatalf("fired out of order: %v", got)
 		}
 	}
-	if len(got) != len(delays) {
-		t.Fatalf("fired %d of %d", len(got), len(delays))
+	if len(got) != len(at) {
+		t.Fatalf("fired %d of %d", len(got), len(at))
 	}
 }
 

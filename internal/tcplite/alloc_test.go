@@ -42,21 +42,34 @@ func TestTCPBulkAllocsPerSegment(t *testing.T) {
 	if srv == nil || cli.Cwnd() < cfg.Window {
 		t.Fatalf("transfer not in steady state after warm-up (cwnd %d)", cli.Cwnd())
 	}
-	var data, acks int64
-	// One run means no average to truncate a stray object away. A
-	// collection first makes it rarer, though not impossible, for the
-	// window to count an object the runtime allocates outside the
-	// simulation on a loaded host.
+	// Several consecutive windows in one AllocsPerRun call: the average
+	// is truncated to a whole object, so the 1–3 objects the runtime
+	// occasionally allocates outside the simulation on a loaded host
+	// round away, while one extra object per segment still shows. Each
+	// window is a whole number of segment times (1,518 bytes on the wire
+	// at 1 Gb/s), so every window moves the same number of segments and
+	// the truncation has a full window count of strays to absorb.
+	// AllocsPerRun's first call is an uncounted warm-up; the windows
+	// counted start where it ends.
+	const (
+		windows = 10
+		window  = 1647 * 1518 * 8 * time.Nanosecond // ≈ 20 ms
+	)
+	var data0, acks0 int64
+	warm := true
 	runtime.GC()
-	avg := testing.AllocsPerRun(1, func() {
-		data, acks = cli.Stats.SegsSent, srv.Stats.SegsSent
-		eng.RunUntil(eng.Now() + 20*time.Millisecond)
-		data, acks = cli.Stats.SegsSent-data, srv.Stats.SegsSent-acks
+	avg := testing.AllocsPerRun(windows, func() {
+		eng.RunUntil(eng.Now() + window)
+		if warm {
+			warm = false
+			data0, acks0 = cli.Stats.SegsSent, srv.Stats.SegsSent
+		}
 	})
-	if data < 1000 || acks != data || cli.Stats.Retransmits != 0 {
-		t.Fatalf("window moved %d segments and %d ACKs, %d retransmits; want a lossless bulk flow", data, acks, cli.Stats.Retransmits)
+	data, acks := cli.Stats.SegsSent-data0, srv.Stats.SegsSent-acks0
+	if data < 1000*windows || acks != data || (data+acks)%windows != 0 || cli.Stats.Retransmits != 0 {
+		t.Fatalf("%d windows moved %d segments and %d ACKs, %d retransmits; want a lossless bulk flow, the same count every window", windows, data, acks, cli.Stats.Retransmits)
 	}
-	if avg != float64(data+acks) {
-		t.Fatalf("bulk transfer allocated %.0f objects for %d segments + %d ACKs; want one each", avg, data, acks)
+	if want := (data + acks) / windows; avg != float64(want) {
+		t.Fatalf("bulk transfer allocated %.0f objects per window for %d segments + %d ACKs over %d windows; want %d, one each", avg, data, acks, windows, want)
 	}
 }

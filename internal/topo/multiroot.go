@@ -17,9 +17,12 @@ type MultiRootConfig struct {
 }
 
 // MultiRootTree builds the blueprint. Wiring: every edge connects to
-// every aggregation switch in its pod; aggregation switch j of each
-// pod connects to the cores whose index ≡ j (mod AggsPerPod); every
-// core connects to exactly one aggregation switch per pod.
+// every aggregation switch in its pod; with C = Cores/AggsPerPod,
+// aggregation switch j of each pod connects to cores j*C .. j*C+C-1,
+// core j*C+i arriving on its up-port EdgesPerPod+i; every core
+// connects to exactly one aggregation switch per pod, core port p
+// facing pod p. Nodes are numbered pod by pod (edges, then
+// aggregation switches), then cores, then hosts.
 func MultiRootTree(cfg MultiRootConfig) (*Spec, error) {
 	switch {
 	case cfg.Pods < 2:
@@ -93,7 +96,7 @@ func MultiRootTree(cfg MultiRootConfig) (*Spec, error) {
 	for p := 0; p < cfg.Pods; p++ {
 		for j := 0; j < cfg.AggsPerPod; j++ {
 			for i := 0; i < coresPerAgg; i++ {
-				c := j + i*cfg.AggsPerPod
+				c := j*coresPerAgg + i
 				s.Links = append(s.Links, LinkSpec{
 					A: PortRef{agg[p][j], cfg.EdgesPerPod + i},
 					B: PortRef{core[c], p},

@@ -1,7 +1,8 @@
-// Package topo describes multi-rooted tree topologies and builds the
-// canonical k-ary fat tree PortLand targets (paper §2.1): k pods, each
-// with k/2 edge and k/2 aggregation switches, (k/2)² core switches,
-// and k³/4 hosts.
+// Package topo describes multi-rooted tree topologies and builds them:
+// the general class PortLand applies to (MultiRootTree) and its
+// canonical k-ary fat tree instance (paper §2.1): k pods, each with
+// k/2 edge and k/2 aggregation switches, (k/2)² core switches, and
+// k³/4 hosts.
 //
 // The specs carry ground-truth locations (pod, position, level) used
 // only by topology wiring and by tests that verify LDP *discovers* the
@@ -81,7 +82,9 @@ type Spec struct {
 	Links []LinkSpec
 }
 
-// FatTree builds the canonical k-ary fat tree. k must be even and >= 2.
+// FatTree builds the canonical k-ary fat tree: the multi-rooted tree
+// with k pods of k/2 edge and k/2 aggregation switches, (k/2)² cores
+// and k/2 hosts per edge. k must be even and >= 2.
 //
 // Port conventions (identical on every switch, as on real hardware):
 //   - edge: ports 0..k/2-1 face hosts, ports k/2..k-1 face aggregation
@@ -95,76 +98,11 @@ func FatTree(k int) (*Spec, error) {
 		return nil, fmt.Errorf("topo: fat-tree degree must be even and >= 2, got %d", k)
 	}
 	half := k / 2
-	s := &Spec{K: k}
-
-	edge := make([][]NodeID, k) // [pod][pos]
-	agg := make([][]NodeID, k)  // [pod][pos]
-	core := make([]NodeID, half*half)
-	add := func(n NodeSpec) NodeID {
-		n.ID = NodeID(len(s.Nodes))
-		s.Nodes = append(s.Nodes, n)
-		return n.ID
+	s, err := MultiRootTree(MultiRootConfig{Pods: k, EdgesPerPod: half, AggsPerPod: half, Cores: half * half, HostsPerEdge: half})
+	if err != nil {
+		return nil, err
 	}
-	for p := 0; p < k; p++ {
-		edge[p] = make([]NodeID, half)
-		agg[p] = make([]NodeID, half)
-		for j := 0; j < half; j++ {
-			edge[p][j] = add(NodeSpec{
-				Level: Edge, Pod: p, Position: j, Ports: k,
-				Name: fmt.Sprintf("edge-p%d-s%d", p, j),
-			})
-		}
-		for j := 0; j < half; j++ {
-			agg[p][j] = add(NodeSpec{
-				Level: Aggregation, Pod: p, Position: j, Ports: k,
-				Name: fmt.Sprintf("agg-p%d-s%d", p, j),
-			})
-		}
-	}
-	for c := 0; c < half*half; c++ {
-		core[c] = add(NodeSpec{
-			Level: Core, Pod: -1, Position: c, Ports: k,
-			Name: fmt.Sprintf("core-%d", c),
-		})
-	}
-	// Hosts: k/2 per edge switch.
-	for p := 0; p < k; p++ {
-		for j := 0; j < half; j++ {
-			for h := 0; h < half; h++ {
-				id := add(NodeSpec{
-					Level: Host, Pod: p, Position: h, Ports: 1,
-					Name: fmt.Sprintf("host-p%d-e%d-h%d", p, j, h),
-				})
-				s.Links = append(s.Links, LinkSpec{
-					A: PortRef{id, 0},
-					B: PortRef{edge[p][j], h},
-				})
-			}
-		}
-	}
-	// Edge <-> aggregation (full bipartite within the pod).
-	for p := 0; p < k; p++ {
-		for e := 0; e < half; e++ {
-			for a := 0; a < half; a++ {
-				s.Links = append(s.Links, LinkSpec{
-					A: PortRef{edge[p][e], half + a},
-					B: PortRef{agg[p][a], e},
-				})
-			}
-		}
-	}
-	// Aggregation <-> core.
-	for p := 0; p < k; p++ {
-		for j := 0; j < half; j++ {
-			for i := 0; i < half; i++ {
-				c := j*half + i
-				s.Links = append(s.Links, LinkSpec{
-					A: PortRef{agg[p][j], half + i},
-					B: PortRef{core[c], p},
-				})
-			}
-		}
-	}
+	s.K = k
 	return s, nil
 }
 

@@ -1,8 +1,101 @@
 package topo
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
+
+// refFatTree wires the k-ary fat tree with a loop nest of its own,
+// independent of MultiRootTree: the reference FatTree must equal.
+func refFatTree(k int) *Spec {
+	half := k / 2
+	s := &Spec{K: k}
+
+	edge := make([][]NodeID, k) // [pod][pos]
+	agg := make([][]NodeID, k)  // [pod][pos]
+	core := make([]NodeID, half*half)
+	add := func(n NodeSpec) NodeID {
+		n.ID = NodeID(len(s.Nodes))
+		s.Nodes = append(s.Nodes, n)
+		return n.ID
+	}
+	for p := 0; p < k; p++ {
+		edge[p] = make([]NodeID, half)
+		agg[p] = make([]NodeID, half)
+		for j := 0; j < half; j++ {
+			edge[p][j] = add(NodeSpec{
+				Level: Edge, Pod: p, Position: j, Ports: k,
+				Name: fmt.Sprintf("edge-p%d-s%d", p, j),
+			})
+		}
+		for j := 0; j < half; j++ {
+			agg[p][j] = add(NodeSpec{
+				Level: Aggregation, Pod: p, Position: j, Ports: k,
+				Name: fmt.Sprintf("agg-p%d-s%d", p, j),
+			})
+		}
+	}
+	for c := 0; c < half*half; c++ {
+		core[c] = add(NodeSpec{
+			Level: Core, Pod: -1, Position: c, Ports: k,
+			Name: fmt.Sprintf("core-%d", c),
+		})
+	}
+	// Hosts: k/2 per edge switch.
+	for p := 0; p < k; p++ {
+		for j := 0; j < half; j++ {
+			for h := 0; h < half; h++ {
+				id := add(NodeSpec{
+					Level: Host, Pod: p, Position: h, Ports: 1,
+					Name: fmt.Sprintf("host-p%d-e%d-h%d", p, j, h),
+				})
+				s.Links = append(s.Links, LinkSpec{
+					A: PortRef{id, 0},
+					B: PortRef{edge[p][j], h},
+				})
+			}
+		}
+	}
+	// Edge <-> aggregation (full bipartite within the pod).
+	for p := 0; p < k; p++ {
+		for e := 0; e < half; e++ {
+			for a := 0; a < half; a++ {
+				s.Links = append(s.Links, LinkSpec{
+					A: PortRef{edge[p][e], half + a},
+					B: PortRef{agg[p][a], e},
+				})
+			}
+		}
+	}
+	// Aggregation <-> core.
+	for p := 0; p < k; p++ {
+		for j := 0; j < half; j++ {
+			for i := 0; i < half; i++ {
+				c := j*half + i
+				s.Links = append(s.Links, LinkSpec{
+					A: PortRef{agg[p][j], half + i},
+					B: PortRef{core[c], p},
+				})
+			}
+		}
+	}
+	return s
+}
+
+// FatTree is MultiRootTree's k-ary case: node for node and link for
+// link, in the same order, it is the reference's spec.
+func TestFatTreeMatchesReference(t *testing.T) {
+	for _, k := range []int{2, 4, 6, 8, 16, 32, 48} {
+		got, err := FatTree(k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if want := refFatTree(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: FatTree differs from refFatTree", k)
+		}
+	}
+}
 
 func TestFatTreeCountsMatchClosedForm(t *testing.T) {
 	for _, k := range []int{2, 4, 6, 8, 16, 48} {

@@ -13,7 +13,7 @@ import (
 	"portland/internal/ether"
 	"portland/internal/host"
 	"portland/internal/ippkt"
-	"portland/internal/metrics"
+	"portland/internal/obs"
 	"portland/internal/sim"
 )
 
@@ -49,7 +49,7 @@ type CBR struct {
 	Size     int
 
 	// RX records arrival times at the receiver.
-	RX metrics.Recorder
+	RX obs.Recorder
 	// Sent counts transmissions.
 	Sent int64
 
